@@ -67,6 +67,9 @@ class ExperimentConfig:
         for key, val in self.params.items():
             if key not in res:
                 raise ConfigError(f"preset {self.preset} has no parameter {key!r}")
+            if not _fits_default(res[key], val):
+                raise ConfigError(f"parameter {key!r} must be of type "
+                                  f"{type(res[key]).__name__}, got {val!r}")
             res[key] = val
         _validate_resolved(res)
         if self.workers < 1:
@@ -74,6 +77,15 @@ class ExperimentConfig:
         if self.fmt not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, not {self.fmt!r}")
         return res
+
+
+def _fits_default(default, val) -> bool:
+    """int for int, int or float for float, and a bool is never a number."""
+    if isinstance(default, bool) or isinstance(val, bool):
+        return type(val) is type(default)
+    if isinstance(default, float):
+        return isinstance(val, (int, float))
+    return isinstance(val, type(default))
 
 
 def _validate_resolved(res: dict) -> None:

@@ -24,6 +24,7 @@ from .fqlinalg import (
     draw_native_column,
     enumerate_subspaces,
     native_to_tuple,
+    pack_gf2,
     projective_points,
 )
 from .matroid import (
@@ -109,7 +110,6 @@ class ProcessState:
         self.corank_history: list[int] = []
         self.m = 0
         self.first_circuit: frozenset | None = None
-        self.events: list[tuple] = []
         self.trajectory: list[str] | None = [] if record_trajectory else None
         self.checkpoint_every = checkpoint_every
 
@@ -215,24 +215,6 @@ def track_first_circuit(state: ProcessState) -> tuple[int, int]:
 # ---- k-circuit tracking -------------------------------------------------
 
 
-def _popcount_u64(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    lanes = arr.view(np.uint16).reshape(arr.shape[0], -1)
-    return _POP16[lanes].sum(axis=1, dtype=np.int64)
-
-
-@lru_cache(maxsize=1)
-def _pop16_table() -> np.ndarray:
-    t = np.arange(1 << 16, dtype=np.uint16)
-    out = np.zeros(1 << 16, dtype=np.uint8)
-    while t.any():
-        out += (t & 1).astype(np.uint8)
-        t >>= 1
-    out.setflags(write=False)
-    return out
-
-
 class _Gf2KernelSweep:
     """All F_2 kernel combinations as packed column-index masks.
 
@@ -251,7 +233,7 @@ class _Gf2KernelSweep:
         if (self.combos is not None and mask < (1 << 64)
                 and len(self.combos) <= _SWEEP_VECTOR_MAX):
             fresh = self.combos ^ np.uint64(mask)
-            hits = fresh[_popcount_u64(fresh) == want]
+            hits = fresh[np.bitwise_count(fresh) == want]
             self.combos = np.concatenate([self.combos, fresh])
             return [int(x) for x in hits]
         # streamed Gray-code walk over the previous vectors; also the
@@ -554,25 +536,10 @@ def _dual_normal_bases(n: int, k: int) -> np.ndarray:
     field = make_field(2)
     rows = []
     for handle in enumerate_subspaces(field, n, k):
-        rows.append([_pack_bits(r) for r in handle.rows])
+        rows.append([pack_gf2(r) for r in handle.rows])
     arr = np.asarray(rows, dtype=np.uint32).reshape(len(rows), k)
     arr.setflags(write=False)
     return arr
-
-
-def _pack_bits(row) -> int:
-    v = 0
-    for i, x in enumerate(row):
-        if x:
-            v |= 1 << i
-    return v
-
-
-@lru_cache(maxsize=1)
-def _parity16_table() -> np.ndarray:
-    t = _pop16_table() & 1
-    t.setflags(write=False)
-    return t
 
 
 class _CriticalTracker:
@@ -583,6 +550,14 @@ class _CriticalTracker:
     by exactly one when the set dies (a rebuild at the next level that
     also comes up empty would be a skip, which is recorded rather than
     assumed away).
+
+    Fast path (q = 2, n <= 16): a codimension-k subspace is the
+    annihilator of a k-dimensional dual space U with basis rows
+    u_1..u_k, and it avoids column v exactly when <u_i, v> = 1 for some
+    i.  A rebuild tabulates, from `cols`, the syndromes of all 2^n dual
+    vectors: bit j of syn[w, a] is <a, v_{64w+j}>.  U then avoids all m
+    columns iff syn[:, u_1] | ... | syn[:, u_k] has all m bits set, one
+    gather per basis row.  Nothing but `cols` and `alive` outlives a call.
     """
 
     def __init__(self, field: FieldSpec, n: int, subspace_budget: int):
@@ -605,13 +580,19 @@ class _CriticalTracker:
             raise BudgetExceeded(
                 f"{self._space_count(k)} candidate subspaces exceed budget")
         if self.fast:
+            m = len(self.cols)
+            v = np.array([pack_gf2(c) for c in self.cols], dtype=np.uint64)
+            duals = np.arange(1 << self.n, dtype=np.uint64)
+            par = (np.bitwise_count(v[:, None] & duals) & 1).astype(np.uint64)
+            bits = par << (np.arange(m, dtype=np.uint64) % 64)[:, None]
+            syn = np.stack([np.bitwise_or.reduce(bits[w:w + 64]) for w in range(0, m, 64)])
+            full = np.array([(1 << min(64, m - w)) - 1 for w in range(0, m, 64)],
+                            dtype=np.uint64)
             bases = _dual_normal_bases(self.n, k)
-            keep = np.ones(len(bases), dtype=bool)
-            par = _parity16_table()
-            for col in self.cols:
-                v = np.uint32(_pack_bits(col))
-                keep &= par[bases & v].any(axis=1)
-            self.alive = np.nonzero(keep)[0]
+            acc = syn[:, bases[:, 0]]
+            for i in range(1, k):
+                acc |= syn[:, bases[:, i]]
+            self.alive = np.nonzero((acc == full[:, None]).all(axis=0))[0]
         else:
             self.alive = [h for h in enumerate_subspaces(self.field, self.n,
                                                          self.n - k)
@@ -620,9 +601,8 @@ class _CriticalTracker:
     def _prune(self, col: tuple) -> None:
         if self.fast:
             bases = _dual_normal_bases(self.n, self.level)[self.alive]
-            par = _parity16_table()
-            v = np.uint32(_pack_bits(col))
-            self.alive = self.alive[par[bases & v].any(axis=1)]
+            v = np.uint32(pack_gf2(col))
+            self.alive = self.alive[(np.bitwise_count(bases & v) & 1).any(axis=1)]
         else:
             self.alive = [h for h in self.alive if not h.contains(self.field, col)]
 
@@ -859,6 +839,3 @@ def sample_m1(field: FieldSpec, n: int, m: int, rng) -> ModelSample:
                  for _ in range(m))
     return ModelSample(model="M1", n=n, q=field.q, param=m, selection=cols,
                        matrix=FqMatrix(field, cols, n=n))
-
-
-_POP16 = _pop16_table()

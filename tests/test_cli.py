@@ -123,6 +123,15 @@ def test_simulate_usage_errors(capsys, tmp_path):
     assert rc == 2 and "key=value" in err
 
 
+def test_simulate_param_of_wrong_type_is_usage_error(capsys, tmp_path):
+    rc, _, err = run(capsys, "simulate", "--preset", "E10", "--trials", "2",
+                     "--seed", "1", "--param", "crt_max_steps=abc",
+                     "--out", str(tmp_path / "z.json"))
+    assert rc == 2
+    assert "crt_max_steps" in err and "Traceback" not in err
+    assert not (tmp_path / "z.json").exists()
+
+
 def test_simulate_budget_env_gives_exit_3(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("FQMATROID_BUDGET", "1")
     rc, _, err = run(capsys, "simulate", "--preset", "E6", "--trials", "2",

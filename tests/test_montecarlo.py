@@ -80,6 +80,10 @@ def test_config_rejects_bad_inputs():
     with pytest.raises(ConfigError, match="budget"):
         MC.ExperimentConfig(preset="E6", seed=1,
                             params={"kernel_budget": 0}).resolved()
+    for bad in ("abc", 2.5, True):
+        with pytest.raises(ConfigError, match="must be of type int"):
+            MC.ExperimentConfig(preset="E10", seed=1,
+                                params={"crt_max_steps": bad}).resolved()
 
 
 def test_resolved_layers_overrides():

@@ -11,7 +11,7 @@ import pytest
 
 from fqmatroid import process as P
 from fqmatroid.errors import BudgetExceeded, ConsistencyError, InvalidParam
-from fqmatroid.fqlinalg import FqMatrix, make_field, projective_points
+from fqmatroid.fqlinalg import FqMatrix, make_field, pack_gf2, projective_points
 from fqmatroid.matroid import INFINITY, RepMatroid, uniform_matroid_matrix
 
 F2 = make_field(2)
@@ -304,12 +304,20 @@ def test_kappa_trajectory_guards():
 # ---- critical number tracking ---------------------------------------------------
 
 
-@pytest.mark.parametrize("field,n,trial", [(F2, 5, 0), (F2, 5, 1), (F3, 3, 0)])
-def test_critical_trajectory_against_per_prefix(field, n, trial):
+@pytest.mark.parametrize("field,n,trial,horizon", [
+    pytest.param(F2, 5, 0, 12, id="field0-5-0"),
+    pytest.param(F2, 5, 1, 12, id="field1-5-1"),
+    pytest.param(F3, 3, 0, 12, id="field2-3-0"),
+    # chi reaches 3 by step 30 (trial 0) and 38 (trial 1): level-2 and
+    # level-3 rebuilds of the gf2 fast path
+    pytest.param(F2, 8, 0, 40, id="field3-8-0"),
+    pytest.param(F2, 8, 1, 40, id="field4-8-1"),
+])
+def test_critical_trajectory_against_per_prefix(field, n, trial, horizon):
     st = P.ProcessState(field, n, P.process_rng(56, trial))
-    trace = P.critical_trajectory(st, horizon=12)
-    cols = replay_columns(field, n, 56, trial, 12)
-    for m in range(1, 13):
+    trace = P.critical_trajectory(st, horizon=horizon)
+    cols = replay_columns(field, n, 56, trial, horizon)
+    for m in range(1, horizon + 1):
         mat = prefix_matroid(cols, field, n, m)
         if trace.loop_at is not None and m >= trace.loop_at:
             assert trace.chis[m - 1] is None
@@ -317,6 +325,26 @@ def test_critical_trajectory_against_per_prefix(field, n, trial):
         else:
             assert trace.chis[m - 1] == mat.critical_number()
     assert trace.skips == []
+
+
+def test_critical_tracker_rebuilds_over_more_than_64_columns():
+    # 70 distinct columns with first coordinate 1: only e_1 in the dual
+    # has <a, v> = 1 on all of them, so chi stays 1 until e_2 arrives and
+    # forces a level-2 rebuild over 71 columns (two 64-bit words)
+    n = 8
+    cols = [(1,) + tuple((w >> i) & 1 for i in range(n - 1)) for w in range(70)]
+    cols.append((0, 1) + (0,) * (n - 2))
+    tracker = P._CriticalTracker(F2, n, P.DEFAULT_TRACK_SUBSPACE_BUDGET)
+    chis = [tracker.add(c) for c in cols]
+    assert chis == [1] * 70 + [2]
+    assert tracker.skips == []
+    for m in (70, 71):
+        assert prefix_matroid(cols, F2, n, m).critical_number() == chis[m - 1]
+    # the surviving set is exactly the dual planes avoiding every column
+    packed = [pack_gf2(c) for c in cols]
+    keep = [i for i, rows in enumerate(P._dual_normal_bases(n, 2).tolist())
+            if all(any((r & v).bit_count() & 1 for r in rows) for v in packed)]
+    assert tracker.alive.tolist() == keep
 
 
 def test_critical_trajectory_stops_at_loop():
