@@ -11,6 +11,7 @@ import argparse
 import io
 import json
 import math
+import operator
 import os
 import secrets
 import sys
@@ -20,9 +21,8 @@ from fractions import Fraction
 from . import montecarlo, theory
 from .errors import (BudgetExceeded, ConfigError, FqError, InvalidParam,
                      IoError, NotPrimePower, TooLarge)
-from .fqlinalg import enumerate_subspaces, make_field
+from .fqlinalg import FqMatrix, enumerate_subspaces, make_field, random_uniform_matrix
 from .matroid import INFINITY, RepMatroid
-from .fqlinalg import FqMatrix
 
 _BUDGET_ENV = "FQMATROID_BUDGET"
 _CORRUPT_ENV = "FQMATROID_SELFCHECK_CORRUPT"  # test hook: q whose tables to corrupt
@@ -178,20 +178,29 @@ def _cmd_compare(args) -> int:
     except json.JSONDecodeError as e:
         print(f"not a json artifact: {e}", file=sys.stderr)
         return 2
-    if obj.get("schema_version") != montecarlo.SCHEMA_VERSION:
-        print(f"schema_version {obj.get('schema_version')!r} != "
-              f"{montecarlo.SCHEMA_VERSION!r}", file=sys.stderr)
+    version = obj.get("schema_version") if isinstance(obj, dict) else None
+    if version != montecarlo.SCHEMA_VERSION:
+        print(f"schema_version {version!r} != {montecarlo.SCHEMA_VERSION!r}", file=sys.stderr)
         return 2
-    res = obj["config"]
-    preset = res["preset"]
+    res = obj.get("config")
+    preset = res.get("preset") if isinstance(res, dict) else None
     if preset not in montecarlo.PRESETS:
-        print(f"unknown preset {preset!r} in artifact", file=sys.stderr)
+        print(f"unknown preset {preset!r} in artifact config", file=sys.stderr)
         return 2
+    missing = sorted(({"seed"} | set(montecarlo.PRESETS[preset].defaults)) - set(res))
+    if missing:
+        print(f"artifact config lacks {', '.join(missing)}", file=sys.stderr)
+        return 2
+    montecarlo._validate_resolved(res)
     agg = montecarlo.Aggregate(preset=preset)
-    agg.counters = {key: Counter({int(k): v for k, v in cnt.items()})
-                    for key, cnt in obj["aggregate"].items()}
+    try:
+        agg.counters = {key: Counter({int(k): operator.index(v) for k, v in cnt.items()})
+                        for key, cnt in obj["aggregate"].items()}
+        stored = {c["name"]: c.get("passed") for c in obj["comparison"]["checks"]}
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        print(f"malformed artifact aggregate or checks: {e!r}", file=sys.stderr)
+        return 2
     body = montecarlo.PRESETS[preset].reporter(res, agg)
-    stored = {c["name"]: c.get("passed") for c in obj["comparison"]["checks"]}
     ok = True
     print(f"seed={res['seed']}")
     for chk in body["checks"]:
@@ -335,8 +344,7 @@ def _check_rank_law() -> tuple[bool, str]:
 
 
 def _check_connectivity_identities() -> tuple[bool, str]:
-    from .process import process_rng, draw_native_column
-    from .fqlinalg import native_to_tuple
+    from .process import process_rng
 
     rng = process_rng(20240817, 0)
     checked = 0
@@ -345,9 +353,7 @@ def _check_connectivity_identities() -> tuple[bool, str]:
         f = make_field(q)
         n = int(rng.integers(1, 5))
         m = int(rng.integers(2, 8))
-        cols = [native_to_tuple(f, n, draw_native_column(f, n, rng))
-                for _ in range(m)]
-        M = RepMatroid(FqMatrix(f, cols, n=n))
+        M = RepMatroid(random_uniform_matrix(f, n, m, rng))
         if M.is_vertically_2_connected() != M.is_vertically_k_connected(2):
             return False, f"2-connectivity mismatch at q={q} n={n} m={m}"
         uni = M.is_uniform()

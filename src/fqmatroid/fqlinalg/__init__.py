@@ -16,6 +16,7 @@ from .matrix import (
 from .subspaces import (
     DEFAULT_SUBSPACE_BUDGET,
     SubspaceHandle,
+    canonical_point,
     enumerate_subspaces,
     projective_points,
 )
@@ -36,6 +37,7 @@ __all__ = [
     "unpack_gf2",
     "DEFAULT_SUBSPACE_BUDGET",
     "SubspaceHandle",
+    "canonical_point",
     "enumerate_subspaces",
     "projective_points",
 ]

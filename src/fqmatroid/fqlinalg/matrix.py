@@ -144,7 +144,17 @@ class _PrimeRref:
             f = self.W[:r, pos]
             hit = np.nonzero(f)[0]
             if hit.size:
-                self.W[hit] = (self.W[hit] - np.outer(f[hit], row)) % p
+                w = n + r + 1  # columns past n + r are zero in every row
+                c = f[hit]
+                if p <= hit.size:
+                    # reduced multiples c*row from a table over all residues;
+                    # fold (-p, p) into [0, p) without a modulo
+                    mult = (np.arange(p)[:, None] * row[:w]) % p
+                    blk = self.W[hit, :w] - mult[c]
+                    blk += (blk >> 63) & p
+                else:
+                    blk = (self.W[hit, :w] - np.outer(c, row[:w])) % p
+                self.W[hit, :w] = blk
         self.W[r] = row
         self.piv.append(pos)
         self.slots.append(idx)
@@ -227,6 +237,15 @@ class _GenericRref:
         return True
 
 
+def _to_native(engine: str, column):
+    """A column tuple (or an engine-native column) in `engine`'s form."""
+    if engine == "gf2":
+        return column if isinstance(column, int) else pack_gf2(column)
+    if engine == "prime":
+        return column if isinstance(column, np.ndarray) else np.asarray(column, dtype=np.int64)
+    return column
+
+
 class RrefState:
     """Incremental elimination state over the columns pushed so far.
 
@@ -254,19 +273,10 @@ class RrefState:
             raise InvalidParam(f"unknown engine {engine!r}")
 
     def push(self, column):
-        return self._impl.push(self._native(column))
+        return self._impl.push(_to_native(self.engine, column))
 
     def in_span(self, column) -> bool:
-        return self._impl.in_span(self._native(column))
-
-    def _native(self, column):
-        if self.engine == "gf2":
-            return column if isinstance(column, int) else pack_gf2(column)
-        if self.engine == "prime":
-            if isinstance(column, np.ndarray):
-                return column
-            return np.asarray(column, dtype=np.int64)
-        return column
+        return self._impl.in_span(_to_native(self.engine, column))
 
     @property
     def rank(self) -> int:
@@ -323,12 +333,7 @@ class FqMatrix:
         """Columns in the elimination engine's preferred representation."""
         if self._native_cols is None:
             eng = engine_name(self.field, self.n)
-            if eng == "gf2":
-                self._native_cols = [pack_gf2(c) for c in self.columns]
-            elif eng == "prime":
-                self._native_cols = [np.asarray(c, dtype=np.int64) for c in self.columns]
-            else:
-                self._native_cols = list(self.columns)
+            self._native_cols = [_to_native(eng, c) for c in self.columns]
         return self._native_cols
 
     @property
@@ -418,16 +423,20 @@ class FqMatrix:
         return f"FqMatrix(q={self.field.q}, n={self.n}, m={self.m})"
 
 
-def draw_native_column(field: FieldSpec, n: int, rng) -> object:
-    """One uniform column in engine-native form, from a numpy Generator."""
-    raw = rng.integers(0, field.q, size=n)
+def draw_native_column(field: FieldSpec, n: int, rng, count: int | None = None):
+    """One uniform column in engine-native form, or a list of `count` columns
+    from one (count, n) draw: for Philox, the same stream as single draws."""
+    raw = rng.integers(0, field.q, size=(1 if count is None else count, n))
     eng = engine_name(field, n)
     if eng == "gf2":
-        return int.from_bytes(np.packbits(raw.astype(np.uint8), bitorder="little").tobytes(),
-                              "little")
-    if eng == "prime":
-        return raw.astype(np.int64)
-    return tuple(int(x) for x in raw)
+        w = (n + 7) // 8
+        buf = np.packbits(raw.astype(np.uint8), axis=1, bitorder="little").tobytes()
+        cols = [int.from_bytes(buf[i * w:(i + 1) * w], "little") for i in range(len(raw))]
+    elif eng == "prime":
+        cols = list(raw)
+    else:
+        cols = [tuple(r) for r in raw.tolist()]
+    return cols[0] if count is None else cols
 
 
 def native_to_tuple(field: FieldSpec, n: int, native) -> tuple:
@@ -440,7 +449,7 @@ def native_to_tuple(field: FieldSpec, n: int, native) -> tuple:
 
 def random_uniform_matrix(field: FieldSpec, n: int, m: int, rng) -> FqMatrix:
     """n x m matrix with i.i.d. uniform entries, drawn column by column."""
-    cols = [native_to_tuple(field, n, draw_native_column(field, n, rng)) for _ in range(m)]
+    cols = [native_to_tuple(field, n, c) for c in draw_native_column(field, n, rng, count=m)]
     return FqMatrix(field, cols, n=n)
 
 

@@ -6,20 +6,10 @@ import itertools
 from dataclasses import dataclass
 
 from ..errors import BudgetExceeded, InvalidParam
+from ..theory import gaussian_binomial
 from .fields import FieldSpec
 
 DEFAULT_SUBSPACE_BUDGET = 10**7
-
-
-def _count_subspaces(n: int, k: int, q: int) -> int:
-    # exact Gaussian binomial, integer product
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
-    return num // den
 
 
 @dataclass(frozen=True)
@@ -84,7 +74,7 @@ def enumerate_subspaces(field: FieldSpec, n: int, k: int,
     """
     if not 0 <= k <= n:
         raise InvalidParam(f"dimension {k} outside [0, {n}]")
-    total = _count_subspaces(n, k, field.q)
+    total = gaussian_binomial(n, k, field.q)
     if total > budget:
         raise BudgetExceeded(f"{total} subspaces exceed budget {budget}")
     return _iter_subspaces(field, n, k)
@@ -106,6 +96,15 @@ def _iter_subspaces(field: FieldSpec, n: int, k: int):
             for (i, j), val in zip(cells, fill):
                 rows[i][j] = val
             yield SubspaceHandle(n=n, dim=k, rows=tuple(tuple(r) for r in rows))
+
+
+def canonical_point(field: FieldSpec, col) -> tuple | None:
+    """Projective representative of col (first nonzero entry 1); None for zero."""
+    lead = next((x for x in col if x), 0)
+    if lead <= 1:
+        return tuple(col) if lead else None
+    s = field.inv(lead)
+    return tuple(field.mul(s, x) for x in col)
 
 
 def projective_points(field: FieldSpec, n: int) -> list[tuple]:

@@ -24,6 +24,7 @@ from .errors import BudgetExceeded, ConsistencyError, InvalidParam, LoopPresent
 from .fqlinalg import (
     FqMatrix,
     RrefState,
+    canonical_point,
     enumerate_subspaces,
     pack_gf2,
     projective_points,
@@ -160,18 +161,7 @@ class RepMatroid:
     def points(self) -> list:
         """Canonical projective representative per column; None for loops."""
         if self._points is None:
-            F = self.field
-            out = []
-            for col in self.matrix.columns:
-                lead = next((x for x in col if x), None)
-                if lead is None:
-                    out.append(None)
-                elif lead == 1:
-                    out.append(col)
-                else:
-                    s = F.inv(lead)
-                    out.append(tuple(F.mul(s, x) for x in col))
-            self._points = out
+            self._points = [canonical_point(self.field, col) for col in self.matrix.columns]
         return self._points
 
     def is_simple(self) -> bool:
@@ -580,7 +570,7 @@ class RepMatroid:
         for basis in itertools.combinations(distinct, r):
             if FqMatrix(F, basis, n=n).rank != r:
                 continue
-            if all(_canonical(F, v) in pts for v in _flat_points(F, basis, n)):
+            if all(canonical_point(F, v) in pts for v in _flat_points(F, basis, n)):
                 return True
         return False
 
@@ -591,14 +581,6 @@ def _dot(field, a, b):
         if x and y:
             acc = field.add(acc, field.mul(x, y))
     return acc
-
-
-def _canonical(field, v):
-    lead = next((x for x in v if x), None)
-    if lead is None or lead == 1:
-        return tuple(v)
-    s = field.inv(lead)
-    return tuple(field.mul(s, x) for x in v)
 
 
 def _flat_points(field, basis, n):

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, IoError
-from .fqlinalg import FqMatrix, RrefState, make_field, random_uniform_matrix
+from .fqlinalg import RrefState, canonical_point, make_field, random_uniform_matrix
 from .matroid import INFINITY, RepMatroid, pg_matrix
 from . import process as proc
 from . import theory
@@ -60,7 +60,7 @@ class ExperimentConfig:
                               f"{sorted(PRESETS)}")
         res = dict(PRESETS[self.preset].defaults)
         res["preset"] = self.preset
-        res["seed"] = int(self.seed)
+        res["seed"] = self.seed
         for key, val in (("trials", self.trials), ("n", self.n), ("q", self.q)):
             if val is not None:
                 res[key] = val
@@ -91,10 +91,13 @@ def _fits_default(default, val) -> bool:
 def _validate_resolved(res: dict) -> None:
     for key, val in res.items():
         if key.endswith("trials") or key in ("n", "m", "q"):
-            if not isinstance(val, int) or val < 1:
+            if not isinstance(val, int) or isinstance(val, bool) or val < 1:
                 raise ConfigError(f"{key} must be a positive integer, got {val!r}")
         if key.endswith("budget") and val <= 0:
             raise ConfigError(f"{key} must be positive")
+    seed = res["seed"]
+    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 1 << 64:
+        raise ConfigError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     try:
         make_field(res["q"])
     except Exception as e:  # noqa: BLE001 - re-tag as a config problem
@@ -264,8 +267,7 @@ def _last_point(field, st):
     """Canonical projective point of the newest (nonzero) column."""
     if field.q == 2:
         return st.native_cols[-1]  # gf2 vectors are their own representatives
-    col = proc.native_to_tuple(field, st.n, st.native_cols[-1])
-    return proc._canonical_point(field, col)
+    return canonical_point(field, proc.native_to_tuple(field, st.n, st.native_cols[-1]))
 
 
 def _t_tau_u23(res, rng):
@@ -296,11 +298,9 @@ def _uniform_points(field, n, m, rng):
     if field.q == 2 and n <= 62:
         raw = rng.integers(0, 1 << n, size=m, dtype=np.int64)
         return [(int(v) != 0, int(v)) for v in raw]
-    out = []
-    for _ in range(m):
-        col = proc.native_to_tuple(field, n, proc.draw_native_column(field, n, rng))
-        out.append((any(col), proc._canonical_point(field, col) if any(col) else None))
-    return out
+    pts = (canonical_point(field, proc.native_to_tuple(field, n, c))
+           for c in proc.draw_native_column(field, n, rng, count=m))
+    return [(p is not None, p) for p in pts]
 
 
 def _t_two_circuit_count(res, rng):
@@ -341,9 +341,7 @@ def _t_girth_identity(res, rng):
     field = make_field(q)
     n = int(rng.integers(1, 6))
     m = int(rng.integers(2, 9))
-    cols = [proc.native_to_tuple(field, n, proc.draw_native_column(field, n, rng))
-            for _ in range(m)]
-    M = RepMatroid(FqMatrix(field, cols, n=n))
+    M = RepMatroid(random_uniform_matrix(field, n, m, rng))
     uni = M.is_uniform()
     if uni is not None and uni[1] >= 2 * uni[0] - 1:
         # U_{r,m} with m >= 2r-1: the one family where Tutte connectivity

@@ -21,11 +21,13 @@ from .fqlinalg import (
     FieldSpec,
     FqMatrix,
     RrefState,
+    canonical_point,
     draw_native_column,
     enumerate_subspaces,
     native_to_tuple,
     pack_gf2,
     projective_points,
+    random_uniform_matrix,
 )
 from .matroid import (
     DEFAULT_KERNEL_BUDGET,
@@ -35,6 +37,9 @@ from .matroid import (
 )
 
 DEFAULT_TRACK_SUBSPACE_BUDGET = 10 ** 6
+
+# ProcessState draws its columns this many at a time
+_DRAW_BLOCK = 64
 
 # combos arrays for the gf2 kernel sweep stay vectorized up to this many
 # entries; beyond it the sweep streams one combination at a time
@@ -104,6 +109,7 @@ class ProcessState:
         self.field = field
         self.n = n
         self.rng = rng
+        self._ahead: list = []  # drawn, not yet pushed; pop() gives the next
         self.rref = RrefState(field, n)
         self.native_cols: list = []
         self.kernel_vectors: list[dict] = []
@@ -122,8 +128,14 @@ class ProcessState:
         return self.rref.corank
 
     def step(self) -> StepReport:
-        """Draw one uniform column and append it."""
-        return self.push_column(draw_native_column(self.field, self.n, self.rng))
+        """Draw one uniform column and append it.
+
+        Columns are drawn _DRAW_BLOCK at a time, so the state reads its rng
+        ahead: once it has stepped, nothing else may draw from that rng."""
+        if not self._ahead:
+            self._ahead = draw_native_column(self.field, self.n, self.rng,
+                                             count=_DRAW_BLOCK)[::-1]
+        return self.push_column(self._ahead.pop())
 
     def push_column(self, native_col) -> StepReport:
         prev_corank = self.corank_history[-1] if self.corank_history else 0
@@ -315,16 +327,11 @@ def track_k_circuit(state: ProcessState, k: int,
     if k <= 2:
         seen: set = set()
         while max_steps is None or state.m < max_steps:
-            rep = state.step()
-            col = native_to_tuple(field, n, state.native_cols[-1])
-            if k == 1:
-                if not any(col):
-                    return state.m
-                continue
-            if any(col):
-                pt = _canonical_point(field, col)
-                if pt in seen:
-                    return state.m
+            state.step()
+            pt = canonical_point(field, native_to_tuple(field, n, state.native_cols[-1]))
+            if k == 1 and pt is None or k == 2 and pt in seen:
+                return state.m
+            if pt is not None:
                 seen.add(pt)
         return None
 
@@ -356,14 +363,6 @@ def track_hamilton(state: ProcessState,
     """Hamilton hitting time: first circuit of length n."""
     return track_k_circuit(state, state.n, kernel_budget=kernel_budget,
                            max_steps=max_steps)
-
-
-def _canonical_point(field: FieldSpec, col: tuple) -> tuple:
-    lead = next(x for x in col if x)
-    if lead == 1:
-        return col
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, x) for x in col)
 
 
 # ---- connectivity tracking ----------------------------------------------
@@ -735,7 +734,7 @@ def track_minor(state: ProcessState, target: RepMatroid,
         for col in (native_to_tuple(field, n, c) for c in state.native_cols):
             if any(col):
                 nonzero += 1
-                points.add(_canonical_point(field, col))
+                points.add(canonical_point(field, col))
         threshold = (lambda: nonzero) if kind == "u12" else (lambda: len(points))
         if state.m and state.rank < threshold():
             return state.m
@@ -744,7 +743,7 @@ def track_minor(state: ProcessState, target: RepMatroid,
             col = native_to_tuple(field, n, state.native_cols[-1])
             if any(col):
                 nonzero += 1
-                points.add(_canonical_point(field, col))
+                points.add(canonical_point(field, col))
             if state.rank < threshold():
                 return state.m
         return None
@@ -772,14 +771,14 @@ def track_pg(state: ProcessState, r: int,
         seen: set = set()
         for col in (native_to_tuple(field, n, c) for c in state.native_cols):
             if any(col):
-                seen.add(_canonical_point(field, col))
+                seen.add(canonical_point(field, col))
         if len(seen) == need:
             return state.m if state.m else None
         while max_steps is None or state.m < max_steps:
             state.step()
             col = native_to_tuple(field, n, state.native_cols[-1])
             if any(col):
-                seen.add(_canonical_point(field, col))
+                seen.add(canonical_point(field, col))
                 if len(seen) == need:
                     return state.m
         return None
@@ -835,7 +834,6 @@ def sample_pg_model(field: FieldSpec, n: int, rng,
 
 def sample_m1(field: FieldSpec, n: int, m: int, rng) -> ModelSample:
     """m i.i.d. uniform columns, wrapped like the PG-model samples."""
-    cols = tuple(native_to_tuple(field, n, draw_native_column(field, n, rng))
-                 for _ in range(m))
-    return ModelSample(model="M1", n=n, q=field.q, param=m, selection=cols,
-                       matrix=FqMatrix(field, cols, n=n))
+    mat = random_uniform_matrix(field, n, m, rng)
+    return ModelSample(model="M1", n=n, q=field.q, param=m, selection=mat.columns,
+                       matrix=mat)

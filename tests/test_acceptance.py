@@ -14,11 +14,14 @@ from fractions import Fraction
 from conftest import axiom_violations, brute_rank, random_cols
 
 import numpy as np
+import pytest
 
 from fqmatroid import montecarlo as MC
 from fqmatroid import theory
 from fqmatroid.fqlinalg import FqMatrix, make_field
 from fqmatroid.fqlinalg.subspaces import enumerate_subspaces
+
+pytestmark = pytest.mark.acceptance
 
 SEED = 20260814
 

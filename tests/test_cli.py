@@ -123,6 +123,16 @@ def test_simulate_usage_errors(capsys, tmp_path):
     assert rc == 2 and "key=value" in err
 
 
+def test_simulate_seed_outside_domain_is_usage_error(capsys, tmp_path):
+    for seed in ("18446744073709551621", "18446744073709551616", "-5"):
+        out = tmp_path / "s.json"
+        rc, _, err = run(capsys, "simulate", "--preset", "E9", "--trials", "2",
+                         "--seed", seed, "--out", str(out))
+        assert rc == 2
+        assert "seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_simulate_param_of_wrong_type_is_usage_error(capsys, tmp_path):
     rc, _, err = run(capsys, "simulate", "--preset", "E10", "--trials", "2",
                      "--seed", "1", "--param", "crt_max_steps=abc",
@@ -190,6 +200,27 @@ def test_compare_input_errors(capsys, tmp_path):
     art.write_text(json.dumps(obj), encoding="utf-8")
     rc, _, err = run(capsys, "compare", "--in", str(art))
     assert rc == 2 and "schema_version" in err
+
+
+def test_compare_malformed_artifact_is_usage_error(capsys, tmp_path):
+    art = tmp_path / "partial.json"
+    good = json.loads(make_artifact(capsys, tmp_path).read_text(encoding="utf-8"))
+    no_n = json.loads(json.dumps(good))
+    del no_n["config"]["n"]
+    no_agg = {k: v for k, v in good.items() if k != "aggregate"}
+    bad_count = json.loads(json.dumps(good))
+    bad_count["aggregate"]["cover.covered"] = {"one": 3}
+    bad_check = json.loads(json.dumps(good))
+    bad_check["comparison"]["checks"] = [1]
+    for obj, msg in (({"schema_version": "1", "preset": "E1"}, "config"),
+                     ([1, 2], "schema_version"),
+                     (no_n, "lacks n"),
+                     (no_agg, "aggregate"),
+                     (bad_count, "aggregate"),
+                     (bad_check, "checks")):
+        art.write_text(json.dumps(obj), encoding="utf-8")
+        rc, _, err = run(capsys, "compare", "--in", str(art))
+        assert rc == 2 and msg in err and "Traceback" not in err
 
 
 # ---- table ----------------------------------------------------------------------

@@ -60,6 +60,29 @@ def test_engines_agree(q, n):
         assert len(ranks) == 1
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 65521])
+@pytest.mark.parametrize("n", [24, 40, 100])
+def test_prime_and_generic_kernel_vectors_agree(p, n):
+    # m = n + 20 columns, every fourth a combination of two earlier ones, so
+    # many pushes are dependent and the prime rank-one update runs with both
+    # fewer and more than p hit rows
+    F = make_field(p)
+    rng = np.random.default_rng(p + n)
+    cols = []
+    for j in range(n + 20):
+        if j > 3 and j % 4 == 0:
+            a, b = rng.choice(j, size=2, replace=False)
+            cols.append(tuple((x + 2 * y) % p for x, y in zip(cols[a], cols[b])))
+        else:
+            cols.append(tuple(int(x) for x in rng.integers(0, p, size=n)))
+    prime = RrefState(F, n, engine="prime")
+    generic = RrefState(F, n, engine="generic")
+    deps = [(prime.push(c), generic.push(c)) for c in cols]
+    assert all(a == b for a, b in deps)
+    assert sum(a is not None for a, _ in deps) >= 20
+    assert prime.rank == generic.rank
+
+
 def test_gf2_engine_agrees_with_generic():
     F = make_field(2)
     rng = np.random.default_rng(6)
@@ -219,6 +242,23 @@ def test_native_round_trip(q, n):
         native = draw_native_column(F, n, rng)
         col = native_to_tuple(F, n, native)
         assert len(col) == n and all(0 <= x < q for x in col)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [1, 7, 100])
+def test_block_draw_is_the_per_column_stream(q, n):
+    F = make_field(q)
+    for k in (1, 5, 64):
+        block_rng = np.random.Generator(np.random.Philox(key=[q, n]))
+        single_rng = np.random.Generator(np.random.Philox(key=[q, n]))
+        block = draw_native_column(F, n, block_rng, count=k)
+        singles = [draw_native_column(F, n, single_rng) for _ in range(k)]
+        assert len(block) == k
+        assert ([native_to_tuple(F, n, c) for c in block]
+                == [native_to_tuple(F, n, c) for c in singles])
+        assert type(block[0]) is type(singles[0])
+        # the generator is left where k single draws leave it
+        assert block_rng.integers(0, 1 << 40) == single_rng.integers(0, 1 << 40)
 
 
 def test_engine_selection():

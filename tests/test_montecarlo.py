@@ -84,6 +84,14 @@ def test_config_rejects_bad_inputs():
         with pytest.raises(ConfigError, match="must be of type int"):
             MC.ExperimentConfig(preset="E10", seed=1,
                                 params={"crt_max_steps": bad}).resolved()
+    for field in ("trials", "n", "q"):
+        with pytest.raises(ConfigError, match="positive integer"):
+            MC.ExperimentConfig(preset="E1", seed=1, **{field: True}).resolved()
+    for bad in (True, -5, 1 << 64, 18446744073709551621, 2.0, "7"):
+        with pytest.raises(ConfigError, match="seed"):
+            MC.ExperimentConfig(preset="E1", seed=bad).resolved()
+    for ok in (0, (1 << 64) - 1):
+        assert MC.ExperimentConfig(preset="E1", seed=ok).resolved()["seed"] == ok
 
 
 def test_resolved_layers_overrides():

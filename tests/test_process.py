@@ -53,6 +53,16 @@ def test_same_stream_same_trajectory():
     assert c.column_tuples() != a.column_tuples()
 
 
+def test_block_refills_keep_the_per_column_stream():
+    # 150 steps cross two refills of the state's draw-ahead buffer
+    st = P.ProcessState(F3, 5, P.process_rng(77, 3))
+    for _ in range(150):
+        st.step()
+    rng = P.process_rng(77, 3)
+    expected = [tuple(int(x) for x in rng.integers(0, 3, size=5)) for _ in range(150)]
+    assert st.column_tuples() == expected
+
+
 def test_corank_ascends_by_unit_steps():
     st = P.ProcessState(F3, 4, P.process_rng(7, 0), checkpoint_every=7)
     for _ in range(40):
