@@ -29,7 +29,6 @@ from .fqlinalg import (
 )
 from .matroid import INFINITY, RepMatroid, pg_matrix, uniform_matroid_matrix
 from .process import (
-    HittingTimes,
     ProcessState,
     StepReport,
     process_rng,
@@ -55,7 +54,7 @@ __all__ = [
     "enumerate_subspaces", "make_field", "projective_points",
     "random_uniform_matrix",
     "INFINITY", "RepMatroid", "pg_matrix", "uniform_matroid_matrix",
-    "HittingTimes", "ProcessState", "StepReport", "process_rng",
+    "ProcessState", "StepReport", "process_rng",
     "sample_m1", "sample_pg_model",
     "Aggregate", "ComparisonReport", "ExperimentConfig", "PRESETS",
     "compare_pmf", "emit", "run_experiment",

@@ -22,7 +22,7 @@ from . import montecarlo, theory
 from .errors import (BudgetExceeded, ConfigError, FqError, InvalidParam,
                      IoError, NotPrimePower, TooLarge)
 from .fqlinalg import FqMatrix, enumerate_subspaces, make_field, random_uniform_matrix
-from .matroid import INFINITY, RepMatroid
+from .matroid import RepMatroid
 
 _BUDGET_ENV = "FQMATROID_BUDGET"
 _CORRUPT_ENV = "FQMATROID_SELFCHECK_CORRUPT"  # test hook: q whose tables to corrupt
@@ -39,11 +39,26 @@ def _p_bprime(a):
     return {"bprime": theory.b_prime(a.q, a.a)}
 
 
+# CPython's default limit on the digits of an int printed as text
+_MAX_DIGITS = 4300
+
+
+def _check_digits(what: str, exponent: int, q: int, factor: int) -> None:
+    """Refuse an exact value below factor * q**exponent that may have more
+    than _MAX_DIGITS digits, before spending time on it."""
+    if q > 1 and exponent * math.log10(q) + math.log10(factor) >= _MAX_DIGITS:
+        raise TooLarge(f"{what} would pass {_MAX_DIGITS} decimal digits")
+
+
 def _p_gbinom(a):
+    # gbinom(n, k) < 4 * q^(k(n-k)): the product of 1/(1 - q^-i) is below 4
+    _check_digits("gbinom", a.k * (a.n - a.k), a.q, 4)
     return {"gbinom": theory.gaussian_binomial(a.n, a.k, a.q)}
 
 
 def _p_qint(a):
+    # [n]_q = (q^n - 1)/(q - 1) < 2 * q^(n-1)
+    _check_digits("qint", a.n - 1, a.q, 2)
     return {"qint": theory.q_int(a.n, a.q)}
 
 

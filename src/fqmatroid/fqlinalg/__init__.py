@@ -4,6 +4,8 @@ from .fields import FieldSpec, make_field, MAX_ORDER
 from .matrix import (
     FqMatrix,
     RrefState,
+    Span2,
+    SpanQ,
     draw_native_column,
     engine_name,
     format_matrix_text,
@@ -27,6 +29,8 @@ __all__ = [
     "MAX_ORDER",
     "FqMatrix",
     "RrefState",
+    "Span2",
+    "SpanQ",
     "draw_native_column",
     "engine_name",
     "format_matrix_text",

@@ -1,11 +1,14 @@
 """Exact column-indexed matrices over F_q and incremental elimination.
 
 A matrix is a tuple of columns, each column a tuple of field elements
-(integers in [0, q)).  Three elimination engines sit behind a common
-interface: GF(2) packs columns into machine integers and eliminates with
-XOR, prime fields use vectorized residue arithmetic, and extension
-fields fall back to table-driven scalar operations.  All three produce
-identical ranks, dependencies, and kernels.
+(integers in [0, q)).  Elimination outside numpy runs on two undoable
+echelon spans: Span2 over packed GF(2) integers with XOR, and SpanQ over
+lists with table-driven field arithmetic.  Contraction, subspace handles
+and the matroid searches use them directly.  RrefState puts three
+engines behind one interface: gf2 and generic are those spans over rows
+that carry their combination of the pushed columns, and prime is a
+numpy [row | combo] block for prime fields with many rows.  All three
+produce identical ranks and kernel vectors.
 """
 
 from __future__ import annotations
@@ -40,59 +43,130 @@ def unpack_gf2(v: int, n: int) -> tuple:
     return tuple((v >> i) & 1 for i in range(n))
 
 
-class _Gf2Rref:
-    """Non-reduced echelon basis of pushed columns, packed into ints.
+class Span2:
+    """Undoable echelon span of packed GF(2) vectors, keyed by top bit.
 
-    Each basis entry keeps the combination of original columns it equals,
-    as a bitmask over independent-column slots, so a dependent push can
-    report its kernel vector without re-elimination.
+    Each row's top bit is its pivot and no other row has that top bit;
+    rows are not reduced against later pivots.  pop() undoes a push.
     """
 
-    __slots__ = ("n", "rows", "combos", "slots", "ncols")
+    __slots__ = ("rows",)
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self):
         self.rows = {}  # pivot bit -> packed row
-        self.combos = {}  # pivot bit -> bitmask over slots
-        self.slots = []  # slot -> original column index
-        self.ncols = 0
 
     @property
-    def rank(self):
-        return len(self.slots)
+    def dim(self) -> int:
+        return len(self.rows)
 
     def push(self, v: int):
-        idx = self.ncols
-        self.ncols = idx + 1
-        c = 0
+        """Add v; return its pivot, or None when v lies in the span."""
         rows = self.rows
-        combos = self.combos
         while v:
             t = v.bit_length() - 1
             r = rows.get(t)
             if r is None:
                 rows[t] = v
-                combos[t] = c | (1 << len(self.slots))
-                self.slots.append(idx)
-                return None
+                return t
             v ^= r
-            c ^= combos[t]
-        dep = {idx: 1}
+        return None
+
+    def pop(self, pivot: int) -> int:
+        return self.rows.pop(pivot)
+
+    def reduce(self, v: int) -> int:
+        """v plus the rows that clear it at every pivot."""
+        for t in sorted(self.rows, reverse=True):
+            if (v >> t) & 1:
+                v ^= self.rows[t]
+        return v
+
+
+class SpanQ:
+    """Undoable echelon span of lists over F_q.
+
+    A row's pivot is its first nonzero among the first n entries, where
+    the row is scaled to 1; no other row has that pivot.  Entries past n
+    ride along as a tag and never pick a pivot.  Rows are stored as
+    pushed, so a vector pushed or reduced must be at least as long as
+    every row.  pop() undoes a push.
+    """
+
+    __slots__ = ("field", "n", "rows")
+
+    def __init__(self, field: FieldSpec, n: int):
+        self.field = field
+        self.n = n
+        self.rows = {}  # pivot position -> row list
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def push(self, v):
+        """Add v; return its pivot, or None when v lies in the span."""
+        return self._insert(self.reduce(v))
+
+    def pop(self, pivot: int) -> list:
+        return self.rows.pop(pivot)
+
+    def reduce(self, v) -> list:
+        """v minus the rows that clear it at every pivot, as a new list."""
+        F = self.field
+        v = list(v)
+        rows = self.rows
+        for pos in range(self.n):
+            c = v[pos]
+            if c:
+                row = rows.get(pos)
+                if row is not None:
+                    for i in range(pos, len(row)):
+                        if row[i]:
+                            v[i] = F.sub(v[i], F.mul(c, row[i]))
+        return v
+
+    def _insert(self, v: list):
+        """Store a reduced v under its pivot; None when v has none."""
+        for pos in range(self.n):
+            if v[pos]:
+                s = self.field.inv(v[pos])
+                self.rows[pos] = [self.field.mul(s, x) for x in v]
+                return pos
+        return None
+
+
+class _Gf2Rref(Span2):
+    """Span2 over (column << (n + 1)) | combo.
+
+    The low n + 1 bits of a row write it as a sum of independent
+    columns, one bit per slot, so a dependent push reads its kernel
+    vector off what is left of it.
+    """
+
+    __slots__ = ("width", "slots", "ncols")
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.width = n + 1  # one bit per slot, and one for the pushed column
+        self.slots = []  # slot -> original column index
+        self.ncols = 0
+
+    def push(self, v: int):
+        idx = self.ncols
+        self.ncols = idx + 1
         slots = self.slots
+        own = 1 << len(slots)
+        t = Span2.push(self, (v << self.width) | own)
+        if t >= self.width:
+            slots.append(idx)
+            return None
+        c = self.pop(t) ^ own
+        dep = {idx: 1}
         while c:
             b = c & -c
             dep[slots[b.bit_length() - 1]] = 1
             c ^= b
         return dep
-
-    def in_span(self, v: int) -> bool:
-        rows = self.rows
-        while v:
-            r = rows.get(v.bit_length() - 1)
-            if r is None:
-                return False
-            v ^= r
-        return True
 
 
 class _PrimeRref:
@@ -113,10 +187,6 @@ class _PrimeRref:
         self.piv = []
         self.slots = []
         self.ncols = 0
-
-    @property
-    def rank(self):
-        return len(self.piv)
 
     def push(self, v: np.ndarray):
         idx = self.ncols
@@ -160,81 +230,35 @@ class _PrimeRref:
         self.slots.append(idx)
         return None
 
-    def in_span(self, v: np.ndarray) -> bool:
-        r = len(self.piv)
-        if r == 0:
-            return not np.any(v % self.p)
-        res = (v - v[self.piv] @ self.W[:r, : self.n]) % self.p
-        return not np.any(res)
 
+class _GenericRref(SpanQ):
+    """SpanQ over [column | combo] rows with table-driven field arithmetic.
 
-class _GenericRref:
-    """Non-reduced echelon basis with table-driven field arithmetic."""
+    As in _PrimeRref, the combo writes a row over the independent
+    columns, one entry per slot; a column pushed at rank r is cut to the
+    live width n + r + 1, its own slot last.
+    """
 
-    __slots__ = ("field", "n", "entries", "slots", "ncols")
+    __slots__ = ("slots", "ncols")
 
     def __init__(self, field: FieldSpec, n: int):
-        self.field = field
-        self.n = n
-        self.entries = {}  # pivot position -> (row list, combo dict slot->coef)
+        super().__init__(field, n)
         self.slots = []
         self.ncols = 0
-
-    @property
-    def rank(self):
-        return len(self.slots)
 
     def push(self, column):
         idx = self.ncols
         self.ncols = idx + 1
-        F = self.field
-        v = list(column)
-        c = {}
-        pos = 0
-        n = self.n
-        while pos < n:
-            if v[pos] == 0:
-                pos += 1
-                continue
-            hit = self.entries.get(pos)
-            if hit is None:
-                s = F.inv(v[pos])
-                row = [F.mul(s, x) for x in v]
-                combo = {j: F.neg(F.mul(s, cj)) for j, cj in c.items() if cj}
-                combo[len(self.slots)] = s
-                self.entries[pos] = (row, combo)
-                self.slots.append(idx)
-                return None
-            row, rcombo = hit
-            coef = v[pos]
-            for i in range(pos, n):
-                if row[i]:
-                    v[i] = F.sub(v[i], F.mul(coef, row[i]))
-            for j, cj in rcombo.items():
-                c[j] = F.add(c.get(j, 0), F.mul(coef, cj))
+        slots = self.slots
+        w = self.reduce(list(column) + [0] * len(slots) + [1])
+        if self._insert(w) is not None:
+            slots.append(idx)
+            return None
         dep = {idx: 1}
-        for j, cj in c.items():
-            if cj:
-                dep[self.slots[j]] = F.neg(cj)
+        for j, c in enumerate(w[self.n:-1]):
+            if c:
+                dep[slots[j]] = c
         return dep
-
-    def in_span(self, column) -> bool:
-        F = self.field
-        v = list(column)
-        pos = 0
-        while pos < self.n:
-            if v[pos] == 0:
-                pos += 1
-                continue
-            hit = self.entries.get(pos)
-            if hit is None:
-                return False
-            row = hit[0]
-            coef = v[pos]
-            for i in range(pos, self.n):
-                if row[i]:
-                    v[i] = F.sub(v[i], F.mul(coef, row[i]))
-        return True
 
 
 def _to_native(engine: str, column):
@@ -275,12 +299,9 @@ class RrefState:
     def push(self, column):
         return self._impl.push(_to_native(self.engine, column))
 
-    def in_span(self, column) -> bool:
-        return self._impl.in_span(_to_native(self.engine, column))
-
     @property
     def rank(self) -> int:
-        return self._impl.rank
+        return len(self._impl.slots)
 
     @property
     def ncols(self) -> int:
@@ -288,7 +309,7 @@ class RrefState:
 
     @property
     def corank(self) -> int:
-        return self._impl.ncols - self._impl.rank
+        return self._impl.ncols - len(self._impl.slots)
 
 
 class FqMatrix:
@@ -377,36 +398,21 @@ class FqMatrix:
     def contract(self, indices) -> "FqMatrix":
         """Contract the columns in `indices` and drop them.
 
-        Rows are pivoted on the contracted columns so that the remaining
-        rows represent the quotient; the result has n - rank(indices)
-        rows and keeps the other columns in their original order.
+        The other columns are reduced modulo span(indices) and keep the
+        rows that are not pivots of that span: the quotient
+        representation, with n - rank(indices) rows and the other
+        columns in their original order.
         """
-        X = sorted(set(indices))
+        X = set(indices)
         for i in X:
             if not 0 <= i < self.m:
                 raise InvalidParam(f"column index {i} out of range")
-        F = self.field
-        rows = [list(r) for r in self.rows()]
-        used = [False] * self.n
+        span = SpanQ(self.field, self.n)
         for x in X:
-            prow = None
-            for r in range(self.n):
-                if not used[r] and rows[r][x] != 0:
-                    prow = r
-                    break
-            if prow is None:
-                continue  # column dependent on earlier contracted ones
-            used[prow] = True
-            s = F.inv(rows[prow][x])
-            rows[prow] = [F.mul(s, v) for v in rows[prow]]
-            for r in range(self.n):
-                if r != prow and rows[r][x] != 0:
-                    coef = rows[r][x]
-                    rows[r] = [F.sub(a, F.mul(coef, b)) for a, b in zip(rows[r], rows[prow])]
-        keep_cols = [j for j in range(self.m) if j not in set(X)]
-        out_rows = [[rows[r][j] for j in keep_cols] for r in range(self.n) if not used[r]]
-        return FqMatrix(F, [tuple(row[i] for row in out_rows) for i in range(len(keep_cols))],
-                        n=self.n - sum(used))
+            span.push(self.columns[x])
+        keep = [r for r in range(self.n) if r not in span.rows]
+        cols = [span.reduce(c) for j, c in enumerate(self.columns) if j not in X]
+        return FqMatrix(self.field, [[v[r] for r in keep] for v in cols], n=len(keep))
 
     def __eq__(self, other):
         return (

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from ..errors import BudgetExceeded, InvalidParam
 from ..theory import gaussian_binomial
 from .fields import FieldSpec
+from .matrix import SpanQ
 
 DEFAULT_SUBSPACE_BUDGET = 10**7
 
@@ -30,37 +31,24 @@ class SubspaceHandle:
         return out
 
     def contains(self, field: FieldSpec, vector) -> bool:
-        v = list(vector)
-        for row, p in zip(self.rows, self.pivots()):
-            c = v[p]
-            if c:
-                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-        return not any(v)
+        span = SpanQ(field, self.n)
+        span.rows = dict(zip(self.pivots(), self.rows))  # already in echelon form
+        return not any(span.reduce(vector))
 
     @classmethod
     def from_span(cls, field: FieldSpec, n: int, vectors) -> "SubspaceHandle":
         """Canonical handle for the span of arbitrary vectors."""
-        basis = []  # list of (pivot, row list)
+        span = SpanQ(field, n)
         for vec in vectors:
-            v = list(vec)
-            if len(v) != n:
+            if len(vec) != n:
                 raise InvalidParam("vector length mismatch")
-            for p, row in basis:
-                c = v[p]
-                if c:
-                    v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-            piv = next((j for j, x in enumerate(v) if x), None)
-            if piv is None:
-                continue
-            s = field.inv(v[piv])
-            v = [field.mul(s, x) for x in v]
-            for i, (p, row) in enumerate(basis):
-                c = row[piv]
-                if c:
-                    basis[i] = (p, [field.sub(a, field.mul(c, b)) for a, b in zip(row, v)])
-            basis.append((piv, v))
-        basis.sort(key=lambda t: t[0])
-        return cls(n=n, dim=len(basis), rows=tuple(tuple(r) for _, r in basis))
+            span.push(vec)
+        # push reduces fully, so re-pushing each row clears it at the
+        # other pivots: the reduced echelon form
+        for p in list(span.rows):
+            span.push(span.pop(p))
+        rows = tuple(tuple(span.rows[p]) for p in sorted(span.rows))
+        return cls(n=n, dim=len(rows), rows=rows)
 
 
 def enumerate_subspaces(field: FieldSpec, n: int, k: int,

@@ -24,6 +24,8 @@ from .errors import BudgetExceeded, ConsistencyError, InvalidParam, LoopPresent
 from .fqlinalg import (
     FqMatrix,
     RrefState,
+    Span2,
+    SpanQ,
     canonical_point,
     enumerate_subspaces,
     pack_gf2,
@@ -53,71 +55,6 @@ class MinorWitness:
     contracted: tuple
     deleted: tuple
     mapping: tuple  # mapping[i] = kept column matched to target element i
-
-
-class _Span2:
-    """Echelon span of packed GF(2) columns with O(1) undo."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows = {}
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def push(self, v: int):
-        rows = self.rows
-        while v:
-            t = v.bit_length() - 1
-            r = rows.get(t)
-            if r is None:
-                rows[t] = v
-                return t
-            v ^= r
-        return None
-
-    def pop(self, token):
-        del self.rows[token]
-
-
-class _SpanQ:
-    """Echelon span over a general field with O(1) undo."""
-
-    __slots__ = ("field", "n", "rows")
-
-    def __init__(self, field, n):
-        self.field = field
-        self.n = n
-        self.rows = {}
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    def push(self, col):
-        F = self.field
-        v = list(col)
-        n = self.n
-        pos = 0
-        while pos < n:
-            if v[pos] == 0:
-                pos += 1
-                continue
-            row = self.rows.get(pos)
-            if row is None:
-                s = F.inv(v[pos])
-                self.rows[pos] = [F.mul(s, x) for x in v]
-                return pos
-            c = v[pos]
-            for i in range(pos, n):
-                if row[i]:
-                    v[i] = F.sub(v[i], F.mul(c, row[i]))
-        return None
-
-    def pop(self, token):
-        del self.rows[token]
 
 
 class RepMatroid:
@@ -293,16 +230,6 @@ class RepMatroid:
 
     # ---- connectivity ----------------------------------------------------
 
-    def _native_for_search(self):
-        if self.field.q == 2:
-            return [pack_gf2(c) for c in self.matrix.columns]
-        return list(self.matrix.columns)
-
-    def _make_span(self):
-        if self.field.q == 2:
-            return _Span2()
-        return _SpanQ(self.field, self.matrix.n)
-
     def _bipartition_search(self, kind: str, budget: int, best_init=INFINITY,
                             abort_at: int = 1):
         """Smallest separation order of the given kind, with witness.
@@ -319,8 +246,7 @@ class RepMatroid:
         if kind == "cyclic" and self.corank < 2:
             # two disjoint dependent sets need two disjoint circuits
             return INFINITY, None
-        cols = self._native_for_search()
-        t1, t2, tu = self._make_span(), self._make_span(), self._make_span()
+        cols, (t1, t2, tu) = _spans(self.matrix, 3)
         assign = [0] * m
         state = {"best": best_init, "parts": None, "abort": False}
 
@@ -597,51 +523,29 @@ def _flat_points(field, basis, n):
             yield tuple(vec)
 
 
+def _spans(mat: FqMatrix, k: int):
+    """The columns in span form and k empty spans over them."""
+    if mat.field.q == 2:
+        return [pack_gf2(c) for c in mat.columns], [Span2() for _ in range(k)]
+    return list(mat.columns), [SpanQ(mat.field, mat.n) for _ in range(k)]
+
+
 def _subset_rank_table(mat: FqMatrix) -> list[int]:
     """rank of every column subset, indexed by bitmask."""
     m = mat.m
-    F = mat.field
+    cols, (span,) = _spans(mat, 1)
     table = [0] * (1 << m)
-    native = mat.native_columns() if F.q != 2 else [pack_gf2(c) for c in mat.columns]
-    # echelon basis per mask, built from the predecessor without the low bit
-    basis_of = [None] * (1 << m)
-    basis_of[0] = {}
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        j = low.bit_length() - 1
-        prev = mask ^ low
-        rows = dict(basis_of[prev])
-        col = native[j]
-        if F.q == 2:
-            v = col
-            added = False
-            while v:
-                t = v.bit_length() - 1
-                r = rows.get(t)
-                if r is None:
-                    rows[t] = v
-                    added = True
-                    break
-                v ^= r
-        else:
-            v = list(col)
-            added = False
-            pos = 0
-            while pos < mat.n:
-                if v[pos] == 0:
-                    pos += 1
-                    continue
-                row = rows.get(pos)
-                if row is None:
-                    s = F.inv(v[pos])
-                    rows[pos] = tuple(F.mul(s, x) for x in v)
-                    added = True
-                    break
-                c = v[pos]
-                v = [F.sub(a, F.mul(c, b)) if i >= pos else a
-                     for i, (a, b) in enumerate(zip(v, row))]
-        basis_of[mask] = rows
-        table[mask] = table[prev] + (1 if added else 0)
+
+    def visit(mask, start):
+        # extend mask, whose bits all lie below start, by each later column
+        for j in range(start, m):
+            piv = span.push(cols[j])
+            table[mask | 1 << j] = span.dim
+            visit(mask | 1 << j, j + 1)
+            if piv is not None:
+                span.pop(piv)
+
+    visit(0, 0)
     return table
 
 

@@ -11,7 +11,7 @@ reproduce serial ones exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as _dfield
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -64,33 +64,6 @@ class StepReport:
     dependency: dict | None  # sparse kernel vector {column index: coefficient}
     is_loop: bool
     first_circuit: frozenset | None  # set exactly at the step corank hits 1
-
-
-@dataclass
-class HittingTimes:
-    """First hitting steps per tracked property; None = not yet observed."""
-
-    tau_crk: dict = _dfield(default_factory=dict)
-    tau_first_circuit: int | None = None
-    first_circuit_length: int | None = None
-    tau_k_circ: dict = _dfield(default_factory=dict)
-    tau_hamilton: int | None = None
-    tau_k_conn: dict = _dfield(default_factory=dict)
-    tau_k_crt: dict = _dfield(default_factory=dict)
-    tau_minor: dict = _dfield(default_factory=dict)
-    tau_pg: dict = _dfield(default_factory=dict)
-
-    def validate(self) -> None:
-        """Cross-field monotonicity that holds on every trajectory."""
-        for table, gap in ((self.tau_crk, 1), (self.tau_k_crt, 1)):
-            ks = sorted(k for k, v in table.items() if v is not None)
-            for a, b in zip(ks, ks[1:]):
-                if table[b] < table[a] + gap * (b - a):
-                    raise ConsistencyError(
-                        f"hitting times not monotone: [{a}]={table[a]}, [{b}]={table[b]}")
-        if (self.tau_first_circuit is not None and 1 in self.tau_crk
-                and self.tau_crk[1] != self.tau_first_circuit):
-            raise ConsistencyError("first circuit must arrive at corank 1")
 
 
 class ProcessState:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -52,6 +53,26 @@ def test_predict_domain_error_is_usage_error(capsys):
     rc, _, err = run(capsys, "predict", "--what", "bofa", "--q", "2", "--a", "0.0")
     assert rc == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--what", "gbinom", "--n", "300", "--k", "150", "--q", "2"),
+    ("--what", "qint", "--n", "20000", "--q", "2"),
+    ("--what", "qint", "--n", "14285", "--q", "2"),  # 2^14285 - 1: 4301 digits
+    ("--what", "gbinom", "--n", "100000", "--k", "50000", "--q", "65536"),
+])
+def test_predict_refuses_values_past_the_digit_limit(capsys, argv):
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, "predict", *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2 and out == ""
+    assert "usage error" in err and "Traceback" not in err
+
+
+def test_predict_prints_values_up_to_the_digit_limit(capsys):
+    rc, out, _ = run(capsys, "predict", "--what", "qint", "--n", "14284", "--q", "2")
+    assert rc == 0
+    assert values_of(out)["qint"] == str(2 ** 14284 - 1)
 
 
 def test_predict_json_payload(capsys, tmp_path):

@@ -8,6 +8,9 @@ from fqmatroid.errors import InvalidParam
 from fqmatroid.fqlinalg import (
     FqMatrix,
     RrefState,
+    Span2,
+    SpanQ,
+    SubspaceHandle,
     draw_native_column,
     engine_name,
     format_matrix_text,
@@ -107,7 +110,7 @@ def test_unknown_engine_rejected():
 
 # ---- kernel contract -------------------------------------------------------
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
 def test_push_dependency_is_kernel_vector(q):
     F = make_field(q)
     rng = np.random.default_rng(77)
@@ -120,13 +123,45 @@ def test_push_dependency_is_kernel_vector(q):
             dep = st_.push(c)
             if dep is None:
                 continue
-            assert dep.get(j) == 1  # newest column always carries coefficient 1
+            assert next(iter(dep)) == j and dep[j] == 1  # newest column first, coefficient 1
             acc = [0] * n
             for i, coef in dep.items():
                 assert i <= j and 0 < coef < q
                 for t in range(n):
                     acc[t] = F.add(acc[t], F.mul(coef, cols[i][t]))
             assert not any(acc)
+
+
+# ---- the undoable spans -----------------------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_spans_against_brute_rank(q):
+    # dim after each push is the rank of the prefix, reduce(v) is zero at
+    # the pivots and zero exactly for v in the span, and popping in
+    # reverse empties the span
+    F = make_field(q)
+    rng = np.random.default_rng(40 + q)
+    for _ in range(150):
+        n = int(rng.integers(1, 7))
+        cols = random_cols(q, n, int(rng.integers(1, 9)), rng)
+        probe = random_cols(q, n, 3, rng)
+        # (span, column -> span form, span form -> entries)
+        spans = [(SpanQ(F, n), tuple, list)]
+        if q == 2:
+            spans.append((Span2(), pack_gf2, lambda v: unpack_gf2(v, n)))
+        for span, native, entries in spans:
+            pivots = []
+            for j, c in enumerate(cols):
+                pivots.append(span.push(native(c)))
+                assert span.dim == brute_rank(F, cols[:j + 1])
+                for v in probe:
+                    red = entries(span.reduce(native(v)))
+                    assert not any(red[p] for p in span.rows)
+                    assert (not any(red)) == (brute_rank(F, cols[:j + 1] + [v]) == span.dim)
+            for p in reversed(pivots):
+                if p is not None:
+                    span.pop(p)
+            assert span.rows == {}
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -149,16 +184,6 @@ def test_kernel_basis_vectors_annihilate(f3):
             for t in range(4):
                 acc[t] = f3.add(acc[t], f3.mul(coef, col[t]))
         assert not any(acc)
-
-
-def test_in_span():
-    F = make_field(3)
-    st_ = RrefState(F, 3)
-    st_.push((1, 0, 0))
-    st_.push((0, 1, 0))
-    assert st_.in_span((2, 1, 0))
-    assert not st_.in_span((0, 0, 1))
-    assert st_.in_span((0, 0, 0))
 
 
 # ---- delete / contract rank identities -------------------------------------
@@ -192,6 +217,52 @@ def test_delete_contract_rank_identities_random(q, n, m, trials):
                 orig = tuple(rest[i] for i in S)
                 assert D.rank_of(S) == mat.rank_of(orig)
                 assert C.rank_of(S) == mat.rank_of(orig + X) - rkX
+
+
+# (q, rows, X, contract(X).columns, from_span(first three columns).rows),
+# recorded from the row-by-row Gauss-Jordan contraction and the
+# basis-list from_span that the spans replaced
+PINNED = [
+    (2, [(1, 0, 0, 1, 0, 1, 0), (1, 0, 0, 0, 1, 0, 0), (0, 0, 1, 1, 1, 1, 0),
+         (1, 1, 0, 1, 1, 0, 1), (1, 1, 0, 0, 0, 1, 0)], (1, 4),
+     ((1, 1, 1), (0, 1, 0), (1, 1, 1), (1, 1, 1), (0, 0, 1)),
+     ((1, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 0, 0, 1, 1))),
+    (2, [(0, 0, 0, 0, 1, 0), (1, 0, 0, 1, 1, 0), (0, 0, 1, 0, 0, 1),
+         (1, 1, 0, 0, 0, 1)], (0, 2, 3),
+     ((0,), (1,), (0,)),
+     ((0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))),
+    (2, [(1, 1, 0, 1, 0, 1), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 0)], (1, 3, 4),
+     ((0,), (0,), (0,)),
+     ((1, 0, 0),)),
+    (3, [(2, 2, 2, 1, 1, 0, 2), (2, 0, 2, 1, 0, 2, 1), (2, 2, 0, 1, 1, 2, 1),
+         (1, 1, 1, 2, 0, 0, 0), (0, 1, 2, 2, 1, 2, 2)], (2, 5),
+     ((2, 0, 1), (1, 0, 1), (1, 0, 1), (2, 1, 1), (2, 2, 1)),
+     ((1, 0, 0, 2, 0), (0, 1, 0, 0, 1), (0, 0, 1, 0, 2))),
+    (3, [(2, 0, 0, 1, 0, 1), (0, 2, 1, 0, 2, 1), (1, 2, 0, 0, 2, 1),
+         (0, 1, 1, 1, 1, 2)], (0, 1, 5),
+     ((2,), (1,), (0,)),
+     ((1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1))),
+    (3, [(1, 2, 0, 1, 2), (0, 0, 1, 1, 0), (2, 1, 0, 2, 1)], (0, 1, 3),
+     ((0,), (0,)),
+     ((1, 0, 2), (0, 1, 0))),
+    (4, [(3, 1, 0, 2, 0, 3, 2), (2, 2, 3, 1, 0, 0, 2), (3, 1, 2, 1, 0, 0, 1),
+         (0, 2, 0, 2, 3, 3, 3), (1, 2, 0, 0, 3, 0, 1)], (3, 6),
+     ((1, 3, 1), (2, 1, 0), (2, 1, 1), (0, 3, 3), (2, 3, 3)),
+     ((1, 0, 0, 2, 2), (0, 1, 0, 2, 0), (0, 0, 1, 3, 0))),
+    (4, [(2, 3, 0, 0, 2, 2), (1, 1, 1, 3, 1, 3), (3, 1, 0, 1, 0, 2),
+         (3, 3, 1, 2, 3, 0)], (1, 2, 4),
+     ((3,), (0,), (3,)),
+     ((1, 0, 2, 0), (0, 1, 0, 0), (0, 0, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("q,rows,X,contracted,span_rows", PINNED)
+def test_contract_and_from_span_pinned(q, rows, X, contracted, span_rows):
+    F = make_field(q)
+    mat = FqMatrix.from_rows(F, rows)
+    assert mat.contract(X).columns == contracted
+    assert mat.contract(X).n == len(contracted[0])
+    assert SubspaceHandle.from_span(F, len(rows), mat.columns[:3]).rows == span_rows
 
 
 def test_delete_bad_index():

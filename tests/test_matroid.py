@@ -11,10 +11,11 @@ from fqmatroid.fqlinalg import FqMatrix, make_field, random_uniform_matrix
 from fqmatroid.matroid import (
     INFINITY,
     RepMatroid,
+    _subset_rank_table,
     pg_matrix,
     uniform_matroid_matrix,
 )
-from conftest import random_cols
+from conftest import brute_rank, random_cols
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -275,6 +276,20 @@ def test_critical_number_matches_brute_avoidance():
 
 
 # ---- minors --------------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_subset_rank_table_matches_brute_rank(q):
+    F = make_field(q)
+    rng = np.random.default_rng(60 + q)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(0, 7))
+        cols = random_cols(q, n, m, rng)
+        table = _subset_rank_table(FqMatrix(F, cols, n=n))
+        assert len(table) == 1 << m
+        for mask in range(1 << m):
+            assert table[mask] == brute_rank(F, [c for j, c in enumerate(cols) if mask >> j & 1])
+
 
 def test_has_minor_u12():
     u12 = RepMatroid(uniform_matroid_matrix(F2, 1, 2))

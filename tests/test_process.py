@@ -10,7 +10,7 @@ import re
 import pytest
 
 from fqmatroid import process as P
-from fqmatroid.errors import BudgetExceeded, ConsistencyError, InvalidParam
+from fqmatroid.errors import BudgetExceeded, InvalidParam
 from fqmatroid.fqlinalg import FqMatrix, make_field, pack_gf2, projective_points
 from fqmatroid.matroid import INFINITY, RepMatroid, uniform_matroid_matrix
 
@@ -119,23 +119,12 @@ def test_run_until_corank_and_first_circuit():
 
 
 def test_first_circuit_matches_tau_crk_1():
-    times = P.HittingTimes()
     st = P.ProcessState(F3, 5, P.process_rng(32, 9))
-    times.tau_first_circuit, times.first_circuit_length = P.track_first_circuit(st)
-    times.tau_crk[1] = st.m
-    times.tau_crk[2] = P.run_until_corank(st, 2)
-    times.tau_crk[3] = P.run_until_corank(st, 3)
-    times.validate()
-
-
-def test_hitting_times_validate_rejects_bad_tables():
-    bad = P.HittingTimes(tau_crk={1: 5, 2: 5})
-    with pytest.raises(ConsistencyError):
-        bad.validate()
-    bad2 = P.HittingTimes(tau_crk={1: 5}, tau_first_circuit=6)
-    with pytest.raises(ConsistencyError):
-        bad2.validate()
-    P.HittingTimes(tau_crk={1: 5, 3: 8}, tau_first_circuit=5).validate()
+    tau_fc, _ = P.track_first_circuit(st)
+    assert tau_fc == st.m and st.corank == 1
+    tau2 = P.run_until_corank(st, 2)
+    tau3 = P.run_until_corank(st, 3)
+    assert tau_fc < tau2 < tau3
 
 
 # ---- k-circuit tracking ------------------------------------------------------
