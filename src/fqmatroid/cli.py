@@ -21,7 +21,8 @@ from fractions import Fraction
 from . import montecarlo, theory
 from .errors import (BudgetExceeded, ConfigError, FqError, InvalidParam,
                      IoError, NotPrimePower, TooLarge)
-from .fqlinalg import FqMatrix, enumerate_subspaces, make_field, random_uniform_matrix
+from .fqlinalg import (FqMatrix, enumerate_subspaces, make_field, prime_power,
+                       random_uniform_matrix)
 from .matroid import RepMatroid
 
 _BUDGET_ENV = "FQMATROID_BUDGET"
@@ -120,6 +121,13 @@ _PREDICTORS = {
 
 
 def _cmd_predict(args) -> int:
+    if args.q is not None:
+        prime_power(args.q)
+    # n, m and k are sizes, except cck's k, which is a signed offset
+    sizes = ("n", "m") if args.what == "cck" else ("n", "m", "k")
+    negative = [f"--{f}" for f in sizes if (getattr(args, f) or 0) < 0]
+    if negative:
+        raise InvalidParam(f"{' '.join(negative)} must be >= 0")
     need, fn = _PREDICTORS[args.what]
     missing = [f"--{f}" for f in need if getattr(args, f, None) is None]
     if missing:
@@ -242,6 +250,7 @@ def _meta_lines(args, seed=None) -> str:
 
 
 def _cmd_table(args) -> int:
+    prime_power(args.q)
     buf = io.StringIO()
     if args.what == "bofa":
         if args.steps < 1:

@@ -1,6 +1,6 @@
 """Exact linear algebra over finite fields: fields, matrices, subspaces."""
 
-from .fields import FieldSpec, make_field, MAX_ORDER
+from .fields import FieldSpec, make_field, MAX_ORDER, prime_power
 from .matrix import (
     FqMatrix,
     RrefState,
@@ -27,6 +27,7 @@ __all__ = [
     "FieldSpec",
     "make_field",
     "MAX_ORDER",
+    "prime_power",
     "FqMatrix",
     "RrefState",
     "Span2",

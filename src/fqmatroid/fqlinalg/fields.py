@@ -208,9 +208,8 @@ class FieldSpec:
         return (make_field, (self.q,))
 
 
-@functools.lru_cache(maxsize=None)
-def make_field(q: int) -> FieldSpec:
-    """Construct (and cache) the arithmetic context for F_q.
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with q = p^e, for a field order q without building the field.
 
     Raises NotPrimePower unless q = p^e with p prime and e >= 1, and
     TooLarge when q > 2^16.
@@ -233,4 +232,12 @@ def make_field(q: int) -> FieldSpec:
         e += 1
     if rest != 1:
         raise NotPrimePower(f"{q} is not a prime power")
+    return p, e
+
+
+@functools.lru_cache(maxsize=None)
+def make_field(q: int) -> FieldSpec:
+    """Construct (and cache) the arithmetic context for F_q; q is checked
+    as in prime_power."""
+    p, e = prime_power(q)
     return FieldSpec(q, p, e, _least_irreducible(p, e))

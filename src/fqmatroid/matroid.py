@@ -36,7 +36,6 @@ INFINITY = math.inf
 
 DEFAULT_PARTITION_BUDGET = 22
 DEFAULT_KERNEL_BUDGET = 1 << 24
-DEFAULT_MINOR_GROUND_BUDGET = 12
 _SUBSET_GIRTH_MAX_M = 14
 
 
@@ -48,13 +47,6 @@ class Separation:
     order: int
     part1: tuple
     part2: tuple
-
-
-@dataclass(frozen=True)
-class MinorWitness:
-    contracted: tuple
-    deleted: tuple
-    mapping: tuple  # mapping[i] = kept column matched to target element i
 
 
 class RepMatroid:
@@ -86,11 +78,6 @@ class RepMatroid:
             if not 0 <= i < self.m:
                 raise InvalidParam(f"element {i} outside the ground set")
         return self.matrix.rank_of(subset)
-
-    def dual_rank_of_subset(self, subset) -> int:
-        subset = list(subset)
-        rest = [i for i in range(self.m) if i not in set(subset)]
-        return len(subset) + self.matrix.rank_of(rest) - self.rank
 
     def loops(self) -> list[int]:
         return [i for i, col in enumerate(self.matrix.columns) if not any(col)]
@@ -436,70 +423,6 @@ class RepMatroid:
                         return k
         raise AssertionError("unreachable: k = n always avoids nonzero columns")
 
-    # ---- minors -------------------------------------------------------------
-
-    def has_minor(self, target: "RepMatroid",
-                  ground_budget: int = DEFAULT_MINOR_GROUND_BUDGET):
-        """Search for a minor isomorphic to target; MinorWitness or None."""
-        if self.m > ground_budget:
-            raise BudgetExceeded(
-                f"minor search on {self.m} elements exceeds budget {ground_budget}")
-        tm, tr = target.m, target.rank
-        if tm > self.m or tr > self.rank:
-            return None
-        if target.corank > self.corank:
-            return None  # minors never gain corank
-        target_table = _subset_rank_table(target.matrix)
-        native = self.matrix.native_columns()
-        for csize in range(0, self.rank - tr + 1):
-            if self.m - csize < tm:
-                break
-            for C in itertools.combinations(range(self.m), csize):
-                if csize and self.matrix.rank_of(C) != csize:
-                    continue  # contract independent sets only
-                contracted = self.matrix.contract(C)
-                rest = [j for j in range(self.m) if j not in set(C)]
-                for kept_local in itertools.combinations(range(len(rest)), tm):
-                    sub = contracted.submatrix(kept_local)
-                    if sub.rank != tr:
-                        continue
-                    phi = _isomorphism(_subset_rank_table(sub), target_table, tm)
-                    if phi is not None:
-                        kept = tuple(rest[j] for j in kept_local)
-                        deleted = tuple(j for j in range(self.m)
-                                        if j not in set(C) and j not in set(kept))
-                        inv = [0] * tm  # phi maps kept position -> target element
-                        for t, b in enumerate(phi):
-                            inv[b] = t
-                        return MinorWitness(
-                            contracted=tuple(C), deleted=deleted,
-                            mapping=tuple(kept[inv[i]] for i in range(tm)))
-        return None
-
-    def contains_pg(self, r: int, search_budget: int = 10**6) -> bool:
-        """True when every point of some rank-r flat appears among the
-        columns (a projective-geometry restriction)."""
-        if r < 1:
-            raise InvalidParam("rank must be positive")
-        if r > self.rank:
-            return False
-        F = self.field
-        pts = set(p for p in self.points() if p is not None)
-        n = self.matrix.n
-        if r == n:
-            return all(p in pts for p in projective_points(F, n))
-        distinct = sorted(pts)
-        per_flat = (F.q**r - 1) // (F.q - 1)
-        combos = math.comb(len(distinct), r)
-        if combos * per_flat > search_budget:
-            raise BudgetExceeded("projective restriction search too large")
-        for basis in itertools.combinations(distinct, r):
-            if FqMatrix(F, basis, n=n).rank != r:
-                continue
-            if all(canonical_point(F, v) in pts for v in _flat_points(F, basis, n)):
-                return True
-        return False
-
 
 def _dot(field, a, b):
     acc = 0
@@ -509,84 +432,11 @@ def _dot(field, a, b):
     return acc
 
 
-def _flat_points(field, basis, n):
-    """One representative per projective point of span(basis)."""
-    r = len(basis)
-    elems = list(field.elements())
-    for lead in range(r):
-        for tail in itertools.product(elems, repeat=r - lead - 1):
-            vec = list(basis[lead])
-            for off, coef in enumerate(tail):
-                if coef:
-                    b = basis[lead + 1 + off]
-                    vec = [field.add(x, field.mul(coef, y)) for x, y in zip(vec, b)]
-            yield tuple(vec)
-
-
 def _spans(mat: FqMatrix, k: int):
     """The columns in span form and k empty spans over them."""
     if mat.field.q == 2:
         return [pack_gf2(c) for c in mat.columns], [Span2() for _ in range(k)]
     return list(mat.columns), [SpanQ(mat.field, mat.n) for _ in range(k)]
-
-
-def _subset_rank_table(mat: FqMatrix) -> list[int]:
-    """rank of every column subset, indexed by bitmask."""
-    m = mat.m
-    cols, (span,) = _spans(mat, 1)
-    table = [0] * (1 << m)
-
-    def visit(mask, start):
-        # extend mask, whose bits all lie below start, by each later column
-        for j in range(start, m):
-            piv = span.push(cols[j])
-            table[mask | 1 << j] = span.dim
-            visit(mask | 1 << j, j + 1)
-            if piv is not None:
-                span.pop(piv)
-
-    visit(0, 0)
-    return table
-
-
-def _isomorphism(ra: list[int], rb: list[int], s: int):
-    """Bijection [s] -> [s] carrying rank table ra onto rb, or None."""
-    if ra[-1] != rb[-1]:
-        return None
-    phi = [None] * s
-    used = [False] * s
-    phimask = [0] * (1 << s)
-
-    def rec(t, prefix_mask):
-        if t == s:
-            return True
-        for b in range(s):
-            if used[b]:
-                continue
-            if ra[1 << t] != rb[1 << b]:
-                continue
-            ok = True
-            sub = prefix_mask
-            while True:
-                am = sub | (1 << t)
-                if ra[am] != rb[phimask[sub] | (1 << b)]:
-                    ok = False
-                    break
-                phimask[am] = phimask[sub] | (1 << b)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & prefix_mask
-            if ok:
-                phi[t] = b
-                used[b] = True
-                if rec(t + 1, prefix_mask | (1 << t)):
-                    return True
-                used[b] = False
-        return False
-
-    if rec(0, 0):
-        return phi
-    return None
 
 
 def pg_matrix(field, r: int) -> FqMatrix:

@@ -112,6 +112,17 @@ def _validate_resolved(res: dict) -> None:
 # ---- aggregation ----------------------------------------------------------
 
 
+def _median(cnt: Counter) -> float:
+    """Lower median of a histogram {value: count}; nan when it is empty."""
+    half = (sum(cnt.values()) - 1) / 2
+    seen = 0
+    for k in sorted(cnt):
+        seen += cnt[k]
+        if seen > half:
+            return float(k)
+    return math.nan
+
+
 @dataclass
 class Aggregate:
     """Exact integer histograms, keyed "part.observable"."""
@@ -145,17 +156,7 @@ class Aggregate:
         return sum(v * (k - mu) ** 2 for k, v in cnt.items()) / (tot - 1)
 
     def median(self, key: str) -> float:
-        cnt = self.counters.get(key, Counter())
-        tot = sum(cnt.values())
-        if not tot:
-            return math.nan
-        half = (tot - 1) / 2
-        seen = 0
-        for k in sorted(cnt):
-            seen += cnt[k]
-            if seen > half:
-                return float(k)
-        return math.nan
+        return _median(self.counters.get(key, Counter()))
 
     def freq(self, key: str, value: int = 1) -> float:
         """Frequency of `value` among the trials of this part."""
@@ -609,14 +610,7 @@ def _report_e6(res, agg):
     if censored:
         cnt[res["max_steps"] + 1] += censored
     tot = sum(cnt.values())
-    half = (tot - 1) / 2
-    seen = 0
-    med = math.nan
-    for k in sorted(cnt):
-        seen += cnt[k]
-        if seen > half:
-            med = float(k)
-            break
+    med = _median(cnt)
     below_2n = sum(v for k, v in cnt.items() if k < 2 * n) / tot if tot else math.nan
     checks = [
         _bound_check("median_tau_ham_over_n", med / n, lo=1.1, hi=1.7),

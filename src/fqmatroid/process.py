@@ -75,8 +75,7 @@ class ProcessState:
     since each touches its own column and no earlier vector does).
     """
 
-    def __init__(self, field: FieldSpec, n: int, rng,
-                 record_trajectory: bool = False, checkpoint_every: int = 0):
+    def __init__(self, field: FieldSpec, n: int, rng, checkpoint_every: int = 0):
         if n < 1:
             raise InvalidParam("need at least one row")
         self.field = field
@@ -89,7 +88,6 @@ class ProcessState:
         self.corank_history: list[int] = []
         self.m = 0
         self.first_circuit: frozenset | None = None
-        self.trajectory: list[str] | None = [] if record_trajectory else None
         self.checkpoint_every = checkpoint_every
 
     @property
@@ -131,17 +129,6 @@ class ProcessState:
                 # unique first circuit
                 circuit = frozenset(dep)
                 self.first_circuit = circuit
-        if self.trajectory is not None:
-            tags = []
-            if dep is not None:
-                tags.append("dependent")
-            if is_loop:
-                tags.append("loop")
-            if circuit is not None:
-                tags.append("first-circuit")
-            suffix = (", " + ",".join(tags)) if tags else ""
-            self.trajectory.append(
-                f"step {self.m}: rank {self.rank}, corank {c}{suffix}")
         if self.checkpoint_every and self.m % self.checkpoint_every == 0:
             self.check_consistency()
         return StepReport(m=self.m, dependent=dep is not None, dependency=dep,
@@ -167,11 +154,6 @@ class ProcessState:
         for a, b in zip(self.corank_history, self.corank_history[1:]):
             if b < a or b > a + 1:
                 raise ConsistencyError("corank history not a unit-step ascent")
-
-    def dump_trajectory(self) -> str:
-        if self.trajectory is None:
-            raise InvalidParam("state was created without trajectory recording")
-        return "\n".join(self.trajectory)
 
 
 # ---- elementary hitting times -----------------------------------------
@@ -597,15 +579,6 @@ class _CriticalTracker:
                 self.skips.append(len(self.cols))
         return self.level
 
-    def witness_rows(self):
-        """Normal rows (fast path) or a subspace handle for one witness."""
-        if self.level == 0 or len(self.alive) == 0:
-            return None
-        if self.fast:
-            bases = _dual_normal_bases(self.n, self.level)[self.alive[0]]
-            return tuple(int(b) for b in bases)
-        return self.alive[0]
-
 
 @dataclass
 class CriticalTrace:
@@ -659,105 +632,6 @@ def track_critical(state: ProcessState, k: int,
         if not any(col):
             return None  # chi undefined from here on
         if tracker.add(col) >= k + 1:
-            return state.m
-    return None
-
-
-# ---- minor tracking ------------------------------------------------------
-
-
-def _fast_minor_kind(target: RepMatroid) -> str | None:
-    tm, tr = target.m, target.rank
-    if tm == tr:
-        return "free"
-    if tr == 1 and tm == 2 and not target.loops():
-        return "u12"
-    if tr == 2 and tm == 3 and target.is_simple():
-        return "u23"
-    return None
-
-
-def track_minor(state: ProcessState, target: RepMatroid,
-                ground_budget: int = 12,
-                max_steps: int | None = None) -> int | None:
-    """First step at which the target appears as a minor.
-
-    U_{1,2}, U_{2,3} and free targets have O(1)-per-step detectors (a
-    circuit of length >= 2 exists iff some nonzero column repeats a
-    dependency, i.e. rank < #nonzero; a circuit of length >= 3 iff the
-    simplification is dependent, i.e. rank < #distinct points; a free
-    rank-r minor iff rank >= r).  Anything else re-runs the generic
-    minor search each step, so the ground budget applies per step.
-    """
-    kind = _fast_minor_kind(target)
-    field, n = state.field, state.n
-    if kind == "free":
-        r = target.rank
-        if r > n:
-            return None
-        while max_steps is None or state.m < max_steps:
-            state.step()
-            if state.rank >= r:
-                return state.m
-        return None
-    if kind in ("u12", "u23"):
-        nonzero = 0
-        points: set = set()
-        # replay any existing prefix
-        for col in (native_to_tuple(field, n, c) for c in state.native_cols):
-            if any(col):
-                nonzero += 1
-                points.add(canonical_point(field, col))
-        threshold = (lambda: nonzero) if kind == "u12" else (lambda: len(points))
-        if state.m and state.rank < threshold():
-            return state.m
-        while max_steps is None or state.m < max_steps:
-            state.step()
-            col = native_to_tuple(field, n, state.native_cols[-1])
-            if any(col):
-                nonzero += 1
-                points.add(canonical_point(field, col))
-            if state.rank < threshold():
-                return state.m
-        return None
-    while max_steps is None or state.m < max_steps:
-        state.step()
-        if state.m > ground_budget:
-            raise BudgetExceeded(
-                f"{state.m} columns exceed minor ground budget {ground_budget}")
-        if state.matroid().has_minor(target, ground_budget=ground_budget):
-            return state.m
-    return None
-
-
-def track_pg(state: ProcessState, r: int,
-             search_budget: int = 10 ** 6,
-             max_steps: int | None = None) -> int | None:
-    """First step whose columns cover a full rank-r projective geometry."""
-    field, n = state.field, state.n
-    if r > n:
-        return None
-    if r == n:
-        from .theory import q_int
-
-        need = q_int(n, field.q)
-        seen: set = set()
-        for col in (native_to_tuple(field, n, c) for c in state.native_cols):
-            if any(col):
-                seen.add(canonical_point(field, col))
-        if len(seen) == need:
-            return state.m if state.m else None
-        while max_steps is None or state.m < max_steps:
-            state.step()
-            col = native_to_tuple(field, n, state.native_cols[-1])
-            if any(col):
-                seen.add(canonical_point(field, col))
-                if len(seen) == need:
-                    return state.m
-        return None
-    while max_steps is None or state.m < max_steps:
-        state.step()
-        if state.matroid().contains_pg(r, search_budget=search_budget):
             return state.m
     return None
 

@@ -54,15 +54,6 @@ def subspace_count(n: int, k: int, j: int, ell: int, q: int) -> int:
             * gaussian_binomial(n - k, j - ell, q))
 
 
-def gbinom_asymptotic_check(N: int, M: int, k: int, q: int) -> float:
-    """Relative error of gbinom(N,k) against q^((N-M)k) * gbinom(M,k)."""
-    if not N >= M >= k:
-        raise InvalidParam("need N >= M >= k")
-    exact = Fraction(gaussian_binomial(N, k, q))
-    approx = Fraction(q ** ((N - M) * k) * gaussian_binomial(M, k, q))
-    return abs(float(exact / approx - 1))
-
-
 # ---- rank evolution -------------------------------------------------------
 
 def rank_full_prob(n: int, m: int, q: int, exact: bool | None = None):
@@ -219,7 +210,14 @@ def _log_comb(m, k) -> float:
 
 
 def mu_k(m: int, k: int, q: int, n: int) -> float:
-    """Expected number of k-circuits, binom(m,k) (q-1)^k q^-n."""
+    """Expected number of kernel vectors of A_m with exactly k nonzero
+    entries: binom(m,k) (q-1)^k q^-n, exactly.
+
+    A uniform A maps each fixed nonzero x to a uniform vector of F_q^n,
+    so Ax = 0 with probability q^-n.  Each k-circuit contributes the
+    q-1 nonzero multiples of one such vector, so the expected number of
+    k-circuits is at most mu_k / (q-1); mu_k does not count circuits.
+    """
     if not 1 <= k <= m:
         raise InvalidParam("need 1 <= k <= m")
     lg = _log_comb(m, k) + k * math.log(q - 1) - n * math.log(q)
@@ -309,13 +307,6 @@ def ko_alpha_bound(q: int) -> float:
     return math.log(2 * q - 1) / (2 * math.log(q) - math.log(2 * q - 1))
 
 
-def ko_condition(q: int, t: float, alpha: float) -> bool:
-    """t log[(1+t) alpha / t^2] < (alpha - t) log q - 2t."""
-    if not 0 < t < 1 or alpha <= 0:
-        raise InvalidParam("need 0 < t < 1 and alpha > 0")
-    return t * math.log((1 + t) * alpha / t**2) < (alpha - t) * math.log(q) - 2 * t
-
-
 def _lb_lhs(q: int, t: float, alpha: float) -> float:
     return (t * math.log((1 + alpha) / t)
             + (1 + alpha - t) * math.log((1 + alpha) / (1 + alpha - t))
@@ -338,30 +329,6 @@ def lb_alpha(q: int, t: float) -> float:
         else:
             hi = mid
     return (lo + hi) / 2
-
-
-def kelly_oxley_b(ell: int, j: int, n: int, m: int, q: int, D_size: int) -> float:
-    """Union-bound term binom(m-|D|, n+ell-1-|D|) binom(n+ell-1, j) *
-    ((q^j + q^(n+ell-1-j) - q^(ell-1)) / q^n)^(m-(n+ell-1)), log-domain."""
-    a1, b1 = m - D_size, n + ell - 1 - D_size
-    a2, b2 = n + ell - 1, j
-    if b1 < 0 or b1 > a1 or b2 < 0 or b2 > a2:
-        raise InvalidParam("binomial arguments out of range")
-    base = (q ** float(j - n) + q ** float(ell - 1 - j)
-            - q ** float(ell - 1 - n))
-    lg = (_log_comb(a1, b1) + _log_comb(a2, b2)
-          + (m - (n + ell - 1)) * math.log(base))
-    return math.exp(lg)
-
-
-def first_moment_sep(q: int, k: int, n: int, m: int) -> tuple[float, float]:
-    """(mu, E X) for rank-(k-1) separations: mu = (q-1)^(k-1) q^-m and
-    E X = binom(m, k-1) [n]_q mu."""
-    if k < 1:
-        raise InvalidParam("need k >= 1")
-    lmu = (k - 1) * math.log(q - 1) - m * math.log(q)
-    lex = _log_comb(m, k - 1) + math.log(q_int(n, q)) + lmu
-    return math.exp(lmu), math.exp(lex)
 
 
 def tau_conn_asymptotic(q: int, k: int, n: int) -> float:
@@ -402,12 +369,3 @@ def poisson_bounds(balls: int, bins: int) -> tuple[float, float]:
         raise InvalidParam("need bins >= 1 and balls >= 0")
     lam = balls / bins
     return 2 * (-math.expm1(-lam)) ** bins, 2 * bins * math.exp(-lam)
-
-
-def pg_tau_window(q: int, r: int, omega_factor: float) -> float:
-    """Offset over n of the projective-geometry cover time:
-    zeta log zeta + omega_factor * zeta with zeta = [r]_q."""
-    if r < 1:
-        raise InvalidParam("need r >= 1")
-    zeta = q_int(r, q)
-    return zeta * math.log(zeta) + omega_factor * zeta

@@ -75,6 +75,36 @@ def test_predict_prints_values_up_to_the_digit_limit(capsys):
     assert values_of(out)["qint"] == str(2 ** 14284 - 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ("predict", "--what", "gamma", "--q", "1", "--c", "1"),
+    ("predict", "--what", "cck", "--q", "1", "--c", "1", "--k", "0"),
+    ("table", "--what", "cck", "--q", "1", "--c", "1"),
+    ("predict", "--what", "gbinom", "--n", "4", "--k", "2", "--q", "1"),
+    ("predict", "--what", "bofa", "--q", "1", "--a", "0.5"),
+    ("table", "--what", "bofa", "--q", "1"),
+    ("table", "--what", "bounds", "--q", "1"),
+    ("table", "--what", "bounds", "--q", "0"),
+    ("predict", "--what", "gbinom", "--n", "4", "--k", "2", "--q", "6"),
+    ("predict", "--what", "qint", "--n", "3", "--q", "131071"),
+    ("predict", "--what", "qint", "--n", "-3", "--q", "2"),
+    ("predict", "--what", "gbinom", "--n", "4", "--k", "-1", "--q", "2"),
+    ("predict", "--what", "rankfull", "--n", "3", "--m", "-1", "--q", "2"),
+    ("predict", "--what", "nocirc", "--m", "5", "--k", "-1", "--q", "2", "--n", "3"),
+])
+def test_predict_and_table_refuse_bad_q_and_negative_sizes(capsys, argv):
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2 and out == ""
+    assert "usage error" in err and "Traceback" not in err
+
+
+def test_predict_cck_accepts_a_negative_offset(capsys):
+    rc, out, _ = run(capsys, "predict", "--what", "cck", "--q", "2", "--c", "1", "--k", "-3")
+    assert rc == 0
+    assert float(values_of(out)["cck"]) == theory.limit_Cck(2, 1, -3)
+
+
 def test_predict_json_payload(capsys, tmp_path):
     out_file = tmp_path / "p.json"
     rc, out, _ = run(capsys, "predict", "--what", "crt", "--q", "2", "--k", "1",

@@ -1,6 +1,8 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module,
+and every function, class and method is referenced somewhere in src/."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fqmatroid"
@@ -31,3 +33,53 @@ def test_no_unused_imports():
     assert modules
     unused = [hit for path in modules for hit in _unused_imports(path)]
     assert unused == []
+
+
+# definitions that nothing in src/ references, each kept on purpose
+DEAD_ALLOWED = {
+    "_alpha_signed": "signed-sum cross-check of _alpha_poly in test_theory",
+    "circuit_spectrum": "oracle behind the track_k_circuit and track_hamilton tests",
+    "contract": "checked by E0 acceptance; bench/tracing.py wraps it",
+    "delete": "checked by E0 acceptance",
+    "from_span": "cross-check of enumerate_subspaces in test_subspaces and test_linalg",
+    "ground": "RepMatroid's ground set accessor",
+    "median": "Aggregate statistic next to mean and variance",
+    "parse_emitted_csv": "reads back the csv artifacts that emit writes",
+    "rank_of_subset": "RepMatroid's checked rank query",
+    "submatrix": "FqMatrix column selection",
+    "subspace_count": "checked by E0 acceptance",
+    "track_connectivity": "2-connectivity tracker, to be wired into a preset",
+}
+
+
+def _references(node) -> Counter:
+    """Names, attribute names and string constants under node."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            out[sub.value] += 1
+    return out
+
+
+def _dead_definitions() -> set[str]:
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(PACKAGE.rglob("*.py"))]
+    total = sum((_references(t) for t in trees), Counter())
+    dead = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue  # called by the interpreter
+            # a recursive call is no reference from outside
+            if total[node.name] == _references(node)[node.name]:
+                dead.add(node.name)
+    return dead
+
+
+def test_no_dead_definitions():
+    assert _dead_definitions() == set(DEAD_ALLOWED)

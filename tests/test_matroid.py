@@ -1,4 +1,4 @@
-"""Matroid queries: circuits, connectivity, critical number, minors."""
+"""Matroid queries: circuits, connectivity, critical number."""
 
 import itertools
 from collections import Counter
@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from fqmatroid.errors import BudgetExceeded, InvalidParam, LoopPresent
-from fqmatroid.fqlinalg import FqMatrix, make_field, random_uniform_matrix
+from fqmatroid.fqlinalg import FqMatrix, make_field
 from fqmatroid.matroid import (
     INFINITY,
     RepMatroid,
-    _subset_rank_table,
     pg_matrix,
     uniform_matroid_matrix,
 )
-from conftest import brute_rank, random_cols
+from conftest import random_cols
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -50,19 +49,6 @@ def test_basic_queries():
     assert M.rank_of_subset([0, 1]) == 2
     with pytest.raises(InvalidParam):
         M.rank_of_subset([9])
-
-
-def test_dual_rank_identity_exhaustive():
-    # rk*(X) = |X| + rk(E-X) - rk(M), and it is never negative
-    for cols in itertools.product(
-        list(itertools.product(range(2), repeat=2)), repeat=3
-    ):
-        M = matroid(2, list(cols))
-        for r in range(M.m + 1):
-            for X in itertools.combinations(range(M.m), r):
-                d = M.dual_rank_of_subset(X)
-                assert d == len(X) + M.rank_of_subset(set(range(M.m)) - set(X)) - M.rank
-                assert d >= 0
 
 
 def test_points_are_projective_representatives():
@@ -273,78 +259,6 @@ def test_critical_number_matches_brute_avoidance():
             if chi is not None:
                 break
         assert M.critical_number() == chi
-
-
-# ---- minors --------------------------------------------------------------------
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_subset_rank_table_matches_brute_rank(q):
-    F = make_field(q)
-    rng = np.random.default_rng(60 + q)
-    for _ in range(40):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(0, 7))
-        cols = random_cols(q, n, m, rng)
-        table = _subset_rank_table(FqMatrix(F, cols, n=n))
-        assert len(table) == 1 << m
-        for mask in range(1 << m):
-            assert table[mask] == brute_rank(F, [c for j, c in enumerate(cols) if mask >> j & 1])
-
-
-def test_has_minor_u12():
-    u12 = RepMatroid(uniform_matroid_matrix(F2, 1, 2))
-    assert matroid(2, [(1, 0), (1, 0)]).has_minor(u12) is not None
-    assert matroid(2, [(1, 0), (0, 1)]).has_minor(u12) is None
-
-
-def test_has_minor_witness_is_valid():
-    target = RepMatroid(uniform_matroid_matrix(F2, 2, 3))
-    M = matroid(2, [(1, 0, 1), (0, 1, 1), (1, 1, 0), (0, 0, 1)])
-    w = M.has_minor(target)
-    assert w is not None
-    reduced = M.matrix.contract(w.contracted).submatrix(
-        [j - sum(1 for c in w.contracted if c < j) for j in w.mapping]
-    )
-    # mapping sends target element i to the i-th kept column
-    table_t = {
-        S: target.matrix.rank_of(S)
-        for r in range(4)
-        for S in itertools.combinations(range(3), r)
-    }
-    table_r = {
-        S: reduced.rank_of(S) for r in range(4) for S in itertools.combinations(range(3), r)
-    }
-    assert table_t == table_r
-
-
-def test_minor_never_gains_corank():
-    rng = np.random.default_rng(19)
-    targets = [
-        RepMatroid(uniform_matroid_matrix(F2, 1, 2)),
-        RepMatroid(uniform_matroid_matrix(F2, 2, 3)),
-        RepMatroid(pg_matrix(F2, 2)),
-    ]
-    for _ in range(60):
-        M = matroid(2, random_cols(2, 3, 5, rng))
-        for t in targets:
-            if M.has_minor(t) is not None:
-                assert M.corank >= t.corank
-
-
-def test_minor_ground_budget():
-    u12 = RepMatroid(uniform_matroid_matrix(F2, 1, 2))
-    M = matroid(2, [(1, 0)] * 15)
-    with pytest.raises(BudgetExceeded):
-        M.has_minor(u12, ground_budget=10)
-
-
-def test_contains_pg():
-    assert RepMatroid(pg_matrix(F2, 3)).contains_pg(2)
-    assert RepMatroid(pg_matrix(F2, 2)).contains_pg(2)
-    assert not matroid(2, [(1, 0), (0, 1)]).contains_pg(2)
-    # PG(1,3) needs 4 points on a line; 3 points are not enough
-    assert not RepMatroid(uniform_matroid_matrix(F3, 2, 3)).contains_pg(2)
-    assert RepMatroid(pg_matrix(F3, 2)).contains_pg(2)
 
 
 # ---- fixed matrices ---------------------------------------------------------

@@ -5,14 +5,16 @@ rng keyed by (seed, trial)) and checks the reported hitting step against
 a from-scratch oracle on each prefix matrix.
 """
 
-import re
-
+import numpy as np
 import pytest
 
+from fqmatroid import montecarlo as MC
 from fqmatroid import process as P
 from fqmatroid.errors import BudgetExceeded, InvalidParam
 from fqmatroid.fqlinalg import FqMatrix, make_field, pack_gf2, projective_points
-from fqmatroid.matroid import INFINITY, RepMatroid, uniform_matroid_matrix
+from fqmatroid.matroid import RepMatroid
+
+from conftest import brute_rank
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -40,12 +42,12 @@ def canonical(field, col):
 
 
 def test_same_stream_same_trajectory():
-    a = P.ProcessState(F2, 8, P.process_rng(123, 5), record_trajectory=True)
-    b = P.ProcessState(F2, 8, P.process_rng(123, 5), record_trajectory=True)
+    a = P.ProcessState(F2, 8, P.process_rng(123, 5))
+    b = P.ProcessState(F2, 8, P.process_rng(123, 5))
     for _ in range(30):
         a.step()
         b.step()
-    assert a.dump_trajectory() == b.dump_trajectory()
+    assert a.corank_history == b.corank_history
     assert a.column_tuples() == b.column_tuples()
     c = P.ProcessState(F2, 8, P.process_rng(123, 6))
     for _ in range(30):
@@ -71,30 +73,6 @@ def test_corank_ascends_by_unit_steps():
     hist = st.corank_history
     assert all(b - a in (0, 1) for a, b in zip(hist, hist[1:]))
     st.check_consistency()
-
-
-def test_trajectory_text_format():
-    st = P.ProcessState(F2, 3, P.process_rng(11, 2), record_trajectory=True)
-    for _ in range(12):
-        st.step()
-    lines = st.dump_trajectory().splitlines()
-    assert len(lines) == 12
-    pat = re.compile(
-        r"^step (\d+): rank (\d+), corank (\d+)"
-        r"(, (dependent|loop|first-circuit)(,(dependent|loop|first-circuit))*)?$")
-    for i, line in enumerate(lines):
-        mo = pat.match(line)
-        assert mo, line
-        assert int(mo.group(1)) == i + 1
-    # 12 columns in F_2^3 force dependencies, so tags must have appeared
-    assert any("dependent" in line for line in lines)
-    assert any("first-circuit" in line for line in lines)
-
-
-def test_dump_requires_recording():
-    st = P.ProcessState(F2, 3, P.process_rng(11, 2))
-    with pytest.raises(InvalidParam):
-        st.dump_trajectory()
 
 
 def test_state_rejects_empty_row_space():
@@ -377,95 +355,57 @@ def test_track_critical_hits_and_censors():
         P.track_critical(st4, 1)
 
 
-# ---- minor tracking --------------------------------------------------------------
+# ---- minor hitting times (the E2 and E3 detectors) -------------------------------
 
 
-def test_track_minor_free_target():
-    target = RepMatroid(FqMatrix(F2, [(1, 0, 0), (0, 1, 0)], n=3))
-    st = P.ProcessState(F2, 3, P.process_rng(58, 0))
-    m = P.track_minor(st, target)
-    cols = replay_columns(F2, 3, 58, 0, m)
-    assert prefix_matroid(cols, F2, 3, m).rank >= 2
-    assert prefix_matroid(cols, F2, 3, m - 1).rank < 2
-    big = RepMatroid(FqMatrix(F2, [tuple(int(i == j) for i in range(5))
-                                   for j in range(5)], n=5))
-    st2 = P.ProcessState(F2, 3, P.process_rng(58, 1))
-    assert P.track_minor(st2, big) is None  # rank 5 never fits in F_2^3
+def first_prefix(cols, field, count):
+    """First m with brute rank of the m-prefix < count(prefix)."""
+    for m in range(1, len(cols) + 1):
+        if brute_rank(field, cols[:m]) < count(cols[:m]):
+            return m
+    return None
 
 
-def test_track_minor_u12_u23_and_ordering():
-    u12 = RepMatroid(FqMatrix(F2, [(1,), (1,)], n=1))
-    u23 = RepMatroid(FqMatrix(F2, [(1, 0), (0, 1), (1, 1)], n=2))
-    for trial in (0, 1, 2):
-        t12 = P.track_minor(P.ProcessState(F2, 4, P.process_rng(59, trial)), u12)
-        t23 = P.track_minor(P.ProcessState(F2, 4, P.process_rng(59, trial)), u23)
-        cols = replay_columns(F2, 4, 59, trial, t23)
-
-        def stats(m):
-            pre = [c for c in cols[:m] if any(c)]
-            return len(pre), len({canonical(F2, c) for c in pre})
-
-        mat = prefix_matroid(cols, F2, 4, t12)
-        nz, _ = stats(t12)
-        assert mat.rank < nz
-        nz_prev, _ = stats(t12 - 1)
-        assert prefix_matroid(cols, F2, 4, t12 - 1).rank == nz_prev
-        _, pts = stats(t23)
-        assert prefix_matroid(cols, F2, 4, t23).rank < pts
-        _, pts_prev = stats(t23 - 1)
-        assert prefix_matroid(cols, F2, 4, t23 - 1).rank == pts_prev
-        # a circuit among distinct points implies a circuit among columns
-        assert t23 >= t12
+def nonzero_count(cols):
+    return sum(1 for c in cols if any(c))
 
 
-def test_track_minor_resumes_mid_stream():
-    u23 = RepMatroid(FqMatrix(F2, [(1, 0), (0, 1), (1, 1)], n=2))
-    st = P.ProcessState(F2, 4, P.process_rng(59, 0))
-    for _ in range(3):
-        st.step()
-    fresh = P.ProcessState(F2, 4, P.process_rng(59, 0))
-    assert P.track_minor(st, u23) == P.track_minor(fresh, u23)
+def point_count(field):
+    return lambda cols: len({canonical(field, c) for c in cols if any(c)})
 
 
-@pytest.mark.parametrize("trial", [0, 1, 2, 3])
-def test_track_minor_generic_target(trial):
-    target = RepMatroid(uniform_matroid_matrix(F3, 2, 4))
-    st = P.ProcessState(F3, 3, P.process_rng(906, trial))
-    m = P.track_minor(st, target, ground_budget=10, max_steps=10)
-    assert m is not None
-    cols = replay_columns(F3, 3, 906, trial, m)
-    assert prefix_matroid(cols, F3, 3, m).has_minor(target) is not None
-    assert prefix_matroid(cols, F3, 3, m - 1).has_minor(target) is None
+# (1, 1), (2, 3) and (3, 4) draw zero columns before the hitting step
+@pytest.mark.parametrize("n,trial", [(1, 1), (2, 3), (3, 4), (5, 1), (8, 3)])
+def test_tau_u12_packed_draw_against_per_prefix(n, trial):
+    # q = 2 draws packed integers in blocks of 128; replay them from the same rng
+    out = MC._t_tau_u12({"q": 2, "n": n}, P.process_rng(63, trial))
+    rng = P.process_rng(63, trial)
+    raw = rng.integers(0, 1 << n, size=128, dtype=np.int64).tolist()
+    cols = [tuple((v >> i) & 1 for i in range(n)) for v in raw]
+    assert out["tau_u12_minus_n"] + n == first_prefix(cols, F2, nonzero_count)
 
 
-def test_track_minor_generic_budget():
-    target = RepMatroid(uniform_matroid_matrix(F3, 2, 4))
-    st = P.ProcessState(F3, 8, P.process_rng(60, 0))
-    with pytest.raises(BudgetExceeded):
-        # in F_3^8 a U_{2,4} minor needs more than 3 columns
-        P.track_minor(st, target, ground_budget=3)
+# (1, 1) and (2, 5) draw zero columns before the hitting step
+@pytest.mark.parametrize("n,trial", [(1, 1), (2, 5), (4, 2), (5, 3)])
+def test_tau_u12_process_fallback_against_per_prefix(n, trial):
+    out = MC._t_tau_u12({"q": 3, "n": n}, P.process_rng(64, trial))
+    cols = replay_columns(F3, n, 64, trial, 3 * n + 12)
+    assert out["tau_u12_minus_n"] + n == first_prefix(cols, F3, nonzero_count)
 
 
-def test_track_pg_full_rank_cover():
-    st = P.ProcessState(F2, 2, P.process_rng(61, 0))
-    m = P.track_pg(st, 2)
-    cols = replay_columns(F2, 2, 61, 0, m)
-    pts = {canonical(F2, c) for c in cols if any(c)}
-    assert len(pts) == 3  # all of PG(1,2)
-    prev = {canonical(F2, c) for c in cols[:-1] if any(c)}
-    assert len(prev) == 2
-    st2 = P.ProcessState(F2, 2, P.process_rng(61, 1))
-    assert P.track_pg(st2, 3) is None  # r > n
-
-
-@pytest.mark.parametrize("trial", [0, 1, 2])
-def test_track_pg_submatroid_search(trial):
-    st = P.ProcessState(F2, 3, P.process_rng(907, trial))
-    m = P.track_pg(st, 2, max_steps=40)
-    assert m is not None
-    cols = replay_columns(F2, 3, 907, trial, m)
-    assert prefix_matroid(cols, F2, 3, m).contains_pg(2)
-    assert not prefix_matroid(cols, F2, 3, m - 1).contains_pg(2)
+@pytest.mark.parametrize("field,n,trial", [(F2, 3, 0), (F2, 5, 1), (F2, 7, 2),
+                                           (F3, 2, 0), (F3, 3, 1), (F3, 4, 2)])
+def test_tau_u23_against_per_prefix(field, n, trial):
+    out = MC._t_tau_u23({"q": field.q, "n": n}, P.process_rng(65, trial))
+    cols = replay_columns(field, n, 65, trial, 3 * n + 12)
+    tau = first_prefix(cols, field, point_count(field))
+    assert out["tau_u23_minus_n"] + n == tau
+    tau_crk1 = first_prefix(cols, field, len)
+    assert out["agree"] == int(tau == tau_crk1)
+    assert out["le_n1"] == int(tau <= n + 1)
+    assert out["eq_n1"] == int(tau == n + 1)
+    # a circuit among distinct points is a circuit among the columns
+    assert tau >= tau_crk1
 
 
 # ---- point-sample models -----------------------------------------------------------

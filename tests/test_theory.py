@@ -6,7 +6,9 @@ products (120 factors), and long-double bisection on cloned defining
 equations -- all computed outside this package and frozen here.
 """
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from fqmatroid.errors import InvalidParam
 from fqmatroid import theory as T
+from fqmatroid.fqlinalg import make_field
 
 
 # ---- q-binomials ------------------------------------------------------------
@@ -47,15 +50,6 @@ def test_q_int():
     assert T.q_int(1, 5) == 1
     assert T.q_int(4, 2) == 15
     assert T.q_int(3, 2) == T.gaussian_binomial(3, 1, 2)
-
-
-def test_gbinom_asymptotic_check_shrinks():
-    # q^((N-M)k) gbinom(M,k) approximates gbinom(N,k) better as M grows
-    errs = [T.gbinom_asymptotic_check(14, M, 2, 2) for M in (6, 8, 10, 14)]
-    assert errs[0] > errs[1] > errs[2]
-    assert errs[3] < 1e-12
-    with pytest.raises(InvalidParam):
-        T.gbinom_asymptotic_check(4, 6, 2, 2)
 
 
 # ---- rank evolution -----------------------------------------------------------
@@ -242,6 +236,30 @@ def test_mu_k_values():
         T.mu_k(3, 0, 2, 5)
 
 
+@pytest.mark.parametrize("q,n,m", [(2, 2, 3), (3, 2, 3), (2, 3, 4), (4, 1, 3), (3, 1, 4)])
+def test_mu_k_counts_weight_k_kernel_vectors(q, n, m):
+    # average, over every n x m matrix, of the number of x in F_q^m with
+    # exactly k nonzero entries and Ax = 0
+    F = make_field(q)
+    vectors = list(itertools.product(range(q), repeat=m))
+    columns = list(itertools.product(range(q), repeat=n))
+    hits = Counter()
+    total = 0
+    for cols in itertools.product(columns, repeat=m):
+        total += 1
+        for x in vectors:
+            acc = [0] * n
+            for xj, col in zip(x, cols):
+                if xj:
+                    acc = [F.add(a, F.mul(xj, c)) for a, c in zip(acc, col)]
+            if not any(acc):
+                hits[sum(1 for xj in x if xj)] += 1
+    for k in range(1, m + 1):
+        exact = Fraction(hits[k], total)
+        assert exact == Fraction(math.comb(m, k) * (q - 1) ** k, q ** n)
+        assert abs(T.mu_k(m, k, q, n) - float(exact)) < 1e-12
+
+
 def test_no_kcircuit_prob_approx():
     # exp(-(q-1)^{k-1}/k! * m^k / q^n)
     got = T.no_kcircuit_prob_approx(40, 2, 2, 10)
@@ -327,13 +345,6 @@ def test_ko_alpha_bound_pinned():
     assert T.ko_alpha_bound(2) > T.ko_alpha_bound(3) > T.ko_alpha_bound(5)
 
 
-def test_ko_condition():
-    assert T.ko_condition(2, 0.01, 4.0)
-    assert not T.ko_condition(2, 0.5, 0.1)
-    with pytest.raises(InvalidParam):
-        T.ko_condition(2, 1.5, 1.0)
-
-
 def test_lb_alpha_is_the_sign_change():
     for q, t in [(2, 0.2), (2, 0.5), (3, 0.3)]:
         a = T.lb_alpha(q, t)
@@ -350,25 +361,10 @@ def test_lb_alpha_below_ko_bound():
             assert T.lb_alpha(q, i / 20) <= hi
 
 
-def test_first_moment_sep():
-    mu, ex = T.first_moment_sep(2, 2, 5, 8)
-    assert abs(mu - 2.0**-8) < 1e-15
-    assert abs(ex - math.comb(8, 1) * T.q_int(5, 2) * mu) < 1e-12
-    with pytest.raises(InvalidParam):
-        T.first_moment_sep(2, 0, 5, 8)
-
-
 def test_tau_conn_asymptotic():
     assert abs(T.tau_conn_asymptotic(2, 1, 8) - (8 + math.log2(8))) < 1e-12
     with pytest.raises(InvalidParam):
         T.tau_conn_asymptotic(2, 5, 4)
-
-
-def test_kelly_oxley_b_smoke():
-    val = T.kelly_oxley_b(1, 0, 6, 10, 2, 3)
-    assert val > 0
-    with pytest.raises(InvalidParam):
-        T.kelly_oxley_b(1, 9, 6, 10, 2, 3)
 
 
 # ---- critical number predictors ----------------------------------------------------
@@ -397,10 +393,3 @@ def test_poisson_bounds_pinned():
     assert abs(hi - 14 * math.exp(-5.0)) < 1e-12
     with pytest.raises(InvalidParam):
         T.poisson_bounds(3, 0)
-
-
-def test_pg_tau_window():
-    zeta = T.q_int(3, 2)
-    assert abs(T.pg_tau_window(2, 3, 3.0) - (zeta * math.log(zeta) + 3 * zeta)) < 1e-12
-    with pytest.raises(InvalidParam):
-        T.pg_tau_window(2, 0, 1.0)
