@@ -449,7 +449,6 @@ def _parser() -> argparse.ArgumentParser:
     pr.add_argument("--m", type=int)
     pr.add_argument("--k", type=int)
     pr.add_argument("--c", type=int)
-    pr.add_argument("--r", type=int)
     pr.add_argument("--a", type=float)
     pr.add_argument("--out")
     pr.add_argument("--format", choices=("text", "json"), default="text")

@@ -21,20 +21,6 @@ class SubspaceHandle:
     dim: int
     rows: tuple  # tuple of k row tuples, pivots strictly increasing
 
-    def pivots(self) -> list[int]:
-        out = []
-        for row in self.rows:
-            for j, x in enumerate(row):
-                if x:
-                    out.append(j)
-                    break
-        return out
-
-    def contains(self, field: FieldSpec, vector) -> bool:
-        span = SpanQ(field, self.n)
-        span.rows = dict(zip(self.pivots(), self.rows))  # already in echelon form
-        return not any(span.reduce(vector))
-
     @classmethod
     def from_span(cls, field: FieldSpec, n: int, vectors) -> "SubspaceHandle":
         """Canonical handle for the span of arbitrary vectors."""

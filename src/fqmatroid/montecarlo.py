@@ -90,7 +90,7 @@ def _fits_default(default, val) -> bool:
 
 def _validate_resolved(res: dict) -> None:
     for key, val in res.items():
-        if key.endswith("trials") or key in ("n", "m", "q"):
+        if key.endswith(("trials", "_n", "_m")) or key in ("n", "m", "q"):
             if not isinstance(val, int) or isinstance(val, bool) or val < 1:
                 raise ConfigError(f"{key} must be a positive integer, got {val!r}")
         if key.endswith("budget") and val <= 0:

@@ -23,9 +23,8 @@ from .fqlinalg import (
     RrefState,
     canonical_point,
     draw_native_column,
-    enumerate_subspaces,
+    make_field,
     native_to_tuple,
-    pack_gf2,
     projective_points,
     random_uniform_matrix,
 )
@@ -35,6 +34,7 @@ from .matroid import (
     INFINITY,
     RepMatroid,
 )
+from .theory import gaussian_binomial
 
 DEFAULT_TRACK_SUBSPACE_BUDGET = 10 ** 6
 
@@ -479,21 +479,50 @@ def kappa_trajectory(state: ProcessState, horizon: int,
 
 
 @lru_cache(maxsize=64)
-def _dual_normal_bases(n: int, k: int) -> np.ndarray:
-    """Packed normal bases of all k-dimensional subspaces of F_2^n.
+def _normal_bases(q: int, n: int, k: int) -> np.ndarray:
+    """Reduced bases of all k-dimensional subspaces of F_q^n, as a (k, N)
+    array of indices into projective_points(F_q, n).
 
-    Row i holds a basis of the i-th k-dimensional space U; the avoiding
-    subspace it encodes is the codimension-k annihilator of U.
+    Column i is the basis of the i-th space U of enumerate_subspaces; the
+    avoiding subspace it encodes is the codimension-k annihilator of U.
+    Each pivot pattern (Schubert cell) is one block, whose free entries
+    are the base-q digits of arange(q^cells), most significant first.
     """
-    from .fqlinalg import make_field
-
-    field = make_field(2)
-    rows = []
-    for handle in enumerate_subspaces(field, n, k):
-        rows.append([pack_gf2(r) for r in handle.rows])
-    arr = np.asarray(rows, dtype=np.uint32).reshape(len(rows), k)
+    # projective point (0,..,0,1,x_{l+1},..) has index offsets[l] + sum_j x_j q^(n-1-j)
+    offsets = np.cumsum([0] + [q ** (n - 1 - lead) for lead in range(n - 1)])
+    blocks = []
+    for pivots in itertools.combinations(range(n), k):
+        cells = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
+        fill = np.arange(q ** len(cells))
+        block = np.tile(offsets[list(pivots)][:, None], len(fill))
+        for t, (i, j) in enumerate(cells):
+            block[i] += fill // q ** (len(cells) - 1 - t) % q * q ** (n - 1 - j)
+        blocks.append(block)
+    arr = np.concatenate(blocks, axis=1)
     arr.setflags(write=False)
     return arr
+
+
+def _dual_normal_bases(n: int, k: int, q: int = 2) -> np.ndarray:
+    return _normal_bases(q, n, k)  # one cache entry for every call form
+
+
+@lru_cache(maxsize=4)
+def _digit_tables(q: int, n: int) -> tuple:
+    """Base-p digits (least significant first) of projective_points(F_q, n),
+    n*e per point, and of every element of F_q; and `step`, the matrix
+    with digits(X*y) = digits(y) @ step mod p.  All are float64, so
+    products run in BLAS and stay exact."""
+    field = make_field(q)
+    p, e = field.p, field.e
+    elem = (np.arange(q)[:, None] // p ** np.arange(e) % p).astype(np.float64)
+    step = np.eye(e, k=1)
+    step[e - 1] = [-c % p for c in field.modulus[:e]]
+    # points led by coordinate l: e_l plus the base-q digits of arange(q^(n-1-l))
+    places = q ** np.arange(n - 1, -1, -1)
+    coords = np.concatenate([np.arange(q ** (n - 1 - lead))[:, None] // places % q
+                             + np.eye(n, dtype=np.int64)[lead] for lead in range(n)])
+    return elem[coords].reshape(len(coords), -1), elem, step
 
 
 class _CriticalTracker:
@@ -505,70 +534,61 @@ class _CriticalTracker:
     also comes up empty would be a skip, which is recorded rather than
     assumed away).
 
-    Fast path (q = 2, n <= 16): a codimension-k subspace is the
-    annihilator of a k-dimensional dual space U with basis rows
-    u_1..u_k, and it avoids column v exactly when <u_i, v> = 1 for some
-    i.  A rebuild tabulates, from `cols`, the syndromes of all 2^n dual
-    vectors: bit j of syn[w, a] is <a, v_{64w+j}>.  U then avoids all m
-    columns iff syn[:, u_1] | ... | syn[:, u_k] has all m bits set, one
-    gather per basis row.  Nothing but `cols` and `alive` outlives a call.
+    A codimension-k subspace is the annihilator of a k-dimensional dual
+    space U whose reduced basis rows u_1..u_k are projective points, and
+    it avoids column v exactly when <u_i, v> != 0 for some i.  A rebuild
+    tabulates that test for every point and column, one bit per column,
+    and keeps the U whose k gathered rows OR to all ones; a prune keeps
+    the U with a row off the new column's hyperplane.  Nothing but `cols`
+    and `alive` outlives a call.
     """
 
-    def __init__(self, field: FieldSpec, n: int, subspace_budget: int):
+    def __init__(self, field: FieldSpec, n: int):
         self.field = field
         self.n = n
-        self.budget = subspace_budget
         self.level = 0
         self.cols: list[tuple] = []
         self.skips: list[int] = []
-        self.fast = field.q == 2 and n <= 16
-        self.alive = None  # fast: index array into _dual_normal_bases
+        self.alive = np.empty(0, dtype=np.intp)  # indices into _dual_normal_bases(n, level, q)
 
-    def _space_count(self, k: int) -> int:
-        from .theory import gaussian_binomial
-
-        return gaussian_binomial(self.n, k, self.field.q)
+    def _nonzero(self, cols) -> np.ndarray:
+        """(points, len(cols)) bool: <a, v> != 0 for every projective point a
+        and column v, as one product over F_p of the points' digits with
+        the multiplication maps of the columns' entries; its sums stay
+        below n*e*p^2 < 2^53, so float64 is exact."""
+        digits, elem, step = _digit_tables(self.field.q, self.n)
+        p, e = self.field.p, self.field.e
+        # row t of the map of x holds the digits of x * X^t
+        maps = [elem[np.asarray(cols)]]
+        for _ in range(e - 1):
+            maps.append(maps[-1] @ step % p)
+        prod = digits @ np.stack(maps).transpose(2, 0, 1, 3).reshape(self.n * e, -1)
+        # prod mod p != 0, without the slow float modulo
+        return (prod != p * np.floor(prod / p)).reshape(len(prod), -1, e).any(axis=2)
 
     def _rebuild(self, k: int) -> None:
-        if self._space_count(k) > self.budget:
-            raise BudgetExceeded(
-                f"{self._space_count(k)} candidate subspaces exceed budget")
-        if self.fast:
-            m = len(self.cols)
-            v = np.array([pack_gf2(c) for c in self.cols], dtype=np.uint64)
-            duals = np.arange(1 << self.n, dtype=np.uint64)
-            par = (np.bitwise_count(v[:, None] & duals) & 1).astype(np.uint64)
-            bits = par << (np.arange(m, dtype=np.uint64) % 64)[:, None]
-            syn = np.stack([np.bitwise_or.reduce(bits[w:w + 64]) for w in range(0, m, 64)])
-            full = np.array([(1 << min(64, m - w)) - 1 for w in range(0, m, 64)],
-                            dtype=np.uint64)
-            bases = _dual_normal_bases(self.n, k)
-            acc = syn[:, bases[:, 0]]
-            for i in range(1, k):
-                acc |= syn[:, bases[:, i]]
-            self.alive = np.nonzero((acc == full[:, None]).all(axis=0))[0]
-        else:
-            self.alive = [h for h in enumerate_subspaces(self.field, self.n,
-                                                         self.n - k)
-                          if not any(h.contains(self.field, c) for c in self.cols)]
+        count = gaussian_binomial(self.n, k, self.field.q)
+        if count > DEFAULT_TRACK_SUBSPACE_BUDGET:
+            raise BudgetExceeded(f"{count} candidate subspaces exceed budget")
+        syn = np.packbits(self._nonzero(self.cols), axis=1)
+        # set the unused low bits, so a surviving OR is 0xFF in every byte
+        syn[:, -1] |= (1 << (-len(self.cols) % 8)) - 1
+        bases = _dual_normal_bases(self.n, k, self.field.q)
+        ok = True
+        for word in syn.T:  # eight columns at a time
+            ok &= np.bitwise_or.reduce(word[bases]) == 0xFF
+        self.alive = np.flatnonzero(ok)
 
     def _prune(self, col: tuple) -> None:
-        if self.fast:
-            bases = _dual_normal_bases(self.n, self.level)[self.alive]
-            v = np.uint32(pack_gf2(col))
-            self.alive = self.alive[(np.bitwise_count(bases & v) & 1).any(axis=1)]
-        else:
-            self.alive = [h for h in self.alive if not h.contains(self.field, col)]
+        rows = _dual_normal_bases(self.n, self.level, self.field.q)[:, self.alive]
+        self.alive = self.alive[self._nonzero([col])[rows, 0].any(axis=0)]
 
     def add(self, col: tuple) -> int:
         """Absorb one nonzero column; returns chi of the columns so far."""
         if not any(col):
             raise InvalidParam("chi is undefined once a loop is present")
         self.cols.append(col)
-        if self.level == 0:
-            self.level = 1
-            self._rebuild(1)
-        else:
+        if self.level:
             self._prune(col)
         while len(self.alive) == 0:
             self.level += 1
@@ -587,30 +607,23 @@ class CriticalTrace:
     skips: list
 
 
-def critical_trajectory(state: ProcessState, horizon: int,
-                        subspace_budget: int = DEFAULT_TRACK_SUBSPACE_BUDGET) -> CriticalTrace:
+def critical_trajectory(state: ProcessState, horizon: int) -> CriticalTrace:
     """chi at every step until the horizon; tracking stops at a loop."""
     if state.m:
         raise InvalidParam("critical trajectory must start from an empty state")
-    tracker = _CriticalTracker(state.field, state.n, subspace_budget)
+    tracker = _CriticalTracker(state.field, state.n)
     chis: list = []
     loop_at = None
     for _ in range(horizon):
-        rep = state.step()
-        if loop_at is not None:
-            chis.append(None)
-            continue
+        state.step()
         col = native_to_tuple(state.field, state.n, state.native_cols[-1])
-        if not any(col):
+        if loop_at is None and not any(col):
             loop_at = state.m
-            chis.append(None)
-            continue
-        chis.append(tracker.add(col))
+        chis.append(None if loop_at is not None else tracker.add(col))
     return CriticalTrace(chis=chis, loop_at=loop_at, skips=tracker.skips)
 
 
 def track_critical(state: ProcessState, k: int,
-                   subspace_budget: int = DEFAULT_TRACK_SUBSPACE_BUDGET,
                    max_steps: int | None = None) -> int | None:
     """First step with chi = k+1; None when a loop arrives first or censored.
 
@@ -625,7 +638,7 @@ def track_critical(state: ProcessState, k: int,
         raise InvalidParam("critical tracking must start from an empty state")
     if k + 1 > state.n:
         return None  # chi never exceeds n (the zero subspace avoids everything)
-    tracker = _CriticalTracker(state.field, state.n, subspace_budget)
+    tracker = _CriticalTracker(state.field, state.n)
     while max_steps is None or state.m < max_steps:
         state.step()
         col = native_to_tuple(state.field, state.n, state.native_cols[-1])

@@ -227,6 +227,8 @@ def mu_k(m: int, k: int, q: int, n: int) -> float:
 def no_kcircuit_prob_approx(m: int, k: int, q: int, n: int) -> float:
     """exp(-(q-1)^(k-1)/k! * m^k/q^n); sensible when k = o(m) and
     m^k q^-n stays bounded (not enforced)."""
+    if not 1 <= k <= m:
+        raise InvalidParam("need 1 <= k <= m")
     lg = ((k - 1) * math.log(q - 1) - math.lgamma(k + 1)
           + k * math.log(m) - n * math.log(q))
     if lg > 700:

@@ -99,6 +99,30 @@ def test_predict_and_table_refuse_bad_q_and_negative_sizes(capsys, argv):
     assert "usage error" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("predict", "--what", "nocirc", "--m", "0", "--k", "1", "--q", "2", "--n", "3"),
+    ("predict", "--what", "nocirc", "--m", "5", "--k", "0", "--q", "2", "--n", "3"),
+    ("predict", "--what", "nocirc", "--m", "3", "--k", "4", "--q", "2", "--n", "3"),
+    ("simulate", "--preset", "E4", "--param", "prob_m=0", "--seed", "1"),
+    ("simulate", "--preset", "E4", "--param", "count_n=-2", "--seed", "1"),
+    ("simulate", "--preset", "E8", "--param", "monitor_n=0", "--seed", "1"),
+    ("simulate", "--preset", "E10", "--param", "noskip_n=0", "--seed", "1"),
+])
+def test_sizes_outside_their_domain_are_usage_errors(capsys, argv):
+    # simulate refuses in configuration, before any trial runs
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2 and out == ""
+    assert "usage error" in err and "Traceback" not in err
+
+
+def test_predict_rejects_the_unread_r_option(capsys):
+    rc, out, err = run(capsys, "predict", "--what", "qint", "--n", "3", "--q", "2", "--r", "5")
+    assert rc == 2 and out == ""
+    assert "unrecognized arguments: --r 5" in err and "Traceback" not in err
+
+
 def test_predict_cck_accepts_a_negative_offset(capsys):
     rc, out, _ = run(capsys, "predict", "--what", "cck", "--q", "2", "--c", "1", "--k", "-3")
     assert rc == 0

@@ -14,7 +14,7 @@ from fqmatroid.matroid import (
     pg_matrix,
     uniform_matroid_matrix,
 )
-from conftest import random_cols
+from conftest import brute_rank, random_cols
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -253,7 +253,8 @@ def test_critical_number_matches_brute_avoidance():
         chi = None
         for k in range(n + 1):
             for h in enumerate_subspaces(F2, n, n - k):
-                if not any(h.contains(F2, c) for c in cols):
+                # c lies in h iff adding it does not grow the rank
+                if not any(brute_rank(F2, list(h.rows) + [c]) == h.dim for c in cols):
                     chi = k
                     break
             if chi is not None:

@@ -5,19 +5,32 @@ rng keyed by (seed, trial)) and checks the reported hitting step against
 a from-scratch oracle on each prefix matrix.
 """
 
+import importlib.util
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fqmatroid import montecarlo as MC
 from fqmatroid import process as P
 from fqmatroid.errors import BudgetExceeded, InvalidParam
-from fqmatroid.fqlinalg import FqMatrix, make_field, pack_gf2, projective_points
+from fqmatroid.fqlinalg import (
+    FqMatrix,
+    enumerate_subspaces,
+    make_field,
+    pack_gf2,
+    projective_points,
+)
 from fqmatroid.matroid import RepMatroid
 
 from conftest import brute_rank
 
 F2 = make_field(2)
 F3 = make_field(3)
+F4 = make_field(4)
+F9 = make_field(9)
 
 
 def replay_columns(field, n, seed, trial, m):
@@ -281,18 +294,28 @@ def test_kappa_trajectory_guards():
 # ---- critical number tracking ---------------------------------------------------
 
 
-@pytest.mark.parametrize("field,n,trial,horizon", [
-    pytest.param(F2, 5, 0, 12, id="field0-5-0"),
-    pytest.param(F2, 5, 1, 12, id="field1-5-1"),
-    pytest.param(F3, 3, 0, 12, id="field2-3-0"),
+# top: the largest chi the trajectory reaches, so every case with top >= 2
+# checks at least one rebuild above level 1
+@pytest.mark.parametrize("field,n,trial,horizon,top", [
+    pytest.param(F2, 5, 0, 12, 2, id="field0-5-0"),
+    pytest.param(F2, 5, 1, 12, 1, id="field1-5-1"),
+    pytest.param(F3, 3, 0, 12, 2, id="field2-3-0"),
     # chi reaches 3 by step 30 (trial 0) and 38 (trial 1): level-2 and
-    # level-3 rebuilds of the gf2 fast path
-    pytest.param(F2, 8, 0, 40, id="field3-8-0"),
-    pytest.param(F2, 8, 1, 40, id="field4-8-1"),
+    # level-3 rebuilds
+    pytest.param(F2, 8, 0, 40, 3, id="field3-8-0"),
+    pytest.param(F2, 8, 1, 40, 3, id="field4-8-1"),
+    # extension fields go through the digit maps of x * X^t; the q = 3
+    # and second q = 9 streams end in a loop after a level-2 rebuild
+    pytest.param(F3, 4, 0, 40, 2, id="q3-4-0"),
+    pytest.param(F4, 3, 0, 20, 2, id="q4-3-0"),
+    pytest.param(F4, 3, 1, 25, 2, id="q4-3-1"),
+    pytest.param(F9, 2, 0, 60, 2, id="q9-2-0"),
+    pytest.param(F9, 2, 1, 60, 2, id="q9-2-1"),
 ])
-def test_critical_trajectory_against_per_prefix(field, n, trial, horizon):
+def test_critical_trajectory_against_per_prefix(field, n, trial, horizon, top):
     st = P.ProcessState(field, n, P.process_rng(56, trial))
     trace = P.critical_trajectory(st, horizon=horizon)
+    assert max(c for c in trace.chis if c is not None) == top
     cols = replay_columns(field, n, 56, trial, horizon)
     for m in range(1, horizon + 1):
         mat = prefix_matroid(cols, field, n, m)
@@ -307,21 +330,87 @@ def test_critical_trajectory_against_per_prefix(field, n, trial, horizon):
 def test_critical_tracker_rebuilds_over_more_than_64_columns():
     # 70 distinct columns with first coordinate 1: only e_1 in the dual
     # has <a, v> = 1 on all of them, so chi stays 1 until e_2 arrives and
-    # forces a level-2 rebuild over 71 columns (two 64-bit words)
+    # forces a level-2 rebuild over 71 columns (nine syndrome bytes, the
+    # last one padded)
     n = 8
     cols = [(1,) + tuple((w >> i) & 1 for i in range(n - 1)) for w in range(70)]
     cols.append((0, 1) + (0,) * (n - 2))
-    tracker = P._CriticalTracker(F2, n, P.DEFAULT_TRACK_SUBSPACE_BUDGET)
+    tracker = P._CriticalTracker(F2, n)
     chis = [tracker.add(c) for c in cols]
     assert chis == [1] * 70 + [2]
     assert tracker.skips == []
     for m in (70, 71):
         assert prefix_matroid(cols, F2, n, m).critical_number() == chis[m - 1]
-    # the surviving set is exactly the dual planes avoiding every column
+    # the surviving set is exactly the dual planes avoiding every column;
+    # table rows are indices into projective_points
     packed = [pack_gf2(c) for c in cols]
-    keep = [i for i, rows in enumerate(P._dual_normal_bases(n, 2).tolist())
-            if all(any((r & v).bit_count() & 1 for r in rows) for v in packed)]
+    points = [pack_gf2(pt) for pt in projective_points(F2, n)]
+    keep = [i for i, rows in enumerate(P._dual_normal_bases(n, 2).T.tolist())
+            if all(any((points[r] & v).bit_count() & 1 for r in rows) for v in packed)]
     assert tracker.alive.tolist() == keep
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_normal_bases_follow_enumerate_subspaces(q):
+    # the numpy tables must list the spaces in enumerate_subspaces order,
+    # since the tracker's alive indices and skips depend on that order
+    F = make_field(q)
+    for n in range(1, 5):
+        index = {pt: i for i, pt in enumerate(projective_points(F, n))}
+        for k in range(n + 1):
+            want = [[index[row] for row in h.rows] for h in enumerate_subspaces(F, n, k)]
+            assert P._dual_normal_bases(n, k, q).T.tolist() == want
+
+
+def test_critical_tracker_over_gf256_against_field_arithmetic():
+    # e = 8: each inner product is a product with the digit maps of x * X^t;
+    # at level 1 the table is the identity, so alive lists the points a
+    # with <a, v> != 0 for every column v
+    F = make_field(256)
+    n, horizon = 2, 24
+    cols = replay_columns(F, n, 56, 0, horizon)
+    points = projective_points(F, n)
+    tracker = P._CriticalTracker(F, n)
+    for m, col in enumerate(cols, start=1):
+        assert tracker.add(col) == prefix_matroid(cols, F, n, m).critical_number()
+        off = [i for i, a in enumerate(points)
+               if all(F.add(F.mul(a[0], v[0]), F.mul(a[1], v[1])) for v in cols[:m])]
+        assert tracker.alive.tolist() == off
+
+
+@pytest.mark.parametrize("field,n", [(F2, 40), (F3, 14)])
+def test_track_critical_refuses_before_building_tables(field, n):
+    # [n]_q level-1 spaces exceed the budget: the refusal comes first
+    before = (P._normal_bases.cache_info().misses, P._digit_tables.cache_info().misses)
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        P.track_critical(P.ProcessState(field, n, P.process_rng(57, 0)), 1, max_steps=5)
+    assert time.perf_counter() - t0 < 1.0
+    assert (P._normal_bases.cache_info().misses,
+            P._digit_tables.cache_info().misses) == before
+
+
+def test_bench_warm_up_fills_the_tables_the_tracker_reads(monkeypatch):
+    # bench/child.py warms e10_critical with process._dual_normal_bases(n, k);
+    # a drift in that call form or in the cache key would move table
+    # building into the timed calls
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    tables = workloads.WORKLOADS["e10_critical"].subspace_tables
+    for n, k in tables:
+        P._dual_normal_bases(n, k)
+    misses = P._normal_bases.cache_info().misses
+    for n in {n for n, _ in tables}:
+        top = max(k for m, k in tables if m == n)
+        tracker = P._CriticalTracker(F2, n)
+        for col in projective_points(F2, n):  # chi climbs to n over PG(n-1, 2)
+            if tracker.add(col) == top:
+                break
+        assert tracker.level == top
+    assert P._normal_bases.cache_info().misses == misses
 
 
 def test_critical_trajectory_stops_at_loop():

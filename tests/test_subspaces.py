@@ -14,6 +14,13 @@ from fqmatroid.fqlinalg import (
 )
 from fqmatroid.theory import gaussian_binomial, q_int, subspace_count
 
+from conftest import brute_rank
+
+
+def inside(field, h, v):
+    """v lies in the row space of h iff adding it does not grow the rank."""
+    return brute_rank(field, list(h.rows) + [v]) == h.dim
+
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_counts_match_gaussian_binomial(q):
@@ -35,7 +42,7 @@ def test_enumeration_is_stable_and_duplicate_free():
 def test_handles_are_canonical_rref():
     F = make_field(2)
     for h in enumerate_subspaces(F, 4, 2):
-        piv = h.pivots()
+        piv = [next(j for j, x in enumerate(row) if x) for row in h.rows]
         assert piv == sorted(piv) and len(set(piv)) == h.dim
         for i, row in enumerate(h.rows):
             assert row[piv[i]] == 1
@@ -48,8 +55,7 @@ def test_membership_count_is_q_to_k(q, n, k):
     F = make_field(q)
     vectors = list(itertools.product(range(q), repeat=n))
     for h in enumerate_subspaces(F, n, k):
-        inside = sum(1 for v in vectors if h.contains(F, v))
-        assert inside == q**k
+        assert sum(1 for v in vectors if inside(F, h, v)) == q**k
 
 
 def test_from_span_is_representation_independent():
@@ -64,7 +70,7 @@ def test_from_span_is_representation_independent():
         assert SubspaceHandle.from_span(F, 4, scaled) == h
         assert SubspaceHandle.from_span(F, 4, extra) == h
         for v in vecs:
-            assert h.contains(F, v)
+            assert inside(F, h, v)
 
 
 def test_from_span_rejects_length_mismatch():
@@ -76,8 +82,8 @@ def test_zero_dimension():
     F = make_field(2)
     handles = list(enumerate_subspaces(F, 3, 0))
     assert len(handles) == 1 and handles[0].dim == 0
-    assert handles[0].contains(F, (0, 0, 0))
-    assert not handles[0].contains(F, (1, 0, 0))
+    assert inside(F, handles[0], (0, 0, 0))
+    assert not inside(F, handles[0], (1, 0, 0))
 
 
 def test_bad_dimension_rejected():

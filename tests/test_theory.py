@@ -265,6 +265,10 @@ def test_no_kcircuit_prob_approx():
     got = T.no_kcircuit_prob_approx(40, 2, 2, 10)
     assert abs(got - math.exp(-(40**2) / (2 * 2**10))) < 1e-12
     assert T.no_kcircuit_prob_approx(10**6, 5, 2, 10) == 0.0  # deep underflow
+    # outside 1 <= k <= m it refuses, as mu_k does
+    for m, k in ((0, 1), (5, 0), (3, 4), (5, -1)):
+        with pytest.raises(InvalidParam):
+            T.no_kcircuit_prob_approx(m, k, 2, 3)
 
 
 # ---- threshold function b(a) ---------------------------------------------------
