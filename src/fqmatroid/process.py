@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -479,26 +479,28 @@ def kappa_trajectory(state: ProcessState, horizon: int,
 
 
 @lru_cache(maxsize=64)
-def _normal_bases(q: int, n: int, k: int) -> np.ndarray:
-    """Reduced bases of all k-dimensional subspaces of F_q^n, as a (k, N)
-    array of indices into projective_points(F_q, n).
-
-    Column i is the basis of the i-th space U of enumerate_subspaces; the
-    avoiding subspace it encodes is the codimension-k annihilator of U.
-    Each pivot pattern (Schubert cell) is one block, whose free entries
-    are the base-q digits of arange(q^cells), most significant first.
-    """
-    # projective point (0,..,0,1,x_{l+1},..) has index offsets[l] + sum_j x_j q^(n-1-j)
+def _schubert_cells(q: int, n: int, k: int) -> tuple:
+    """Per pivot pattern (Schubert cell) of the k-dimensional subspaces of F_q^n,
+    in enumerate_subspaces order, the open mesh (np.ix_) of the projective_points
+    indices its k reduced basis rows run through; raveled in C order, it lists
+    the cell's spaces in table order.  Point (0,..,0,1,x_{l+1},..) has index
+    offsets[l] + sum_j x_j q^(n-1-j), and the smallest free j varies slowest."""
     offsets = np.cumsum([0] + [q ** (n - 1 - lead) for lead in range(n - 1)])
-    blocks = []
+    cells = []
     for pivots in itertools.combinations(range(n), k):
-        cells = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivots]
-        fill = np.arange(q ** len(cells))
-        block = np.tile(offsets[list(pivots)][:, None], len(fill))
-        for t, (i, j) in enumerate(cells):
-            block[i] += fill // q ** (len(cells) - 1 - t) % q * q ** (n - 1 - j)
-        blocks.append(block)
-    arr = np.concatenate(blocks, axis=1)
+        places = [[np.arange(q) * q ** (n - 1 - j)
+                   for j in range(lead + 1, n) if j not in pivots] for lead in pivots]
+        cells.append(np.ix_(*[np.ravel(offsets[lead] + sum(np.ix_(*row)))
+                              for lead, row in zip(pivots, places)]))
+    return tuple(cells)
+
+
+@lru_cache(maxsize=64)
+def _normal_bases(q: int, n: int, k: int) -> np.ndarray:
+    """Reduced bases of the k-dimensional subspaces U of F_q^n, in table order, as
+    (k, N) indices into projective_points(F_q, n); U encodes its annihilator."""
+    arr = np.concatenate([np.array(np.broadcast_arrays(*mesh), dtype=np.int64).reshape(
+        k, -1 if k else 1) for mesh in _schubert_cells(q, n, k)], axis=1)
     arr.setflags(write=False)
     return arr
 
@@ -537,10 +539,10 @@ class _CriticalTracker:
     A codimension-k subspace is the annihilator of a k-dimensional dual
     space U whose reduced basis rows u_1..u_k are projective points, and
     it avoids column v exactly when <u_i, v> != 0 for some i.  A rebuild
-    tabulates that test for every point and column, one bit per column,
-    and keeps the U whose k gathered rows OR to all ones; a prune keeps
-    the U with a row off the new column's hyperplane.  Nothing but `cols`
-    and `alive` outlives a call.
+    tabulates that test for every point and column, one bit per column, and
+    keeps the U whose k rows OR to all ones, by an outer OR over each Schubert
+    cell's mesh that reads no table of bases; a prune keeps the U with a row
+    off the new column's hyperplane.  Only `cols` and `alive` outlive a call.
     """
 
     def __init__(self, field: FieldSpec, n: int):
@@ -570,13 +572,13 @@ class _CriticalTracker:
         count = gaussian_binomial(self.n, k, self.field.q)
         if count > DEFAULT_TRACK_SUBSPACE_BUDGET:
             raise BudgetExceeded(f"{count} candidate subspaces exceed budget")
-        syn = np.packbits(self._nonzero(self.cols), axis=1)
-        # set the unused low bits, so a surviving OR is 0xFF in every byte
-        syn[:, -1] |= (1 << (-len(self.cols) % 8)) - 1
-        bases = _dual_normal_bases(self.n, k, self.field.q)
-        ok = True
-        for word in syn.T:  # eight columns at a time
-            ok &= np.bitwise_or.reduce(word[bases]) == 0xFF
+        # 64 columns a word, padding bits set, so a surviving OR is all ones
+        syn = np.packbits(np.pad(self._nonzero(self.cols), ((0, 0), (0, -len(self.cols) % 64)),
+                                 constant_values=True), axis=1).view(np.uint64)
+        cells, ok = _schubert_cells(self.field.q, self.n, k), np.ones(count, dtype=bool)
+        for word in syn.T:
+            ok &= np.concatenate([reduce(np.bitwise_or, [word[ix] for ix in mesh]).ravel()
+                                  == ~np.uint64(0) for mesh in cells])
         self.alive = np.flatnonzero(ok)
 
     def _prune(self, col: tuple) -> None:

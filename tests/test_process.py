@@ -330,8 +330,8 @@ def test_critical_trajectory_against_per_prefix(field, n, trial, horizon, top):
 def test_critical_tracker_rebuilds_over_more_than_64_columns():
     # 70 distinct columns with first coordinate 1: only e_1 in the dual
     # has <a, v> = 1 on all of them, so chi stays 1 until e_2 arrives and
-    # forces a level-2 rebuild over 71 columns (nine syndrome bytes, the
-    # last one padded)
+    # forces a level-2 rebuild over 71 columns (two syndrome words, the
+    # second one padded)
     n = 8
     cols = [(1,) + tuple((w >> i) & 1 for i in range(n - 1)) for w in range(70)]
     cols.append((0, 1) + (0,) * (n - 2))
@@ -381,13 +381,13 @@ def test_critical_tracker_over_gf256_against_field_arithmetic():
 @pytest.mark.parametrize("field,n", [(F2, 40), (F3, 14)])
 def test_track_critical_refuses_before_building_tables(field, n):
     # [n]_q level-1 spaces exceed the budget: the refusal comes first
-    before = (P._normal_bases.cache_info().misses, P._digit_tables.cache_info().misses)
+    caches = (P._schubert_cells, P._normal_bases, P._digit_tables)
+    before = [c.cache_info().misses for c in caches]
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceeded):
         P.track_critical(P.ProcessState(field, n, P.process_rng(57, 0)), 1, max_steps=5)
     assert time.perf_counter() - t0 < 1.0
-    assert (P._normal_bases.cache_info().misses,
-            P._digit_tables.cache_info().misses) == before
+    assert [c.cache_info().misses for c in caches] == before
 
 
 def test_bench_warm_up_fills_the_tables_the_tracker_reads(monkeypatch):
@@ -402,7 +402,8 @@ def test_bench_warm_up_fills_the_tables_the_tracker_reads(monkeypatch):
     tables = workloads.WORKLOADS["e10_critical"].subspace_tables
     for n, k in tables:
         P._dual_normal_bases(n, k)
-    misses = P._normal_bases.cache_info().misses
+    caches = (P._schubert_cells, P._normal_bases)
+    misses = [c.cache_info().misses for c in caches]
     for n in {n for n, _ in tables}:
         top = max(k for m, k in tables if m == n)
         tracker = P._CriticalTracker(F2, n)
@@ -410,7 +411,7 @@ def test_bench_warm_up_fills_the_tables_the_tracker_reads(monkeypatch):
             if tracker.add(col) == top:
                 break
         assert tracker.level == top
-    assert P._normal_bases.cache_info().misses == misses
+    assert [c.cache_info().misses for c in caches] == misses
 
 
 def test_critical_trajectory_stops_at_loop():
