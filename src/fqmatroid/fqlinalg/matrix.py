@@ -6,9 +6,11 @@ echelon spans: Span2 over packed GF(2) integers with XOR, and SpanQ over
 lists with table-driven field arithmetic.  Contraction, subspace handles
 and the matroid searches use them directly.  RrefState puts three
 engines behind one interface: gf2 and generic are those spans over rows
-that carry their combination of the pushed columns, and prime is a
-numpy [row | combo] block for prime fields with many rows.  All three
-produce identical ranks and kernel vectors.
+that carry their combination of the pushed columns, and prime serves
+prime fields with many rows.  At p = 3 prime runs on two bit planes of
+Python ints (the GF(3) layout of Boothby and Bradshaw, arXiv:0901.1413);
+at p >= 5 it is a numpy [row | combo] block.  All engines produce
+identical ranks and kernel vectors.
 """
 
 from __future__ import annotations
@@ -41,6 +43,19 @@ def pack_gf2(column) -> int:
 
 def unpack_gf2(v: int, n: int) -> tuple:
     return tuple((v >> i) & 1 for i in range(n))
+
+
+def _pack_gf3(column) -> int:
+    """Tuple over F_3 -> P | M << n, where P has bit i set when entry i is
+    1 and M when it is 2."""
+    return pack_gf2(x == 1 for x in column) | pack_gf2(x == 2 for x in column) << len(column)
+
+
+def _pack_rows(bits: np.ndarray) -> list[int]:
+    """Each row of a 0/1 array as an integer with bit j = entry j."""
+    w = (bits.shape[1] + 7) // 8
+    buf = np.packbits(bits, axis=1, bitorder="little").tobytes()
+    return [int.from_bytes(buf[i * w:(i + 1) * w], "little") for i in range(len(bits))]
 
 
 class Span2:
@@ -169,6 +184,61 @@ class _Gf2Rref(Span2):
         return dep
 
 
+class _Gf3Rref:
+    """Echelon basis over F_3 on two bit planes, each as in _Gf2Rref.
+
+    A row is a pair (P, M) of (column << (n + 1)) | combo integers: P has
+    a bit where the entry is 1 and M where it is 2, so negating a row
+    swaps its planes.  Rows are keyed by the bit length of P | M and
+    scaled to pivot entry 1, which puts the pivot bit in P, the larger
+    plane.  A pushed column takes the native form P | M << n.
+    """
+
+    __slots__ = ("n", "width", "rows", "slots", "ncols")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.width = n + 1
+        self.rows = {}  # pivot bit + 1 -> (P, M)
+        self.slots = []
+        self.ncols = 0
+
+    def push(self, v: int):
+        idx = self.ncols
+        self.ncols = idx + 1
+        n = self.n
+        w = self.width
+        slots = self.slots
+        own = 1 << len(slots)
+        P = ((v & ((1 << n) - 1)) << w) | own
+        M = (v >> n) << w
+        rows = self.rows
+        while True:
+            t = (P | M).bit_length()
+            if t <= w:
+                break
+            r = rows.get(t)
+            if r is None:
+                rows[t] = (P, M) if P > M else (M, P)
+                slots.append(idx)
+                return None
+            # clear the pivot: add the row negated where v has a 1 there
+            if P > M:
+                m2, p2 = r
+            else:
+                p2, m2 = r
+            x = (P | m2) ^ (M | p2)
+            P, M = (M | m2) ^ x, (P | p2) ^ x
+        P ^= own
+        dep = {idx: 1}
+        c = P | M
+        while c:
+            b = c & -c
+            dep[slots[b.bit_length() - 1]] = 1 if P & b else 2
+            c ^= b
+        return dep
+
+
 class _PrimeRref:
     """Reduced echelon basis over a prime field, vectorized with numpy.
 
@@ -261,11 +331,13 @@ class _GenericRref(SpanQ):
         return dep
 
 
-def _to_native(engine: str, column):
+def _to_native(field: FieldSpec, engine: str, column):
     """A column tuple (or an engine-native column) in `engine`'s form."""
     if engine == "gf2":
         return column if isinstance(column, int) else pack_gf2(column)
     if engine == "prime":
+        if field.q == 3:
+            return column if isinstance(column, int) else _pack_gf3(column)
         return column if isinstance(column, np.ndarray) else np.asarray(column, dtype=np.int64)
     return column
 
@@ -276,7 +348,8 @@ class RrefState:
     push() returns None when the new column is independent of the span,
     or a kernel vector of the matrix-so-far as a sparse {column index:
     coefficient} dict whose support always includes the new column.  The
-    incremental rank matches batch elimination exactly.
+    incremental rank matches batch elimination exactly.  The engine label
+    "prime" covers both prime-field engines, the bitsliced one at p = 3.
     """
 
     __slots__ = ("field", "n", "engine", "_impl")
@@ -287,17 +360,17 @@ class RrefState:
         self.field = field
         self.n = n
         self.engine = engine
-        if engine == "gf2":
+        if engine == "gf2" and field.q == 2:
             self._impl = _Gf2Rref(n)
-        elif engine == "prime":
-            self._impl = _PrimeRref(field, n)
+        elif engine == "prime" and field.e == 1:
+            self._impl = _Gf3Rref(n) if field.q == 3 else _PrimeRref(field, n)
         elif engine == "generic":
             self._impl = _GenericRref(field, n)
         else:
-            raise InvalidParam(f"unknown engine {engine!r}")
+            raise InvalidParam(f"no engine {engine!r} for q = {field.q}")
 
     def push(self, column):
-        return self._impl.push(_to_native(self.engine, column))
+        return self._impl.push(_to_native(self.field, self.engine, column))
 
     @property
     def rank(self) -> int:
@@ -354,7 +427,7 @@ class FqMatrix:
         """Columns in the elimination engine's preferred representation."""
         if self._native_cols is None:
             eng = engine_name(self.field, self.n)
-            self._native_cols = [_to_native(eng, c) for c in self.columns]
+            self._native_cols = [_to_native(self.field, eng, c) for c in self.columns]
         return self._native_cols
 
     @property
@@ -435,9 +508,9 @@ def draw_native_column(field: FieldSpec, n: int, rng, count: int | None = None):
     raw = rng.integers(0, field.q, size=(1 if count is None else count, n))
     eng = engine_name(field, n)
     if eng == "gf2":
-        w = (n + 7) // 8
-        buf = np.packbits(raw.astype(np.uint8), axis=1, bitorder="little").tobytes()
-        cols = [int.from_bytes(buf[i * w:(i + 1) * w], "little") for i in range(len(raw))]
+        cols = _pack_rows(raw.astype(np.uint8))
+    elif eng == "prime" and field.q == 3:
+        cols = _pack_rows(np.concatenate([raw == 1, raw == 2], axis=1))
     elif eng == "prime":
         cols = list(raw)
     else:
@@ -447,6 +520,9 @@ def draw_native_column(field: FieldSpec, n: int, rng, count: int | None = None):
 
 def native_to_tuple(field: FieldSpec, n: int, native) -> tuple:
     if isinstance(native, int):
+        if field.q == 3:
+            ones, twos = unpack_gf2(native, n), unpack_gf2(native >> n, n)
+            return tuple(a + 2 * b for a, b in zip(ones, twos))
         return unpack_gf2(native, n)
     if isinstance(native, np.ndarray):
         return tuple(int(x) for x in native)

@@ -104,6 +104,8 @@ def _validate_resolved(res: dict) -> None:
         raise ConfigError(f"q={res['q']}: {e}") from None
     if res["n"] > 512:
         raise ConfigError("n beyond desk scale (max 512)")
+    if "k" in res and "prob_m" in res and not 1 <= res["k"] <= res["prob_m"]:
+        raise ConfigError(f"need 1 <= k <= prob_m = {res['prob_m']}, got k={res['k']}")
     for key in res:
         if key.endswith("trials") and res[key] > 10 ** 7:
             raise ConfigError(f"{key} beyond desk scale (max 1e7)")

@@ -105,6 +105,8 @@ def test_predict_and_table_refuse_bad_q_and_negative_sizes(capsys, argv):
     ("predict", "--what", "nocirc", "--m", "3", "--k", "4", "--q", "2", "--n", "3"),
     ("simulate", "--preset", "E4", "--param", "prob_m=0", "--seed", "1"),
     ("simulate", "--preset", "E4", "--param", "count_n=-2", "--seed", "1"),
+    ("simulate", "--preset", "E4", "--param", "k=0", "--trials", "20000", "--seed", "1"),
+    ("simulate", "--preset", "E4", "--param", "k=41", "--trials", "20000", "--seed", "1"),
     ("simulate", "--preset", "E8", "--param", "monitor_n=0", "--seed", "1"),
     ("simulate", "--preset", "E10", "--param", "noskip_n=0", "--seed", "1"),
 ])

@@ -63,14 +63,8 @@ def test_engines_agree(q, n):
         assert len(ranks) == 1
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 65521])
-@pytest.mark.parametrize("n", [24, 40, 100])
-def test_prime_and_generic_kernel_vectors_agree(p, n):
-    # m = n + 20 columns, every fourth a combination of two earlier ones, so
-    # many pushes are dependent and the prime rank-one update runs with both
-    # fewer and more than p hit rows
-    F = make_field(p)
-    rng = np.random.default_rng(p + n)
+def _cols_with_dependents(p, n, rng):
+    """n + 20 columns over F_p, every fourth a combination of two earlier ones."""
     cols = []
     for j in range(n + 20):
         if j > 3 and j % 4 == 0:
@@ -78,6 +72,17 @@ def test_prime_and_generic_kernel_vectors_agree(p, n):
             cols.append(tuple((x + 2 * y) % p for x, y in zip(cols[a], cols[b])))
         else:
             cols.append(tuple(int(x) for x in rng.integers(0, p, size=n)))
+    return cols
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 65521])
+@pytest.mark.parametrize("n", [24, 40, 100])
+def test_prime_and_generic_kernel_vectors_agree(p, n):
+    # many pushes are dependent; at p = 3 the prime label runs the bitsliced
+    # engine, and at p in {5, 7} the numpy rank-one update runs with both
+    # fewer and more than p hit rows
+    F = make_field(p)
+    cols = _cols_with_dependents(p, n, np.random.default_rng(p + n))
     prime = RrefState(F, n, engine="prime")
     generic = RrefState(F, n, engine="generic")
     deps = [(prime.push(c), generic.push(c)) for c in cols]
@@ -106,9 +111,25 @@ def test_gf2_engine_agrees_with_generic():
 def test_unknown_engine_rejected():
     with pytest.raises(InvalidParam):
         RrefState(make_field(2), 3, engine="sparse")
+    # an engine that does not fit the field refuses instead of answering wrongly
+    with pytest.raises(InvalidParam):
+        RrefState(make_field(4), 2, engine="prime")
+    with pytest.raises(InvalidParam):
+        RrefState(make_field(3), 2, engine="gf2")
 
 
 # ---- kernel contract -------------------------------------------------------
+
+def _assert_kernel_vector(F, cols, j, dep):
+    """dep, returned by the push of cols[j], is a kernel vector of cols[:j + 1]."""
+    assert next(iter(dep)) == j and dep[j] == 1  # newest column first, coefficient 1
+    acc = [0] * len(cols[j])
+    for i, coef in dep.items():
+        assert i <= j and 0 < coef < F.q
+        for t in range(len(acc)):
+            acc[t] = F.add(acc[t], F.mul(coef, cols[i][t]))
+    assert not any(acc)
+
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9])
 def test_push_dependency_is_kernel_vector(q):
@@ -121,15 +142,25 @@ def test_push_dependency_is_kernel_vector(q):
         st_ = RrefState(F, n)
         for j, c in enumerate(cols):
             dep = st_.push(c)
-            if dep is None:
-                continue
-            assert next(iter(dep)) == j and dep[j] == 1  # newest column first, coefficient 1
-            acc = [0] * n
-            for i, coef in dep.items():
-                assert i <= j and 0 < coef < q
-                for t in range(n):
-                    acc[t] = F.add(acc[t], F.mul(coef, cols[i][t]))
-            assert not any(acc)
+            if dep is not None:
+                _assert_kernel_vector(F, cols, j, dep)
+
+
+@pytest.mark.parametrize("n", [24, 40, 100])
+def test_gf3_push_against_brute_oracles(n):
+    # at q = 3 and n >= 24 the default engine is the bitsliced one
+    F = make_field(3)
+    cols = _cols_with_dependents(3, n, np.random.default_rng(n))
+    st_ = RrefState(F, n)
+    assert st_.engine == "prime"
+    deps = 0
+    for j, c in enumerate(cols):
+        dep = st_.push(c)
+        assert st_.rank == brute_rank(F, cols[:j + 1])
+        if dep is not None:
+            _assert_kernel_vector(F, cols, j, dep)
+            deps += 1
+    assert deps >= 20
 
 
 # ---- the undoable spans -----------------------------------------------------
@@ -305,14 +336,19 @@ def test_pack_unpack_round_trip(bits):
     assert list(unpack_gf2(v, len(bits))) == bits
 
 
-@pytest.mark.parametrize("q,n", [(2, 5), (3, 40), (4, 3)])
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 40), (4, 3)] + [
+    (3, n) for n in (24, 63, 64, 65, 100, 201)])
 def test_native_round_trip(q, n):
+    # native columns decode to the rows of the same-keyed integer draw, and
+    # packing those rows as tuples gives the native columns back (the q = 3
+    # sizes straddle byte and word boundaries of its two bit planes)
     F = make_field(q)
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        native = draw_native_column(F, n, rng)
-        col = native_to_tuple(F, n, native)
-        assert len(col) == n and all(0 <= x < q for x in col)
+    for k in (1, 20):
+        cols = draw_native_column(F, n, np.random.default_rng([n, k]), count=k)
+        rows = [tuple(r) for r in
+                np.random.default_rng([n, k]).integers(0, q, size=(k, n)).tolist()]
+        assert [native_to_tuple(F, n, c) for c in cols] == rows
+        assert FqMatrix(F, rows, n=n).native_columns() == cols
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
