@@ -354,20 +354,16 @@ class RrefState:
 
     __slots__ = ("field", "n", "engine", "_impl")
 
-    def __init__(self, field: FieldSpec, n: int, engine: str = "auto"):
-        if engine == "auto":
-            engine = engine_name(field, n)
+    def __init__(self, field: FieldSpec, n: int):
         self.field = field
         self.n = n
-        self.engine = engine
-        if engine == "gf2" and field.q == 2:
+        self.engine = engine_name(field, n)
+        if self.engine == "gf2":
             self._impl = _Gf2Rref(n)
-        elif engine == "prime" and field.e == 1:
+        elif self.engine == "prime":
             self._impl = _Gf3Rref(n) if field.q == 3 else _PrimeRref(field, n)
-        elif engine == "generic":
-            self._impl = _GenericRref(field, n)
         else:
-            raise InvalidParam(f"no engine {engine!r} for q = {field.q}")
+            self._impl = _GenericRref(field, n)
 
     def push(self, column):
         return self._impl.push(_to_native(self.field, self.engine, column))

@@ -49,6 +49,46 @@ class Separation:
     part2: tuple
 
 
+class ComponentTracker:
+    """Direct-sum components of the columns pushed so far, by union-find.
+
+    add() takes what RrefState.push returned for the next column.  A
+    dependency's support is a fundamental circuit of the greedy basis,
+    and these circuits join exactly the components.  A loop (a dependency
+    on itself alone) is never a basis column, so it stays a singleton and
+    every union joins two of the nonloop_roots components that hold a
+    non-loop.
+    """
+
+    def __init__(self):
+        self.parent: list[int] = []
+        self.nonloop_roots = 0
+
+    def _find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def add(self, dep: dict | None) -> None:
+        idx = len(self.parent)
+        self.parent.append(idx)
+        if dep is None or len(dep) > 1:
+            self.nonloop_roots += 1
+        for j in dep or ():
+            ra, rb = self._find(idx), self._find(j)
+            if ra != rb:
+                self.parent[ra] = rb
+                self.nonloop_roots -= 1
+
+    def groups(self) -> list[frozenset]:
+        """The components, ordered by their smallest member."""
+        groups: dict = {}
+        for i in range(len(self.parent)):
+            groups.setdefault(self._find(i), []).append(i)
+        return [frozenset(g) for g in groups.values()]
+
+
 class RepMatroid:
     """Matroid represented by the columns of an FqMatrix."""
 
@@ -298,8 +338,7 @@ class RepMatroid:
         """Minimal-order vertical separation of order < bound, or (inf, None).
 
         Unlike vertical_connectivity this does not prove the exact value
-        when nothing beats the bound; it is the building block for
-        incremental trackers that escalate a trusted lower bound.
+        when nothing beats the bound.
         """
         return self._bipartition_search("vertical", budget, best_init=bound,
                                         abort_at=0)
@@ -334,8 +373,7 @@ class RepMatroid:
                 best = rx + 1
         return best
 
-    def tutte_connectivity(self, budget: int = DEFAULT_PARTITION_BUDGET,
-                           cross_check: bool = True):
+    def tutte_connectivity(self, budget: int = DEFAULT_PARTITION_BUDGET):
         """Smallest order of a Tutte separation, cross-checked for |E| >= 3.
 
         A minimal Tutte separation is vertical, cyclic, or splits a
@@ -344,7 +382,7 @@ class RepMatroid:
         implementation bug.
         """
         direct = self._bipartition_search("tutte", budget)
-        if cross_check and self.m >= 3:
+        if self.m >= 3:
             kv, _ = self.vertical_connectivity(budget)
             kc, _ = self.cyclic_connectivity(budget)
             expect = min(kv, kc, self.basis_complement_bound())
@@ -354,43 +392,24 @@ class RepMatroid:
                     f"cyclic={kc}, basis-complement={self.basis_complement_bound()})")
         return direct
 
+    def _component_tracker(self) -> ComponentTracker:
+        comps = ComponentTracker()
+        st = RrefState(self.field, self.matrix.n)
+        for col in self.matrix.native_columns():
+            comps.add(st.push(col))
+        return comps
+
     def components(self) -> list[frozenset]:
         """Direct-sum components, from fundamental circuits of one basis."""
-        parent = list(range(self.m))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        st = RrefState(self.field, self.matrix.n)
-        for i, col in enumerate(self.matrix.native_columns()):
-            dep = st.push(col)
-            if dep is not None:
-                it = iter(dep)
-                first = next(it)
-                for j in it:
-                    union(first, j)
-        groups = {}
-        for i in range(self.m):
-            groups.setdefault(find(i), []).append(i)
-        return [frozenset(g) for g in groups.values()]
+        return self._component_tracker().groups()
 
     def is_vertically_2_connected(self) -> bool:
         """No vertical 1-separation, i.e. at most one component spans rank."""
-        loops = set(self.loops())
-        nonloop_components = sum(1 for comp in self.components() if not comp <= loops)
-        return nonloop_components <= 1
+        return self._component_tracker().nonloop_roots <= 1
 
     # ---- critical number ---------------------------------------------------
 
-    def critical_number(self, subspace_budget: int = 10**7) -> int:
+    def critical_number(self) -> int:
         """Smallest k such that some (n-k)-dimensional subspace avoids all
         columns.  Searches dual dimension k = 1, 2, ... via subspace
         enumeration; k = 1 short-circuits to hyperplane normals."""
@@ -412,12 +431,12 @@ class RepMatroid:
                     return 1
         for k in range(2, n + 1):
             if F.q == 2:
-                for handle in enumerate_subspaces(F, n, k, subspace_budget):
+                for handle in enumerate_subspaces(F, n, k):
                     rows = [pack_gf2(r) for r in handle.rows]
                     if all(any((r & v).bit_count() & 1 for r in rows) for v in packed):
                         return k
             else:
-                for handle in enumerate_subspaces(F, n, k, subspace_budget):
+                for handle in enumerate_subspaces(F, n, k):
                     if all(any(_dot(F, r, col) for r in handle.rows)
                            for col in self.matrix.columns):
                         return k

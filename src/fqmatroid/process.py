@@ -32,6 +32,7 @@ from .matroid import (
     DEFAULT_KERNEL_BUDGET,
     DEFAULT_PARTITION_BUDGET,
     INFINITY,
+    ComponentTracker,
     RepMatroid,
 )
 from .theory import gaussian_binomial
@@ -323,48 +324,6 @@ def track_hamilton(state: ProcessState,
 # ---- connectivity tracking ----------------------------------------------
 
 
-class _ComponentTracker:
-    """Incremental direct-sum components via fundamental-circuit supports."""
-
-    def __init__(self):
-        self.parent: list[int] = []
-        self.has_nonloop: list[bool] = []
-        self.nonloop_roots = 0
-
-    def _find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def _union(self, a: int, b: int) -> None:
-        ra, rb = self._find(a), self._find(b)
-        if ra == rb:
-            return
-        if self.has_nonloop[ra] and self.has_nonloop[rb]:
-            self.nonloop_roots -= 1
-        self.has_nonloop[rb] = self.has_nonloop[rb] or self.has_nonloop[ra]
-        self.parent[ra] = rb
-
-    def add(self, report: StepReport) -> None:
-        idx = len(self.parent)
-        self.parent.append(idx)
-        nonloop = not report.is_loop
-        self.has_nonloop.append(nonloop)
-        if nonloop:
-            self.nonloop_roots += 1
-        dep = report.dependency
-        if dep is not None and len(dep) > 1:
-            it = iter(dep)
-            first = next(it)
-            for j in it:
-                self._union(first, j)
-
-    @property
-    def is_2connected(self) -> bool:
-        return self.nonloop_roots <= 1
-
-
 def track_connectivity(state: ProcessState, k: int,
                        partition_budget: int = DEFAULT_PARTITION_BUDGET,
                        min_steps: int = 0) -> int:
@@ -383,16 +342,13 @@ def track_connectivity(state: ProcessState, k: int,
     if k == 1 or state.m == 1:
         return state.m
     if k == 2:
-        comps = _ComponentTracker()
+        comps = ComponentTracker()
         # replay history, then extend
         probe = RrefState(state.field, state.n)
-        for i, col in enumerate(state.native_cols):
-            dep = probe.push(col)
-            comps.add(StepReport(m=i + 1, dependent=dep is not None,
-                                 dependency=dep, is_loop=dep is not None and len(dep) == 1,
-                                 first_circuit=None))
-        while not comps.is_2connected:
-            comps.add(state.step())
+        for col in state.native_cols:
+            comps.add(probe.push(col))
+        while comps.nonloop_roots > 1:
+            comps.add(state.step().dependency)
         return state.m
     while True:
         if state.m > partition_budget:
@@ -401,24 +357,6 @@ def track_connectivity(state: ProcessState, k: int,
         if state.matroid().is_vertically_k_connected(k, budget=partition_budget):
             return state.m
         state.step()
-
-
-def exact_vertical_connectivity(matroid: RepMatroid, lower: int = 1,
-                                budget: int = DEFAULT_PARTITION_BUDGET):
-    """Exact vertical connectivity, escalating from a trusted lower bound.
-
-    Searches for separations of order <= b for b = lower, lower+1, ...;
-    the first hit is exact even when it lands below the advertised bound
-    (the caller may be monitoring for exactly that).
-    """
-    rank = matroid.rank
-    b = max(1, lower)
-    while b <= rank:
-        order, _ = matroid.vertical_separation_below(b + 1, budget=budget)
-        if order is not INFINITY and order <= b:
-            return order
-        b += 1
-    return INFINITY
 
 
 @dataclass
@@ -439,11 +377,10 @@ def kappa_trajectory(state: ProcessState, horizon: int,
                      partition_budget: int = DEFAULT_PARTITION_BUDGET) -> KappaTrace:
     """Exact kappa at every step up to the horizon, with a decrease monitor.
 
-    While the rank is still growing each step is computed from scratch;
-    once the rank is stable, deleting the newest column at equal rank
-    preserves k-connectedness, so the previous value warm-starts the
-    search and any decrease the monitor records would be a genuine
-    counterexample (or an implementation bug).
+    Each step runs one exact bipartition search.  Once the rank is
+    stable, deleting the newest column at equal rank preserves
+    k-connectedness, so any decrease the monitor records after full rank
+    would be a genuine counterexample (or an implementation bug).
     """
     if state.m:
         raise InvalidParam("kappa trajectory must start from an empty state")
@@ -461,12 +398,10 @@ def kappa_trajectory(state: ProcessState, horizon: int,
         prev_rank = state.rank
         if full_rank_at is None and state.rank == state.n:
             full_rank_at = state.m
-        lower = 1 if (grew or prev is None or prev is INFINITY) else prev
         if prev is INFINITY and not grew:
             cur = INFINITY  # still no separation after an equal-rank step
         else:
-            cur = exact_vertical_connectivity(state.matroid(), lower=lower,
-                                              budget=partition_budget)
+            cur = state.matroid().vertical_connectivity(partition_budget)[0]
         if prev is not None and cur < prev:
             decreases.append((state.m, prev, cur))
         kappas.append(cur)

@@ -122,14 +122,19 @@ def tau_crk_exact_pmf(n: int, q: int, c: int, exact: bool | None = None) -> dict
     """
     if c < 1:
         raise InvalidParam("corank target must be >= 1")
+    if exact is None:
+        exact = max(n, n + c - 1) <= _EXACT_LIMIT
+    chain = RankChain(n, q, exact=exact)
+    dist = chain.distribution(c - 1)
     out = {}
     for m in range(c, n + c + 1):
-        prev = corank_pmf(n, q, m - 1, exact=exact)
-        p_prev = prev[c - 1] if c - 1 < len(prev) else 0
-        if isinstance(p_prev, Fraction):
-            out[m] = p_prev * Fraction(1, q ** (n - (m - c)))
+        if m > c:
+            dist = chain.step(dist)
+        # dist is the rank law of A_{m-1}; corank c-1 there means rank m-c
+        if exact:
+            out[m] = dist[m - c] * Fraction(1, q ** (n - (m - c)))
         else:
-            out[m] = p_prev * q ** float((m - c) - n)
+            out[m] = dist[m - c] * q ** float((m - c) - n)
     return out
 
 

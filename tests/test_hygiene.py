@@ -1,7 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
-and every function, class and method is referenced somewhere in src/."""
+every function, class and method is referenced somewhere in src/, and
+every entry point bench/tracing.py wraps still exists."""
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
@@ -38,6 +40,7 @@ def test_no_unused_imports():
 # definitions that nothing in src/ references, each kept on purpose
 DEAD_ALLOWED = {
     "_alpha_signed": "signed-sum cross-check of _alpha_poly in test_theory",
+    "components": "RepMatroid's direct-sum decomposition; bench/tracing.py wraps it",
     "circuit_spectrum": "oracle behind the track_k_circuit and track_hamilton tests",
     "contract": "checked by E0 acceptance; bench/tracing.py wraps it",
     "delete": "checked by E0 acceptance",
@@ -49,6 +52,8 @@ DEAD_ALLOWED = {
     "submatrix": "FqMatrix column selection",
     "subspace_count": "checked by E0 acceptance",
     "track_connectivity": "2-connectivity tracker, to be wired into a preset",
+    "vertical_separation_below": "bench/tracing.py wraps it; a missing method "
+                                 "fails every untraced bench child",
 }
 
 
@@ -83,3 +88,13 @@ def _dead_definitions() -> set[str]:
 
 def test_no_dead_definitions():
     assert _dead_definitions() == set(DEAD_ALLOWED)
+
+
+def test_bench_wrap_targets_exist():
+    # bench/tracing.py wraps fqmatroid's entry points by name; a deletion
+    # under src/ that drops one of them breaks every benchmark run
+    path = PACKAGE.parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.untraced_problems() == []

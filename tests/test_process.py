@@ -209,9 +209,10 @@ def test_track_2_connectivity_against_prefixes(trial):
     st = P.ProcessState(F2, 5, P.process_rng(52, trial))
     tau = P.track_connectivity(st, 2, min_steps=3)
     cols = replay_columns(F2, 5, 52, trial, tau)
-    assert prefix_matroid(cols, F2, 5, tau).is_vertically_2_connected()
+    # the bipartition search, not the union-find the tracker shares
+    assert prefix_matroid(cols, F2, 5, tau).is_vertically_k_connected(2)
     for m in range(3, tau):
-        assert not prefix_matroid(cols, F2, 5, m).is_vertically_2_connected()
+        assert not prefix_matroid(cols, F2, 5, m).is_vertically_k_connected(2)
 
 
 def test_track_2_connectivity_resumes_mid_stream():
@@ -239,42 +240,21 @@ def test_track_connectivity_budget():
         P.track_connectivity(st, 3, partition_budget=5, min_steps=6)
 
 
-def test_exact_vertical_connectivity_matches_direct_search():
-    import numpy as np
-
-    rng = np.random.default_rng(54)
-    for _ in range(60):
-        q = int(rng.choice([2, 3]))
-        field = make_field(q)
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 7))
-        cols = [tuple(int(x) for x in rng.integers(0, q, size=n))
-                for _ in range(m)]
-        mat = RepMatroid(FqMatrix(field, cols, n=n))
-        direct = mat.vertical_connectivity()[0]
-        assert P.exact_vertical_connectivity(mat) == direct
-
-
-def test_exact_vertical_connectivity_warm_start_stays_exact():
-    # a stale lower bound must not hide a small separation (the decrease
-    # monitor depends on this); needs rank >= lower for the scan to run
-    cols = [(1, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0),
-            (0, 0, 1, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    mat = RepMatroid(FqMatrix(F2, cols, n=4))
-    assert mat.vertical_connectivity()[0] == 1
-    assert P.exact_vertical_connectivity(mat, lower=3) == 1
-
-
-def test_kappa_trajectory_against_per_prefix_recompute():
-    st = P.ProcessState(F2, 4, P.process_rng(55, 1))
-    trace = P.kappa_trajectory(st, horizon=14)
-    cols = replay_columns(F2, 4, 55, 1, 14)
+@pytest.mark.parametrize("field,n,trial,horizon", [
+    pytest.param(F2, 4, 1, 14, id="q2-4-1"),
+    pytest.param(F2, 5, 0, 20, id="q2-5-0"),
+    pytest.param(F3, 3, 1, 12, id="q3-3-1"),
+])
+def test_kappa_trajectory_against_per_prefix_recompute(field, n, trial, horizon):
+    st = P.ProcessState(field, n, P.process_rng(55, trial))
+    trace = P.kappa_trajectory(st, horizon=horizon)
+    cols = replay_columns(field, n, 55, trial, horizon)
     ranks = []
-    for m in range(1, 15):
-        mat = prefix_matroid(cols, F2, 4, m)
+    for m in range(1, horizon + 1):
+        mat = prefix_matroid(cols, field, n, m)
         ranks.append(mat.rank)
         assert trace.kappas[m - 1] == mat.vertical_connectivity()[0]
-    expect_full = next((m for m, r in enumerate(ranks, start=1) if r == 4), None)
+    expect_full = next((m for m, r in enumerate(ranks, start=1) if r == n), None)
     assert trace.full_rank_at == expect_full
     expect_dec = [(m, a, b) for m, (a, b) in
                   enumerate(zip(trace.kappas, trace.kappas[1:]), start=2) if b < a]
