@@ -86,14 +86,9 @@ def test_push_dependency_is_kernel_vector(q):
                 _assert_kernel_vector(F, cols, j, dep)
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 65521])
-@pytest.mark.parametrize("n", [24, 40, 100])
-def test_prime_push_against_brute_oracles(p, n):
-    # at n >= 24 the default engine is the prime one: bitsliced at p = 3,
-    # and at p in {5, 7} the numpy rank-one update runs with both fewer
-    # and more than p hit rows
+def _check_push_against_brute_oracles(p, n, rng):
     F = make_field(p)
-    cols = _cols_with_dependents(p, n, np.random.default_rng(p + n))
+    cols = _cols_with_dependents(p, n, rng)
     st_ = RrefState(F, n)
     assert st_.engine == "prime"
     basis, deps = set(), 0
@@ -107,6 +102,21 @@ def test_prime_push_against_brute_oracles(p, n):
             deps += 1
     assert deps >= 20
     assert st_.rank == len(basis) == brute_rank(F, cols)
+
+
+@pytest.mark.parametrize("n", [24, 40, 100])
+def test_gf3_push_against_brute_oracles(n):
+    # at q = 3 and n >= 24 the default engine is the bitsliced one
+    _check_push_against_brute_oracles(3, n, np.random.default_rng(n))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 65521])
+@pytest.mark.parametrize("n", [24, 40, 100])
+def test_prime_push_against_brute_oracles(p, n):
+    # at n >= 24 the default engine is the prime one: bitsliced at p = 3,
+    # and at p in {5, 7} the numpy rank-one update runs with both fewer
+    # and more than p hit rows
+    _check_push_against_brute_oracles(p, n, np.random.default_rng(p + n))
 
 
 # ---- the undoable spans -----------------------------------------------------
