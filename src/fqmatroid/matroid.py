@@ -7,9 +7,11 @@ kernel vectors are exactly the dependent sets spanned by circuits, and a
 support S is itself a circuit iff rank(S) = |S| - 1.
 
 Connectivity searches enumerate bipartitions depth-first, assigning one
-column at a time while maintaining incremental spans for both sides and
-their union.  The span intersection dimension d1 + d2 - d_union can only
-grow as more columns are assigned, which gives a sound lower bound for
+column at a time to one of two incremental side spans.  Columns are
+assigned in index order, so the union of the sides at depth i spans
+rank(cols[:i]), read from a prefix-rank list computed once.  The span
+intersection dimension d1 + d2 - rank(cols[:i]) can only grow as more
+columns are assigned, which gives a sound lower bound for
 branch-and-bound pruning.
 """
 
@@ -274,61 +276,59 @@ class RepMatroid:
             # two disjoint dependent sets need two disjoint circuits
             return INFINITY, None
         cols, (t1, t2, tu) = _spans(self.matrix, 3)
+        # every column joins the union in index order, whichever side it
+        # takes, so at depth i the union span has rank(cols[:i])
+        ranks = [0]
+        for col in cols:
+            ranks.append(ranks[-1] + (tu.push(col) is not None))
+        push1, pop1, push2, pop2 = t1.push, t1.pop, t2.push, t2.pop
+        vertical, cyclic, tutte = kind == "vertical", kind == "cyclic", kind == "tutte"
         assign = [0] * m
-        state = {"best": best_init, "parts": None, "abort": False}
+        best, parts = best_init, None
 
-        def leaf(lam, d1, d2, n1, n2):
-            if kind == "vertical":
-                ok = n1 > 0 and n2 > 0 and min(d1, d2) >= lam + 1
-            elif kind == "cyclic":
-                ok = n1 > d1 and n2 > d2
-            else:
-                ok = n1 > 0 and n2 > 0 and min(n1, n2) >= lam + 1
-            if ok and lam + 1 < state["best"]:
-                state["best"] = lam + 1
-                state["parts"] = (
-                    tuple(j for j in range(m) if assign[j] == 1),
-                    tuple(j for j in range(m) if assign[j] == 2),
-                )
-                if state["best"] <= abort_at:
-                    state["abort"] = True
-
-        def rec(i, n1, n2):
-            if state["abort"]:
-                return
-            d1, d2, du = t1.dim, t2.dim, tu.dim
-            lam = d1 + d2 - du
-            if lam + 1 >= state["best"]:
-                return
+        def rec(i, n1, n2, d1, d2):
+            """Search below depth i, sides of sizes n1, n2 and ranks d1, d2;
+            True once a separation within abort_at stops the search."""
+            nonlocal best, parts
+            order = d1 + d2 - ranks[i] + 1  # can only grow deeper down
+            if order >= best:
+                return False
             rem = m - i
-            if kind == "vertical" and min(d1, d2) + rem < lam + 1:
-                return
-            if kind == "tutte" and min(n1, n2) + rem < lam + 1:
-                return
+            if vertical and min(d1, d2) + rem < order:
+                return False
+            if tutte and min(n1, n2) + rem < order:
+                return False
             if i == m:
-                leaf(lam, d1, d2, n1, n2)
-                return
+                # the two prunes above leave only the cyclic side
+                # condition open: order >= 1 makes both sides nonempty
+                if cyclic and not (n1 > d1 and n2 > d2):
+                    return False
+                best = order
+                parts = (tuple(j for j in range(m) if assign[j] == 1),
+                         tuple(j for j in range(m) if assign[j] == 2))
+                return order <= abort_at
             col = cols[i]
-            pu = tu.push(col)
-            for side, tr, nn1, nn2 in ((1, t1, n1 + 1, n2), (2, t2, n1, n2 + 1)):
-                if i == 0 and side == 2:
-                    break  # swapping sides is a symmetry
-                assign[i] = side
-                ps = tr.push(col)
-                rec(i + 1, nn1, nn2)
-                if ps is not None:
-                    tr.pop(ps)
-                if state["abort"]:
-                    break
-            if pu is not None:
-                tu.pop(pu)
+            assign[i] = 1
+            p = push1(col)
+            if p is None:
+                stop = rec(i + 1, n1 + 1, n2, d1, d2)
+            else:
+                stop = rec(i + 1, n1 + 1, n2, d1 + 1, d2)
+                pop1(p)
+            if stop or i == 0:  # swapping sides at column 0 is a symmetry
+                return stop
+            assign[i] = 2
+            p = push2(col)
+            if p is None:
+                return rec(i + 1, n1, n2 + 1, d1, d2)
+            stop = rec(i + 1, n1, n2 + 1, d1, d2 + 1)
+            pop2(p)
+            return stop
 
-        rec(0, 0, 0)
-        if state["parts"] is None:
+        rec(0, 0, 0, 0, 0)
+        if parts is None:
             return INFINITY, None
-        order = state["best"]
-        return order, Separation(kind=kind, order=order,
-                                 part1=state["parts"][0], part2=state["parts"][1])
+        return best, Separation(kind=kind, order=best, part1=parts[0], part2=parts[1])
 
     def vertical_connectivity(self, budget: int = DEFAULT_PARTITION_BUDGET):
         """Smallest order of a vertical separation; math.inf when none exists."""
@@ -385,11 +385,11 @@ class RepMatroid:
         if self.m >= 3:
             kv, _ = self.vertical_connectivity(budget)
             kc, _ = self.cyclic_connectivity(budget)
-            expect = min(kv, kc, self.basis_complement_bound())
-            if direct[0] != expect:
+            kb = self.basis_complement_bound()
+            if direct[0] != min(kv, kc, kb):
                 raise ConsistencyError(
                     f"tutte connectivity {direct[0]} != min(vertical={kv}, "
-                    f"cyclic={kc}, basis-complement={self.basis_complement_bound()})")
+                    f"cyclic={kc}, basis-complement={kb})")
         return direct
 
     def _component_tracker(self) -> ComponentTracker:

@@ -326,8 +326,10 @@ def track_hamilton(state: ProcessState,
 
 def track_connectivity(state: ProcessState, k: int,
                        partition_budget: int = DEFAULT_PARTITION_BUDGET,
-                       min_steps: int = 0) -> int:
-    """First step m >= min_steps with vertical connectivity >= k.
+                       min_steps: int = 0,
+                       max_steps: int | None = None) -> int | None:
+    """First step m >= min_steps with vertical connectivity >= k; None if
+    censored, that is when no such m <= max_steps exists.
 
     With a single column the matroid is vacuously k-connected for every
     k, so the literal hitting time is 1; min_steps lets callers skip
@@ -337,6 +339,9 @@ def track_connectivity(state: ProcessState, k: int,
     """
     if k < 1:
         raise InvalidParam("connectivity target must be >= 1")
+    cap = INFINITY if max_steps is None else max_steps
+    if max(1, min_steps, state.m) > cap:
+        return None
     while state.m < max(1, min_steps):
         state.step()
     if k == 1 or state.m == 1:
@@ -348,6 +353,8 @@ def track_connectivity(state: ProcessState, k: int,
         for col in state.native_cols:
             comps.add(probe.push(col))
         while comps.nonloop_roots > 1:
+            if state.m >= cap:
+                return None
             comps.add(state.step().dependency)
         return state.m
     while True:
@@ -356,6 +363,8 @@ def track_connectivity(state: ProcessState, k: int,
                 f"{state.m} columns exceed partition budget {partition_budget}")
         if state.matroid().is_vertically_k_connected(k, budget=partition_budget):
             return state.m
+        if state.m >= cap:
+            return None
         state.step()
 
 

@@ -23,6 +23,38 @@ def brute_rank(field, cols):
     return len(basis)
 
 
+def brute_separation_kinds(field, cols, part1, part2):
+    """(order, kinds) of the bipartition by brute ranks: order is
+    r(X) + r(Y) - r(E) + 1, and kinds holds each of "vertical" (both
+    ranks >= order), "cyclic" (both sides dependent) and "tutte" (both
+    sizes >= order) whose side conditions hold."""
+    r1 = brute_rank(field, [cols[j] for j in part1])
+    r2 = brute_rank(field, [cols[j] for j in part2])
+    order = r1 + r2 - brute_rank(field, cols) + 1
+    kinds = set()
+    if min(r1, r2) >= order:
+        kinds.add("vertical")
+    if len(part1) > r1 and len(part2) > r2:
+        kinds.add("cyclic")
+    if min(len(part1), len(part2)) >= order:
+        kinds.add("tutte")
+    return order, kinds
+
+
+def brute_separations(field, cols):
+    """Smallest vertical, cyclic and Tutte separation orders over every
+    bipartition of the columns; inf for a kind with no separation."""
+    best = dict.fromkeys(("vertical", "cyclic", "tutte"), float("inf"))
+    m = len(cols)
+    for mask in range(1, (1 << m) // 2):  # part2 holds column m - 1
+        part1 = [j for j in range(m) if mask >> j & 1]
+        part2 = [j for j in range(m) if not mask >> j & 1]
+        order, kinds = brute_separation_kinds(field, cols, part1, part2)
+        for kind in kinds:
+            best[kind] = min(best[kind], order)
+    return best
+
+
 def all_matrices(q, n, m):
     """Every n x m column tuple over F_q, as tuples of columns."""
     cols = list(itertools.product(range(q), repeat=n))

@@ -14,7 +14,7 @@ from fqmatroid.matroid import (
     pg_matrix,
     uniform_matroid_matrix,
 )
-from conftest import brute_rank, random_cols
+from conftest import brute_rank, brute_separation_kinds, brute_separations, random_cols
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -161,6 +161,47 @@ def test_connectivity_identities_random(q):
             assert t == min(M.vertical_connectivity()[0], M.girth())
             checked_girth += 1
     assert checked_girth > 100
+
+
+def assert_witness(field, cols, kind, order, sep):
+    """sep is a valid separation of this kind and order, by brute ranks."""
+    assert sep.kind == kind and sep.order == order
+    assert sorted(sep.part1 + sep.part2) == list(range(len(cols)))
+    got, kinds = brute_separation_kinds(field, cols, sep.part1, sep.part2)
+    assert got == order and kind in kinds
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_bipartition_searches_against_brute_oracle(q):
+    F = make_field(q)
+    rng = np.random.default_rng(30 + q)
+    finite = Counter()
+    for _ in range(150):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 9))
+        cols = random_cols(q, n, m, rng)
+        M = RepMatroid(FqMatrix(F, cols, n=n))
+        brute = brute_separations(F, cols)
+        found = {"vertical": M.vertical_connectivity(),
+                 "cyclic": M.cyclic_connectivity(),
+                 "tutte": M.tutte_connectivity()}
+        for kind, (order, sep) in found.items():
+            assert order == brute[kind], (kind, cols)
+            if sep is None:
+                assert order == INFINITY
+            else:
+                assert_witness(F, cols, kind, order, sep)
+                finite[kind, order] += 1
+        kv = brute["vertical"]
+        for k in (2, 3):
+            assert M.is_vertically_k_connected(k) == (kv >= k)
+        for bound in (1, 2, 3, 4):
+            order, sep = M.vertical_separation_below(bound)
+            assert order == (kv if kv < bound else INFINITY)
+            if sep is not None:
+                assert_witness(F, cols, "vertical", order, sep)
+    # every kind is met with orders 1 and 2, not only with inf
+    assert all(finite[kind, order] for kind in found for order in (1, 2)), finite
 
 
 def test_vertical_separation_below():

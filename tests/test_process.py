@@ -23,7 +23,7 @@ from fqmatroid.fqlinalg import (
     pack_gf2,
     projective_points,
 )
-from fqmatroid.matroid import RepMatroid
+from fqmatroid.matroid import INFINITY as INF, RepMatroid
 
 from conftest import brute_rank
 
@@ -207,7 +207,9 @@ def test_track_connectivity_literal_start():
 @pytest.mark.parametrize("trial", [0, 1, 2])
 def test_track_2_connectivity_against_prefixes(trial):
     st = P.ProcessState(F2, 5, P.process_rng(52, trial))
-    tau = P.track_connectivity(st, 2, min_steps=3)
+    # the cap turns a union-find that never joins into a failure, not a hang
+    tau = P.track_connectivity(st, 2, min_steps=3, max_steps=200)
+    assert tau is not None
     cols = replay_columns(F2, 5, 52, trial, tau)
     # the bipartition search, not the union-find the tracker shares
     assert prefix_matroid(cols, F2, 5, tau).is_vertically_k_connected(2)
@@ -232,6 +234,27 @@ def test_track_3_connectivity_against_prefixes(trial):
     assert prefix_matroid(cols, F2, 4, tau).is_vertically_k_connected(3)
     for m in range(6, tau):
         assert not prefix_matroid(cols, F2, 4, m).is_vertically_k_connected(3)
+
+
+@pytest.mark.parametrize("k,n,seed,min_steps", [(2, 5, 52, 3), (3, 4, 903, 6)])
+def test_track_connectivity_max_steps(k, n, seed, min_steps):
+    tau = P.track_connectivity(P.ProcessState(F2, n, P.process_rng(seed, 0)), k,
+                               min_steps=min_steps)
+    assert tau > min_steps
+    st = P.ProcessState(F2, n, P.process_rng(seed, 0))
+    assert P.track_connectivity(st, k, min_steps=min_steps, max_steps=tau - 1) is None
+    assert st.m == tau - 1  # stops at the cap, never steps past it
+    st = P.ProcessState(F2, n, P.process_rng(seed, 0))
+    assert P.track_connectivity(st, k, min_steps=min_steps, max_steps=tau) == tau
+    # a cap below min_steps, or below the steps already taken, draws nothing
+    st = P.ProcessState(F2, n, P.process_rng(seed, 0))
+    assert P.track_connectivity(st, k, min_steps=min_steps,
+                                max_steps=min_steps - 1) is None
+    assert st.m == 0
+    st.step()
+    st.step()
+    assert P.track_connectivity(st, k, max_steps=1) is None
+    assert st.m == 2
 
 
 def test_track_connectivity_budget():
@@ -260,6 +283,42 @@ def test_kappa_trajectory_against_per_prefix_recompute(field, n, trial, horizon)
                   enumerate(zip(trace.kappas, trace.kappas[1:]), start=2) if b < a]
     assert trace.decreases == expect_dec
     assert all(m > expect_full for m, _, _ in trace.post_full_rank_decreases())
+
+
+# kappa_trajectory(...).kappas at q = 2, n = 12, horizon 24 (E8's monitor
+# size), and each prefix's vertical witness as the bit mask of part1
+PINNED_KAPPA = {
+    (20260814, 0): (
+        [INF, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 3, 4, 4, 4, 4],
+        [None, 1, 3, 7, 15, 31, 63, 127, 255, 511, 1023, 3071, 4095, 12287, 32751,
+         45055, 130043, 194047, 456191, 980479, 980479, 3077631, 7271935,
+         15660543]),
+    (20260814, 1): (
+        [INF, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1, 2, 2, 2, 2, 3, 3, 3],
+        [None, 1, 3, 7, 15, 31, 63, 223, 255, 511, 1023, 2047, 2047, 13311, 31999,
+         65247, 65535, 65535, 524277, 1048565, 2097141, 2097141, 65793, 65793]),
+    (314159, 2): (
+        [INF, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3],
+        [None, 1, 3, 7, 15, 31, 63, 127, 255, 511, 1023, 2047, 7167, 15359, 31743,
+         65023, 130559, 261631, 261631, 786423, 1310207, 4159359, 8353663,
+         15466487]),
+}
+
+
+@pytest.mark.parametrize("seed,trial", sorted(PINNED_KAPPA))
+def test_kappa_trajectory_pinned(seed, trial):
+    kappas, masks = PINNED_KAPPA[seed, trial]
+    st = P.ProcessState(F2, 12, P.process_rng(seed, trial))
+    assert P.kappa_trajectory(st, 24, partition_budget=24).kappas == kappas
+    cols = st.column_tuples()
+    for m in range(1, 25):
+        order, sep = prefix_matroid(cols, F2, 12, m).vertical_connectivity(24)
+        assert order == kappas[m - 1]
+        if sep is None:
+            assert masks[m - 1] is None
+        else:
+            assert sum(1 << j for j in sep.part1) == masks[m - 1]
+            assert sep.part2 == tuple(j for j in range(m) if j not in sep.part1)
 
 
 def test_kappa_trajectory_guards():
