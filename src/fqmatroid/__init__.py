@@ -40,7 +40,6 @@ from .montecarlo import (
     ComparisonReport,
     ExperimentConfig,
     PRESETS,
-    compare_pmf,
     emit,
     run_experiment,
 )
@@ -57,6 +56,6 @@ __all__ = [
     "ProcessState", "StepReport", "process_rng",
     "sample_m1", "sample_pg_model",
     "Aggregate", "ComparisonReport", "ExperimentConfig", "PRESETS",
-    "compare_pmf", "emit", "run_experiment",
+    "emit", "run_experiment",
     "__version__",
 ]

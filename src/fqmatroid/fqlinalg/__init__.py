@@ -8,10 +8,8 @@ from .matrix import (
     SpanQ,
     draw_native_column,
     engine_name,
-    format_matrix_text,
     native_to_tuple,
     pack_gf2,
-    parse_matrix_text,
     random_uniform_matrix,
     unpack_gf2,
 )
@@ -34,10 +32,8 @@ __all__ = [
     "SpanQ",
     "draw_native_column",
     "engine_name",
-    "format_matrix_text",
     "native_to_tuple",
     "pack_gf2",
-    "parse_matrix_text",
     "random_uniform_matrix",
     "unpack_gf2",
     "DEFAULT_SUBSPACE_BUDGET",

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import InvalidParam
-from .fields import FieldSpec, make_field
+from .fields import FieldSpec
 
 # below this many rows the vectorized engine loses to plain tuples
 _NUMPY_MIN_N = 24
@@ -406,19 +406,6 @@ class FqMatrix:
         self._rank = None
         self._native_cols = None
 
-    @classmethod
-    def from_rows(cls, field: FieldSpec, rows):
-        rows = [list(r) for r in rows]
-        if rows:
-            m = len(rows[0])
-            cols = [tuple(r[j] for r in rows) for j in range(m)]
-        else:
-            cols = []
-        return cls(field, cols, n=len(rows))
-
-    def rows(self) -> list[tuple]:
-        return [tuple(col[i] for col in self.columns) for i in range(self.n)]
-
     def native_columns(self) -> list:
         """Columns in the elimination engine's preferred representation."""
         if self._native_cols is None:
@@ -529,32 +516,3 @@ def random_uniform_matrix(field: FieldSpec, n: int, m: int, rng) -> FqMatrix:
     """n x m matrix with i.i.d. uniform entries, drawn column by column."""
     cols = [native_to_tuple(field, n, c) for c in draw_native_column(field, n, rng, count=m)]
     return FqMatrix(field, cols, n=n)
-
-
-def format_matrix_text(mat: FqMatrix) -> str:
-    """Serialize as a 'q n m' header line plus n rows of m entries."""
-    lines = [f"{mat.field.q} {mat.n} {mat.m}"]
-    for row in mat.rows():
-        lines.append(" ".join(str(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def parse_matrix_text(text: str) -> FqMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidParam("empty matrix text")
-    head = lines[0].split()
-    if len(head) != 3:
-        raise InvalidParam("header must be 'q n m'")
-    q, n, m = (int(x) for x in head)
-    field = make_field(q)
-    body = lines[1:]
-    if len(body) != n:
-        raise InvalidParam(f"expected {n} rows, found {len(body)}")
-    rows = []
-    for ln in body:
-        row = [int(x) for x in ln.split()]
-        if len(row) != m:
-            raise InvalidParam(f"expected {m} entries per row")
-        rows.append(row)
-    return FqMatrix.from_rows(field, rows)

@@ -359,9 +359,9 @@ def _t_girth_identity(res, rng):
 def _t_two_connected(res, rng):
     field = make_field(res["q"])
     M = RepMatroid(random_uniform_matrix(field, res["n"], res["m"], rng))
-    ok = M.is_vertically_k_connected(2)
-    # occasional agreement probe against the component fast path
-    if rng.integers(0, 64) == 0 and ok != M.is_vertically_2_connected():
+    ok = M.is_vertically_2_connected()  # union-find over the components
+    # occasional agreement probe against the exact bipartition search
+    if rng.integers(0, 64) == 0 and ok != M.is_vertically_k_connected(2):
         raise AssertionError("bipartition search disagrees with components")
     return {"two_connected": int(ok)}
 
@@ -857,21 +857,6 @@ def run_experiment(config: ExperimentConfig):
     if config.out:
         emit(bundle(agg, report), config.fmt, config.out)
     return agg, report
-
-
-def compare_pmf(empirical, predicted, tolerance: float) -> dict:
-    """Sup-distance verdict between two pmfs on a common integer support.
-
-    Counters are normalized to frequencies; dicts of floats are taken
-    as probabilities directly.
-    """
-    if isinstance(empirical, Counter) or (
-            empirical and all(isinstance(v, int) for v in empirical.values())):
-        tot = sum(empirical.values())
-        empirical = {k: v / tot for k, v in empirical.items()} if tot else {}
-    d = _sup_distance(dict(empirical), dict(predicted))
-    return {"sup_distance": d, "tolerance": tolerance,
-            "passed": bool(d <= tolerance)}
 
 
 # ---- emission --------------------------------------------------------------

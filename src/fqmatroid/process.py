@@ -382,14 +382,39 @@ class KappaTrace:
         return [d for d in self.decreases if d[0] > self.full_rank_at]
 
 
+def _seeded_vertical_connectivity(M: RepMatroid, sep, budget: int):
+    """M.vertical_connectivity(budget), seeded with sep: a vertical witness
+    for the columns before M's newest one, or None.
+
+    Putting the newest column on either side of sep gives two
+    bipartitions.  When one is vertical, of order k, kappa <= k and the
+    search only looks below k + 1.  The first minimal leaf in the search's
+    order is never pruned by that bound, so the order and the witness
+    equal the unseeded search's.
+    """
+    if sep is not None:
+        rank_of, e = M.matrix.rank_of, M.m - 1
+        r1, r2 = rank_of(sep.part1), rank_of(sep.part2)
+        seed = INFINITY
+        for a, b in ((rank_of(sep.part1 + (e,)), r2), (r1, rank_of(sep.part2 + (e,)))):
+            order = a + b - M.rank + 1
+            if min(a, b) >= order:
+                seed = min(seed, order)
+        if seed is not INFINITY:
+            return M.vertical_separation_below(seed + 1, budget)
+    return M.vertical_connectivity(budget)
+
+
 def kappa_trajectory(state: ProcessState, horizon: int,
                      partition_budget: int = DEFAULT_PARTITION_BUDGET) -> KappaTrace:
     """Exact kappa at every step up to the horizon, with a decrease monitor.
 
-    Each step runs one exact bipartition search.  Once the rank is
-    stable, deleting the newest column at equal rank preserves
-    k-connectedness, so any decrease the monitor records after full rank
-    would be a genuine counterexample (or an implementation bug).
+    Each step runs one exact bipartition search, seeded from the previous
+    step's witness (_seeded_vertical_connectivity); kappa and its witness
+    equal those of an unseeded search.  Once the rank is stable, deleting
+    the newest column at equal rank preserves k-connectedness, so any
+    decrease the monitor records after full rank would be a genuine
+    counterexample (or an implementation bug).
     """
     if state.m:
         raise InvalidParam("kappa trajectory must start from an empty state")
@@ -400,6 +425,7 @@ def kappa_trajectory(state: ProcessState, horizon: int,
     decreases: list = []
     full_rank_at = None
     prev = None
+    witness = None
     prev_rank = 0
     for _ in range(horizon):
         state.step()
@@ -410,7 +436,8 @@ def kappa_trajectory(state: ProcessState, horizon: int,
         if prev is INFINITY and not grew:
             cur = INFINITY  # still no separation after an equal-rank step
         else:
-            cur = state.matroid().vertical_connectivity(partition_budget)[0]
+            cur, witness = _seeded_vertical_connectivity(
+                state.matroid(), witness, partition_budget)
         if prev is not None and cur < prev:
             decreases.append((state.m, prev, cur))
         kappas.append(cur)

@@ -1,4 +1,4 @@
-"""Elimination engines, matrix queries, and the fixture text format."""
+"""Elimination engines and matrix queries."""
 
 import numpy as np
 import pytest
@@ -13,11 +13,9 @@ from fqmatroid.fqlinalg import (
     SubspaceHandle,
     draw_native_column,
     engine_name,
-    format_matrix_text,
     make_field,
     native_to_tuple,
     pack_gf2,
-    parse_matrix_text,
     random_uniform_matrix,
     unpack_gf2,
 )
@@ -246,7 +244,7 @@ PINNED = [
 @pytest.mark.parametrize("q,rows,X,contracted,span_rows", PINNED)
 def test_contract_and_from_span_pinned(q, rows, X, contracted, span_rows):
     F = make_field(q)
-    mat = FqMatrix.from_rows(F, rows)
+    mat = FqMatrix(F, list(zip(*rows)), n=len(rows))
     assert mat.contract(X).columns == contracted
     assert mat.contract(X).n == len(contracted[0])
     assert SubspaceHandle.from_span(F, len(rows), mat.columns[:3]).rows == span_rows
@@ -278,12 +276,6 @@ def test_fqmatrix_validation():
         FqMatrix(F, [])  # empty needs explicit n
     empty = FqMatrix(F, [], n=4)
     assert (empty.n, empty.m, empty.rank) == (4, 0, 0)
-
-
-def test_from_rows_transposes():
-    F = make_field(2)
-    mat = FqMatrix.from_rows(F, [[1, 0, 1], [0, 1, 1]])
-    assert mat.columns == ((1, 0), (0, 1), (1, 1))
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=70))
@@ -328,29 +320,6 @@ def test_engine_selection():
     assert engine_name(make_field(2), 100) == "gf2"
     assert engine_name(make_field(4), 100) == "generic"
     assert engine_name(make_field(3), 100) == "prime"
-
-
-# ---- fixture text format ----------------------------------------------------
-
-def test_format_parse_round_trip():
-    rng = np.random.default_rng(3)
-    for q in (2, 3, 4):
-        mat = random_uniform_matrix(make_field(q), 3, 5, rng)
-        text = format_matrix_text(mat)
-        head = text.splitlines()[0]
-        assert head == f"{q} 3 5"
-        back = parse_matrix_text(text)
-        assert back == mat
-        assert format_matrix_text(back) == text  # canonical, bit-exact
-
-
-def test_parse_rejects_malformed():
-    with pytest.raises(InvalidParam):
-        parse_matrix_text("")
-    with pytest.raises(InvalidParam):
-        parse_matrix_text("2 2\n0 1\n1 0\n")
-    with pytest.raises(InvalidParam):
-        parse_matrix_text("2 2 2\n0 1\n")
 
 
 def test_random_uniform_matrix_deterministic():

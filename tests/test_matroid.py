@@ -244,12 +244,33 @@ def test_components_and_two_connectivity():
 
 
 def test_two_connectivity_matches_exhaustive_search():
+    # E8 takes two-connectivity from the union-find: a vertical
+    # 1-separation exists exactly when more than one component holds a non-loop
     rng = np.random.default_rng(17)
-    for _ in range(120):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(2, 7))
-        M = matroid(2, random_cols(2, n, m, rng))
-        assert M.is_vertically_2_connected() == M.is_vertically_k_connected(2)
+    for q in (2, 3, 4):
+        F = make_field(q)
+        mats = [FqMatrix(F, [], n=2), FqMatrix(F, [(0, 0)], n=2),
+                FqMatrix(F, [(1, 0)], n=2), FqMatrix(F, [(0, 0, 0)] * 5, n=3)]
+        for _ in range(150):
+            n = int(rng.integers(1, 5))
+            m = int(rng.integers(2, 8))
+            cols = random_cols(q, n, m, rng)
+            i, j = (int(x) for x in rng.choice(m, size=2, replace=False))
+            kind = int(rng.integers(0, 3))
+            if kind == 1:
+                cols[i] = (0,) * n
+            elif kind == 2:  # a nonzero multiple of column i
+                c = int(rng.integers(1, q))
+                cols[j] = tuple(F.mul(c, x) for x in cols[i])
+            mats.append(FqMatrix(F, cols, n=n))
+        verdicts = Counter()
+        for mat in mats:
+            M = RepMatroid(mat)
+            expect = brute_separations(F, mat.columns)["vertical"] > 1
+            assert M.is_vertically_2_connected() == expect, (q, mat.columns)
+            assert M.is_vertically_k_connected(2) == expect, (q, mat.columns)
+            verdicts[expect] += 1
+        assert verdicts[True] >= 10 and verdicts[False] >= 10, (q, verdicts)
 
 
 # ---- critical number ----------------------------------------------------------

@@ -9,6 +9,8 @@ import pytest
 
 from fqmatroid import montecarlo as MC
 from fqmatroid.errors import BudgetExceeded, ConfigError, IoError
+from fqmatroid.matroid import RepMatroid
+from fqmatroid.process import process_rng
 
 GOLDEN = Path(__file__).parent / "data" / "golden_e1_tiny.json"
 
@@ -118,6 +120,18 @@ def test_budget_error_carries_part_and_trial():
         tiny("E6", 88, 3, params={"kernel_budget": 1})
 
 
+def test_e8_two_connectivity_probe_is_live(monkeypatch):
+    # E8's answer comes from the union-find; one trial in 64 must still
+    # cross-check it against the bipartition search
+    search = RepMatroid.is_vertically_k_connected
+    monkeypatch.setattr(RepMatroid, "is_vertically_k_connected",
+                        lambda M, k: not search(M, k))
+    res = MC.ExperimentConfig(preset="E8", seed=3).resolved()
+    with pytest.raises(AssertionError, match="disagrees"):
+        for t in range(2000):
+            MC._t_two_connected(res, process_rng(3, t))
+
+
 def test_single_trial_marks_insufficient():
     _, report = tiny("E9", 6, 1)
     assert report.insufficient
@@ -154,14 +168,6 @@ def test_aggregate_empty_keys():
     assert math.isnan(agg.mean("nope"))
     assert math.isnan(agg.variance("nope"))
     assert math.isnan(agg.median("nope"))
-
-
-def test_compare_pmf_counter_and_float_inputs():
-    out = MC.compare_pmf(Counter({0: 5, 1: 5}), {0: 0.5, 1: 0.5}, 0.01)
-    assert out["passed"] and out["sup_distance"] == 0.0
-    out = MC.compare_pmf({0: 1.0}, {1: 1.0}, 0.5)
-    assert not out["passed"] and out["sup_distance"] == 1.0
-    assert MC.compare_pmf(Counter(), {}, 0.1)["passed"]
 
 
 def test_check_helpers():

@@ -321,6 +321,29 @@ def test_kappa_trajectory_pinned(seed, trial):
             assert sep.part2 == tuple(j for j in range(m) if j not in sep.part1)
 
 
+@pytest.mark.parametrize("field,n,horizon", [
+    pytest.param(F2, 8, 16, id="q2"),
+    pytest.param(F3, 5, 12, id="q3"),
+    pytest.param(F4, 4, 10, id="q4"),
+])
+def test_seeded_vertical_connectivity_matches_unseeded(field, n, horizon, monkeypatch):
+    # each step seeds the search with the previous prefix's witness, as
+    # kappa_trajectory does; order and witness must not change
+    bounds = []
+    below = RepMatroid.vertical_separation_below
+    monkeypatch.setattr(RepMatroid, "vertical_separation_below",
+                        lambda M, bound, budget: bounds.append(bound) or below(M, bound, budget))
+    for trial in range(6):
+        cols = replay_columns(field, n, 58, trial, horizon)
+        sep = None
+        for m in range(1, horizon + 1):
+            M = prefix_matroid(cols, field, n, m)
+            want = M.vertical_connectivity(horizon)
+            assert P._seeded_vertical_connectivity(M, sep, horizon) == want, (trial, m)
+            sep = want[1]
+    assert len(bounds) >= 20  # the seeded search ran
+
+
 def test_kappa_trajectory_guards():
     st = P.ProcessState(F2, 4, P.process_rng(55, 2))
     with pytest.raises(BudgetExceeded):
