@@ -29,7 +29,6 @@ from .fqlinalg import (
     Span2,
     SpanQ,
     canonical_point,
-    enumerate_subspaces,
     pack_gf2,
     projective_points,
 )
@@ -411,44 +410,17 @@ class RepMatroid:
 
     def critical_number(self) -> int:
         """Smallest k such that some (n-k)-dimensional subspace avoids all
-        columns.  Searches dual dimension k = 1, 2, ... via subspace
-        enumeration; k = 1 short-circuits to hyperplane normals."""
+        columns; 0 with no columns.  Feeds the columns in order to
+        process._CriticalTracker, so it raises BudgetExceeded rather than
+        build a level of more than 10^6 candidate subspaces."""
+        from .process import _CriticalTracker  # process imports this module
+
         if self.loops():
             raise LoopPresent("critical number undefined with a zero column")
-        if self.m == 0:
-            return 0
-        F = self.field
-        n = self.matrix.n
-        if F.q == 2:
-            packed = [pack_gf2(c) for c in self.matrix.columns]
-            for a in range(1, 1 << n):
-                if all((a & v).bit_count() & 1 for v in packed):
-                    return 1
-        else:
-            cols = self.matrix.columns
-            for a in projective_points(F, n):
-                if all(_dot(F, a, col) for col in cols):
-                    return 1
-        for k in range(2, n + 1):
-            if F.q == 2:
-                for handle in enumerate_subspaces(F, n, k):
-                    rows = [pack_gf2(r) for r in handle.rows]
-                    if all(any((r & v).bit_count() & 1 for r in rows) for v in packed):
-                        return k
-            else:
-                for handle in enumerate_subspaces(F, n, k):
-                    if all(any(_dot(F, r, col) for r in handle.rows)
-                           for col in self.matrix.columns):
-                        return k
-        raise AssertionError("unreachable: k = n always avoids nonzero columns")
-
-
-def _dot(field, a, b):
-    acc = 0
-    for x, y in zip(a, b):
-        if x and y:
-            acc = field.add(acc, field.mul(x, y))
-    return acc
+        tracker = _CriticalTracker(self.field, self.matrix.n)
+        for col in self.matrix.columns:
+            tracker.add(col)
+        return tracker.level
 
 
 def _spans(mat: FqMatrix, k: int):

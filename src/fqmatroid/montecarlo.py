@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, IoError
 from .fqlinalg import RrefState, canonical_point, make_field, random_uniform_matrix
-from .matroid import INFINITY, RepMatroid, pg_matrix
+from .matroid import DEFAULT_PARTITION_BUDGET, INFINITY, RepMatroid, pg_matrix
 from . import process as proc
 from . import theory
 
@@ -357,6 +357,10 @@ def _t_girth_identity(res, rng):
 
 
 def _t_two_connected(res, rng):
+    # refuse before any draw, not at whichever trial first draws the probe
+    if res["m"] > DEFAULT_PARTITION_BUDGET:
+        raise BudgetExceeded(
+            f"m = {res['m']} exceeds partition budget {DEFAULT_PARTITION_BUDGET}")
     field = make_field(res["q"])
     M = RepMatroid(random_uniform_matrix(field, res["n"], res["m"], rng))
     ok = M.is_vertically_2_connected()  # union-find over the components

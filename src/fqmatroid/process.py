@@ -76,7 +76,7 @@ class ProcessState:
     since each touches its own column and no earlier vector does).
     """
 
-    def __init__(self, field: FieldSpec, n: int, rng, checkpoint_every: int = 0):
+    def __init__(self, field: FieldSpec, n: int, rng):
         if n < 1:
             raise InvalidParam("need at least one row")
         self.field = field
@@ -89,7 +89,6 @@ class ProcessState:
         self.corank_history: list[int] = []
         self.m = 0
         self.first_circuit: frozenset | None = None
-        self.checkpoint_every = checkpoint_every
 
     @property
     def rank(self) -> int:
@@ -130,8 +129,6 @@ class ProcessState:
                 # unique first circuit
                 circuit = frozenset(dep)
                 self.first_circuit = circuit
-        if self.checkpoint_every and self.m % self.checkpoint_every == 0:
-            self.check_consistency()
         return StepReport(m=self.m, dependent=dep is not None, dependency=dep,
                           is_loop=is_loop, first_circuit=circuit)
 
@@ -480,7 +477,7 @@ def _dual_normal_bases(n: int, k: int, q: int = 2) -> np.ndarray:
     return _normal_bases(q, n, k)  # one cache entry for every call form
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=16)  # E10: the reporter's 8 (q, n) pairs beside the trials' 2
 def _digit_tables(q: int, n: int) -> tuple:
     """Base-p digits (least significant first) of projective_points(F_q, n),
     n*e per point, and of every element of F_q; and `step`, the matrix
@@ -514,6 +511,7 @@ class _CriticalTracker:
     keeps the U whose k rows OR to all ones, by an outer OR over each Schubert
     cell's mesh that reads no table of bases; a prune keeps the U with a row
     off the new column's hyperplane.  Only `cols` and `alive` outlive a call.
+    RepMatroid.critical_number runs on this tracker too.
     """
 
     def __init__(self, field: FieldSpec, n: int):
@@ -542,7 +540,8 @@ class _CriticalTracker:
     def _rebuild(self, k: int) -> None:
         count = gaussian_binomial(self.n, k, self.field.q)
         if count > DEFAULT_TRACK_SUBSPACE_BUDGET:
-            raise BudgetExceeded(f"{count} candidate subspaces exceed budget")
+            raise BudgetExceeded(f"{count} candidate subspaces at level {k} exceed"
+                                 f" budget {DEFAULT_TRACK_SUBSPACE_BUDGET}")
         # 64 columns a word, padding bits set, so a surviving OR is all ones
         syn = np.packbits(np.pad(self._nonzero(self.cols), ((0, 0), (0, -len(self.cols) % 64)),
                                  constant_values=True), axis=1).view(np.uint64)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fqmatroid.fqlinalg import make_field
+from fqmatroid.fqlinalg import enumerate_subspaces, make_field
 
 
 def brute_rank(field, cols):
@@ -53,6 +53,30 @@ def brute_separations(field, cols):
         for kind in kinds:
             best[kind] = min(best[kind], order)
     return best
+
+
+def brute_critical_number(field, cols):
+    """Smallest k such that some k-dimensional dual space U has, for every
+    column v, a row u with <u, v> != 0, so that its (n-k)-dimensional
+    annihilator meets no column; None when a column is zero.  U runs over
+    enumerate_subspaces and the products use only FieldSpec arithmetic."""
+    if not cols:
+        return 0
+    if not all(any(v) for v in cols):
+        return None
+
+    def dot(u, v):
+        acc = 0
+        for x, y in zip(u, v):
+            acc = field.add(acc, field.mul(x, y))
+        return acc
+
+    n = len(cols[0])
+    for k in range(1, n + 1):
+        for h in enumerate_subspaces(field, n, k):
+            if all(any(dot(u, v) for u in h.rows) for v in cols):
+                return k
+    raise AssertionError("U = F_q^n has a row off every nonzero column")
 
 
 def all_matrices(q, n, m):

@@ -227,6 +227,20 @@ def test_simulate_budget_env_gives_exit_3(capsys, tmp_path, monkeypatch):
     assert "budget exhausted" in err and "part ham" in err
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_simulate_e8_past_the_partition_budget_refuses_at_trial_0(capsys, tmp_path, seed):
+    # the twoconn probe's bipartition search is budgeted, so m = 30 must
+    # refuse before the first trial draws, whatever the seed
+    rc, _, err = run(capsys, "simulate", "--preset", "E8", "--trials", "40",
+                     "--param", "m=30", "--param", "identity_trials=5",
+                     "--param", "monitor_trials=1", "--seed", str(seed),
+                     "--out", str(tmp_path / "e8.json"))
+    assert rc == 3
+    assert "budget exhausted: part twoconn, trial 0:" in err
+    assert "partition budget 22" in err
+    assert not (tmp_path / "e8.json").exists()
+
+
 def test_simulate_unwritable_out_gives_exit_4(capsys):
     rc, _, err = run(capsys, "simulate", "--preset", "E9", "--trials", "5",
                      "--seed", "5", "--out", "/no-such-dir/a.json")

@@ -41,6 +41,7 @@ def test_no_unused_imports():
 DEAD_ALLOWED = {
     "_alpha_signed": "signed-sum cross-check of _alpha_poly in test_theory",
     "components": "RepMatroid's direct-sum decomposition; bench/tracing.py wraps it",
+    "check_consistency": "ProcessState's from-scratch rank check, run by test_process",
     "circuit_spectrum": "oracle behind the track_k_circuit and track_hamilton tests",
     "contract": "checked by E0 acceptance; bench/tracing.py wraps it",
     "delete": "checked by E0 acceptance",

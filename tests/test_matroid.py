@@ -14,7 +14,12 @@ from fqmatroid.matroid import (
     pg_matrix,
     uniform_matroid_matrix,
 )
-from conftest import brute_rank, brute_separation_kinds, brute_separations, random_cols
+from conftest import (
+    brute_critical_number,
+    brute_separation_kinds,
+    brute_separations,
+    random_cols,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -301,27 +306,22 @@ def test_critical_number_never_skips_exhaustive():
 
 
 def test_critical_number_matches_brute_avoidance():
-    # chi = smallest k with an (n-k)-dim subspace meeting no column
-    from fqmatroid.fqlinalg import enumerate_subspaces
-
-    rng = np.random.default_rng(18)
-    for _ in range(40):
-        n = int(rng.integers(1, 4))
-        m = int(rng.integers(1, 5))
-        cols = [c for c in random_cols(2, n, m, rng) if any(c)]
-        if not cols:
-            continue
-        M = matroid(2, cols)
-        chi = None
-        for k in range(n + 1):
-            for h in enumerate_subspaces(F2, n, n - k):
-                # c lies in h iff adding it does not grow the rank
-                if not any(brute_rank(F2, list(h.rows) + [c]) == h.dim for c in cols):
-                    chi = k
-                    break
-            if chi is not None:
-                break
-        assert M.critical_number() == chi
+    # chi = smallest k with an (n-k)-dim subspace meeting no column; up to
+    # 5q columns give chi = 2 as well as chi = 1 at every q
+    for q in (2, 3, 4):
+        field = make_field(q)
+        rng = np.random.default_rng(18)
+        seen = set()
+        for _ in range(40):
+            n = int(rng.integers(1, 4))
+            m = int(rng.integers(1, 5 * q))
+            cols = [c for c in random_cols(q, n, m, rng) if any(c)]
+            if not cols:
+                continue
+            chi = brute_critical_number(field, cols)
+            assert matroid(q, cols).critical_number() == chi, (q, cols)
+            seen.add(chi)
+        assert seen == {1, 2}, q
 
 
 # ---- fixed matrices ---------------------------------------------------------

@@ -25,7 +25,7 @@ from fqmatroid.fqlinalg import (
 )
 from fqmatroid.matroid import INFINITY as INF, RepMatroid
 
-from conftest import brute_rank
+from conftest import brute_critical_number, brute_rank
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -79,9 +79,11 @@ def test_block_refills_keep_the_per_column_stream():
 
 
 def test_corank_ascends_by_unit_steps():
-    st = P.ProcessState(F3, 4, P.process_rng(7, 0), checkpoint_every=7)
+    st = P.ProcessState(F3, 4, P.process_rng(7, 0))
     for _ in range(40):
         st.step()
+        if st.m % 7 == 0:
+            st.check_consistency()
     assert st.rank + st.corank == st.m == 40
     hist = st.corank_history
     assert all(b - a in (0, 1) for a, b in zip(hist, hist[1:]))
@@ -379,13 +381,14 @@ def test_critical_trajectory_against_per_prefix(field, n, trial, horizon, top):
     trace = P.critical_trajectory(st, horizon=horizon)
     assert max(c for c in trace.chis if c is not None) == top
     cols = replay_columns(field, n, 56, trial, horizon)
-    for m in range(1, horizon + 1):
-        mat = prefix_matroid(cols, field, n, m)
-        if trace.loop_at is not None and m >= trace.loop_at:
-            assert trace.chis[m - 1] is None
-            assert mat.loops()
-        else:
-            assert trace.chis[m - 1] == mat.critical_number()
+    # chi never falls as columns arrive, and brute gives None from a loop on,
+    # so the first and last prefix of each run of equal values cover them all
+    edges = {1, horizon}
+    for m in range(2, horizon + 1):
+        if trace.chis[m - 1] != trace.chis[m - 2]:
+            edges |= {m - 1, m}
+    for m in sorted(edges):
+        assert trace.chis[m - 1] == brute_critical_number(field, cols[:m]), m
     assert trace.skips == []
 
 
@@ -402,7 +405,7 @@ def test_critical_tracker_rebuilds_over_more_than_64_columns():
     assert chis == [1] * 70 + [2]
     assert tracker.skips == []
     for m in (70, 71):
-        assert prefix_matroid(cols, F2, n, m).critical_number() == chis[m - 1]
+        assert brute_critical_number(F2, cols[:m]) == chis[m - 1]
     # the surviving set is exactly the dual planes avoiding every column;
     # table rows are indices into projective_points
     packed = [pack_gf2(c) for c in cols]
@@ -434,20 +437,35 @@ def test_critical_tracker_over_gf256_against_field_arithmetic():
     points = projective_points(F, n)
     tracker = P._CriticalTracker(F, n)
     for m, col in enumerate(cols, start=1):
-        assert tracker.add(col) == prefix_matroid(cols, F, n, m).critical_number()
+        assert tracker.add(col) == brute_critical_number(F, cols[:m])
         off = [i for i, a in enumerate(points)
                if all(F.add(F.mul(a[0], v[0]), F.mul(a[1], v[1])) for v in cols[:m])]
         assert tracker.alive.tolist() == off
 
 
-@pytest.mark.parametrize("field,n", [(F2, 40), (F3, 14)])
-def test_track_critical_refuses_before_building_tables(field, n):
+def _track_critical(field, n):
+    P.track_critical(P.ProcessState(field, n, P.process_rng(57, 0)), 1, max_steps=5)
+
+
+def _critical_number(field, n):
+    pad = (0,) * (n - 2)
+    cols = [(1, 0) + pad, (0, 1) + pad, (1, 1) + pad]
+    RepMatroid(FqMatrix(field, cols, n=n)).critical_number()
+
+
+@pytest.mark.parametrize("entry,field,n", [
+    pytest.param(_track_critical, F2, 40, id="field0-40"),
+    pytest.param(_track_critical, F3, 14, id="field1-14"),
+    pytest.param(_critical_number, F2, 40, id="critical_number-q2-40"),
+    pytest.param(_critical_number, F3, 14, id="critical_number-q3-14"),
+])
+def test_track_critical_refuses_before_building_tables(entry, field, n):
     # [n]_q level-1 spaces exceed the budget: the refusal comes first
     caches = (P._schubert_cells, P._normal_bases, P._digit_tables)
     before = [c.cache_info().misses for c in caches]
     t0 = time.perf_counter()
-    with pytest.raises(BudgetExceeded):
-        P.track_critical(P.ProcessState(field, n, P.process_rng(57, 0)), 1, max_steps=5)
+    with pytest.raises(BudgetExceeded, match="budget 1000000"):
+        entry(field, n)
     assert time.perf_counter() - t0 < 1.0
     assert [c.cache_info().misses for c in caches] == before
 
@@ -489,8 +507,8 @@ def test_track_critical_hits_and_censors():
     m = P.track_critical(st, 1, max_steps=60)
     assert m is not None
     cols = replay_columns(F2, 4, 57, 1, m)
-    assert prefix_matroid(cols, F2, 4, m).critical_number() == 2
-    assert prefix_matroid(cols, F2, 4, m - 1).critical_number() == 1
+    assert brute_critical_number(F2, cols) == 2
+    assert brute_critical_number(F2, cols[:-1]) == 1
     # chi can never exceed n: target k+1 > n reports None without stepping
     st2 = P.ProcessState(F2, 2, P.process_rng(57, 1))
     assert P.track_critical(st2, 2, max_steps=60) is None
