@@ -13,6 +13,17 @@ rank(cols[:i]), read from a prefix-rank list computed once.  The span
 intersection dimension d1 + d2 - rank(cols[:i]) can only grow as more
 columns are assigned, which gives a sound lower bound for
 branch-and-bound pruning.
+
+The vertical search has a second bound.  At an inner node with sides
+A, B of ranks d1, d2, a greedy walk over the unassigned columns keeps a
+set I independent in both M/A and M/B.  A completion that sends the
+part X of I to side 1 and the rest Y to side 2 raises d1 by at least
+|X| and d2 by at least |Y|, so its order is at least
+d1 + d2 + |I| - r(M) + 1, and the subtree is pruned when that reaches
+the best order so far.  Since |I| <= r(M) - max(d1, d2), the walk runs
+only when min(d1, d2) + 1 reaches it.  A pruned subtree holds no leaf
+below the best, so the first minimal leaf in depth-first order, and with
+it the order and the witness, is the same as without the bound.
 """
 
 from __future__ import annotations
@@ -284,6 +295,24 @@ class RepMatroid:
         vertical, cyclic, tutte = kind == "vertical", kind == "cyclic", kind == "tutte"
         assign = [0] * m
         best, parts = best_init, None
+        rank = ranks[-1]
+
+        def common_rest(i):
+            """Size of a greedy set of cols[i:] independent over both sides."""
+            kept = []
+            for col in cols[i:]:
+                p1 = push1(col)
+                if p1 is None:
+                    continue
+                p2 = push2(col)
+                if p2 is None:
+                    pop1(p1)
+                else:
+                    kept.append((p1, p2))
+            for p1, p2 in reversed(kept):
+                pop2(p2)
+                pop1(p1)
+            return len(kept)
 
         def rec(i, n1, n2, d1, d2):
             """Search below depth i, sides of sizes n1, n2 and ranks d1, d2;
@@ -296,6 +325,10 @@ class RepMatroid:
             if vertical and min(d1, d2) + rem < order:
                 return False
             if tutte and min(n1, n2) + rem < order:
+                return False
+            # common-independent-set bound, see the module docstring
+            if vertical and rem and min(d1, d2) + 1 >= best and \
+                    d1 + d2 + common_rest(i) - rank + 1 >= best:
                 return False
             if i == m:
                 # the two prunes above leave only the cyclic side

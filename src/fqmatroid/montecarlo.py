@@ -36,6 +36,10 @@ _CHUNK = 500
 
 _PART_STRIDE = 1 << 32  # trial-key offset between parts of one preset
 
+# E8's monitor refuses a kappa trajectory longer than its default
+# monitor_horizon: the search at step m splits all m columns
+_MONITOR_HORIZON_BUDGET = 24
+
 
 # ---- configuration -------------------------------------------------------
 
@@ -90,7 +94,8 @@ def _fits_default(default, val) -> bool:
 
 def _validate_resolved(res: dict) -> None:
     for key, val in res.items():
-        if key.endswith(("trials", "_n", "_m")) or key in ("n", "m", "q"):
+        if key.endswith(("trials", "_n", "_m", "_horizon", "max_steps")) or \
+                key in ("n", "m", "q"):
             if not isinstance(val, int) or isinstance(val, bool) or val < 1:
                 raise ConfigError(f"{key} must be a positive integer, got {val!r}")
         if key.endswith("budget") and val <= 0:
@@ -373,8 +378,9 @@ def _t_two_connected(res, rng):
 def _t_kappa_monitor(res, rng):
     field = make_field(res["q"])
     st = proc.ProcessState(field, res["monitor_n"], rng)
-    horizon = res["monitor_horizon"]
-    trace = proc.kappa_trajectory(st, horizon, partition_budget=horizon)
+    # a fixed budget, so a longer horizon refuses before its first draw
+    trace = proc.kappa_trajectory(st, res["monitor_horizon"],
+                                  partition_budget=_MONITOR_HORIZON_BUDGET)
     return {"violation": int(bool(trace.post_full_rank_decreases()))}
 
 

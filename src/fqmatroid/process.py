@@ -35,7 +35,7 @@ from .matroid import (
     ComponentTracker,
     RepMatroid,
 )
-from .theory import gaussian_binomial
+from .theory import gaussian_binomial, q_int
 
 DEFAULT_TRACK_SUBSPACE_BUDGET = 10 ** 6
 
@@ -642,12 +642,16 @@ def sample_pg_model(field: FieldSpec, n: int, rng,
 
     Points are realized by their canonical representatives (first nonzero
     coordinate 1), listed in the fixed enumeration order so equal
-    selections compare equal.
+    selections compare equal.  Raises BudgetExceeded before listing more
+    than DEFAULT_TRACK_SUBSPACE_BUDGET points.
     """
     if (m is None) == (p is None):
         raise InvalidParam("exactly one of m (M2) or p (M3) must be given")
+    total = q_int(n, field.q)
+    if total > DEFAULT_TRACK_SUBSPACE_BUDGET:
+        raise BudgetExceeded(f"{total} projective points exceed budget "
+                             f"{DEFAULT_TRACK_SUBSPACE_BUDGET}")
     pts = projective_points(field, n)
-    total = len(pts)
     if m is not None:
         if not 0 <= m <= total:
             raise InvalidParam(f"m must lie in [0, {total}]")

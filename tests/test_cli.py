@@ -109,6 +109,10 @@ def test_predict_and_table_refuse_bad_q_and_negative_sizes(capsys, argv):
     ("simulate", "--preset", "E4", "--param", "k=41", "--trials", "20000", "--seed", "1"),
     ("simulate", "--preset", "E8", "--param", "monitor_n=0", "--seed", "1"),
     ("simulate", "--preset", "E10", "--param", "noskip_n=0", "--seed", "1"),
+    ("simulate", "--preset", "E8", "--param", "monitor_horizon=-3", "--seed", "1"),
+    ("simulate", "--preset", "E10", "--param", "noskip_horizon=-2", "--seed", "1"),
+    ("simulate", "--preset", "E10", "--param", "crt_max_steps=0", "--seed", "1"),
+    ("simulate", "--preset", "E6", "--param", "max_steps=-4", "--seed", "1"),
 ])
 def test_sizes_outside_their_domain_are_usage_errors(capsys, argv):
     # simulate refuses in configuration, before any trial runs
@@ -239,6 +243,34 @@ def test_simulate_e8_past_the_partition_budget_refuses_at_trial_0(capsys, tmp_pa
     assert "budget exhausted: part twoconn, trial 0:" in err
     assert "partition budget 22" in err
     assert not (tmp_path / "e8.json").exists()
+
+
+def test_simulate_e8_monitor_past_its_horizon_budget_refuses_at_trial_0(capsys, tmp_path):
+    # the monitor's last search splits monitor_horizon columns, so a
+    # horizon above the default 24 must refuse before its first draw
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, "simulate", "--preset", "E8", "--trials", "2",
+                     "--param", "monitor_horizon=40", "--param", "identity_trials=2",
+                     "--param", "monitor_trials=1", "--seed", "1",
+                     "--out", str(tmp_path / "e8.json"))
+    assert time.perf_counter() - t0 < 5.0
+    assert rc == 3
+    assert "budget exhausted: part monitor, trial 0:" in err
+    assert "horizon 40 exceeds partition budget 24" in err
+    assert not (tmp_path / "e8.json").exists()
+
+
+def test_simulate_e11_past_the_point_budget_refuses_before_listing(capsys, tmp_path):
+    # [24]_2 = 16,777,215 projective points would be listed per trial
+    t0 = time.perf_counter()
+    rc, _, err = run(capsys, "simulate", "--preset", "E11", "--n", "24",
+                     "--trials", "2", "--seed", "1", "--out", str(tmp_path / "e11.json"))
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 3
+    assert "budget exhausted: part m2, trial 0:" in err
+    assert "16777215 projective points exceed budget 1000000" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "e11.json").exists()
 
 
 def test_simulate_unwritable_out_gives_exit_4(capsys):

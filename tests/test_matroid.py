@@ -176,15 +176,29 @@ def assert_witness(field, cols, kind, order, sep):
     assert got == order and kind in kinds
 
 
+# larger inputs drawn after the 150 small ones: (count, n range, largest m),
+# where the vertical search's common-independent-set bound prunes
+_WIDE_INPUTS = {2: (30, (3, 6), 12), 3: (40, (2, 4), 9)}
+
+
+def _brute_oracle_inputs(q, rng):
+    for _ in range(150):
+        n = int(rng.integers(1, 5))
+        yield n, random_cols(q, n, int(rng.integers(1, 9)), rng)
+    if q not in _WIDE_INPUTS:
+        return
+    count, (n_lo, n_hi), m_hi = _WIDE_INPUTS[q]
+    for _ in range(count):
+        n = int(rng.integers(n_lo, n_hi + 1))
+        yield n, random_cols(q, n, int(rng.integers(n + 1, m_hi + 1)), rng)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_bipartition_searches_against_brute_oracle(q):
     F = make_field(q)
     rng = np.random.default_rng(30 + q)
     finite = Counter()
-    for _ in range(150):
-        n = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 9))
-        cols = random_cols(q, n, m, rng)
+    for n, cols in _brute_oracle_inputs(q, rng):
         M = RepMatroid(FqMatrix(F, cols, n=n))
         brute = brute_separations(F, cols)
         found = {"vertical": M.vertical_connectivity(),

@@ -89,9 +89,11 @@ def test_config_rejects_bad_inputs():
     for field in ("trials", "n", "q"):
         with pytest.raises(ConfigError, match="positive integer"):
             MC.ExperimentConfig(preset="E1", seed=1, **{field: True}).resolved()
-    # keys ending in _n or _m are sizes too
+    # keys ending in _n or _m are sizes too, and horizons and step caps
     for preset, key in (("E4", "count_n"), ("E4", "count_m"), ("E4", "prob_n"),
-                        ("E4", "prob_m"), ("E8", "monitor_n"), ("E10", "noskip_n")):
+                        ("E4", "prob_m"), ("E8", "monitor_n"), ("E10", "noskip_n"),
+                        ("E8", "monitor_horizon"), ("E10", "noskip_horizon"),
+                        ("E10", "crt_max_steps"), ("E6", "max_steps")):
         for bad in (0, -3):
             with pytest.raises(ConfigError, match=f"{key} must be a positive integer"):
                 MC.ExperimentConfig(preset=preset, seed=1, params={key: bad}).resolved()
