@@ -10,7 +10,9 @@ that carry their combination of the pushed columns, and prime serves
 prime fields with many rows.  At p = 3 prime runs on two bit planes of
 Python ints (the GF(3) layout of Boothby and Bradshaw, arXiv:0901.1413);
 at p >= 5 it is a numpy [row | combo] block.  All engines produce
-identical ranks and kernel vectors.
+identical ranks and kernel vectors.  The packed GF(2) and GF(3) rows sit
+in preallocated lists indexed by bit length, so a reduction step is one
+bit_length() and one list index.
 """
 
 from __future__ import annotations
@@ -59,41 +61,46 @@ def _pack_rows(bits: np.ndarray) -> list[int]:
 
 
 class Span2:
-    """Undoable echelon span of packed GF(2) vectors, keyed by top bit.
+    """Undoable echelon span of packed GF(2) vectors of at most `bits` bits.
 
-    Each row's top bit is its pivot and no other row has that top bit;
-    rows are not reduced against later pivots.  pop() undoes a push.
+    rows[t] holds the row of bit length t, so its pivot is its top bit
+    t - 1 and no other row has that top bit; rows are not reduced
+    against later pivots.  pop() undoes a push.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "dim")
 
-    def __init__(self):
-        self.rows = {}  # pivot bit -> packed row
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
+    def __init__(self, bits: int):
+        self.rows = [None] * (bits + 1)  # bit length -> packed row or None
+        self.dim = 0
 
     def push(self, v: int):
         """Add v; return its pivot, or None when v lies in the span."""
         rows = self.rows
         while v:
-            t = v.bit_length() - 1
-            r = rows.get(t)
+            t = v.bit_length()
+            r = rows[t]
             if r is None:
                 rows[t] = v
-                return t
+                self.dim += 1
+                return t - 1
             v ^= r
         return None
 
     def pop(self, pivot: int) -> int:
-        return self.rows.pop(pivot)
+        rows = self.rows
+        r = rows[pivot + 1]
+        rows[pivot + 1] = None
+        self.dim -= 1
+        return r
 
     def reduce(self, v: int) -> int:
         """v plus the rows that clear it at every pivot."""
-        for t in sorted(self.rows, reverse=True):
-            if (v >> t) & 1:
-                v ^= self.rows[t]
+        rows = self.rows
+        for t in range(len(rows) - 1, 0, -1):
+            r = rows[t]
+            if r is not None and (v >> (t - 1)) & 1:
+                v ^= r
         return v
 
 
@@ -161,7 +168,7 @@ class _Gf2Rref(Span2):
     __slots__ = ("width", "slots", "ncols")
 
     def __init__(self, n: int):
-        super().__init__()
+        super().__init__(2 * n + 1)
         self.width = n + 1  # one bit per slot, and one for the pushed column
         self.slots = []  # slot -> original column index
         self.ncols = 0
@@ -189,9 +196,10 @@ class _Gf3Rref:
 
     A row is a pair (P, M) of (column << (n + 1)) | combo integers: P has
     a bit where the entry is 1 and M where it is 2, so negating a row
-    swaps its planes.  Rows are keyed by the bit length of P | M and
-    scaled to pivot entry 1, which puts the pivot bit in P, the larger
-    plane.  A pushed column takes the native form P | M << n.
+    swaps its planes.  As in Span2, rows[t] holds the row whose P | M has
+    bit length t; rows are scaled to pivot entry 1, which puts the pivot
+    bit in P, the larger plane.  A pushed column takes the native form
+    P | M << n.
     """
 
     __slots__ = ("n", "width", "rows", "slots", "ncols")
@@ -199,7 +207,7 @@ class _Gf3Rref:
     def __init__(self, n: int):
         self.n = n
         self.width = n + 1
-        self.rows = {}  # pivot bit + 1 -> (P, M)
+        self.rows = [None] * (2 * n + 2)  # bit length of P | M -> (P, M)
         self.slots = []
         self.ncols = 0
 
@@ -217,7 +225,7 @@ class _Gf3Rref:
             t = (P | M).bit_length()
             if t <= w:
                 break
-            r = rows.get(t)
+            r = rows[t]
             if r is None:
                 rows[t] = (P, M) if P > M else (M, P)
                 slots.append(idx)

@@ -459,7 +459,7 @@ class RepMatroid:
 def _spans(mat: FqMatrix, k: int):
     """The columns in span form and k empty spans over them."""
     if mat.field.q == 2:
-        return [pack_gf2(c) for c in mat.columns], [Span2() for _ in range(k)]
+        return [pack_gf2(c) for c in mat.columns], [Span2(mat.n) for _ in range(k)]
     return list(mat.columns), [SpanQ(mat.field, mat.n) for _ in range(k)]
 
 

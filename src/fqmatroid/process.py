@@ -480,19 +480,22 @@ def _dual_normal_bases(n: int, k: int, q: int = 2) -> np.ndarray:
 @lru_cache(maxsize=16)  # E10: the reporter's 8 (q, n) pairs beside the trials' 2
 def _digit_tables(q: int, n: int) -> tuple:
     """Base-p digits (least significant first) of projective_points(F_q, n),
-    n*e per point, and of every element of F_q; and `step`, the matrix
-    with digits(X*y) = digits(y) @ step mod p.  All are float64, so
-    products run in BLAS and stay exact."""
+    n*e per point; and the multiplication map of every element x of F_q,
+    a (q, e, e) array whose row t holds the digits of x * X^t.  Both are
+    float64, so products run in BLAS and stay exact."""
     field = make_field(q)
     p, e = field.p, field.e
     elem = (np.arange(q)[:, None] // p ** np.arange(e) % p).astype(np.float64)
-    step = np.eye(e, k=1)
+    step = np.eye(e, k=1)  # digits(X*y) = digits(y) @ step mod p
     step[e - 1] = [-c % p for c in field.modulus[:e]]
+    maps = [elem]
+    for _ in range(e - 1):
+        maps.append(maps[-1] @ step % p)
     # points led by coordinate l: e_l plus the base-q digits of arange(q^(n-1-l))
     places = q ** np.arange(n - 1, -1, -1)
     coords = np.concatenate([np.arange(q ** (n - 1 - lead))[:, None] // places % q
                              + np.eye(n, dtype=np.int64)[lead] for lead in range(n)])
-    return elem[coords].reshape(len(coords), -1), elem, step
+    return elem[coords].reshape(len(coords), -1), np.stack(maps, axis=1)
 
 
 class _CriticalTracker:
@@ -522,20 +525,20 @@ class _CriticalTracker:
         self.skips: list[int] = []
         self.alive = np.empty(0, dtype=np.intp)  # indices into _dual_normal_bases(n, level, q)
 
-    def _nonzero(self, cols) -> np.ndarray:
-        """(points, len(cols)) bool: <a, v> != 0 for every projective point a
-        and column v, as one product over F_p of the points' digits with
-        the multiplication maps of the columns' entries; its sums stay
-        below n*e*p^2 < 2^53, so float64 is exact."""
-        digits, elem, step = _digit_tables(self.field.q, self.n)
+    def _nonzero(self, cols, points=slice(None)) -> np.ndarray:
+        """<a, v> != 0 for the projective points a at `points` (an index
+        array of any shape; all points by default) and the columns v, as a
+        bool array of that shape plus a len(cols) axis.  It is one product
+        over F_p of the points' digits with the multiplication maps of the
+        columns' entries; its sums stay below n*e*p^2 < 2^53, so float64
+        is exact."""
+        digits, mul = _digit_tables(self.field.q, self.n)
         p, e = self.field.p, self.field.e
-        # row t of the map of x holds the digits of x * X^t
-        maps = [elem[np.asarray(cols)]]
-        for _ in range(e - 1):
-            maps.append(maps[-1] @ step % p)
-        prod = digits @ np.stack(maps).transpose(2, 0, 1, 3).reshape(self.n * e, -1)
+        # row (i, t) of a column's map holds the digits of entry i times X^t
+        maps = mul[np.asarray(cols)].transpose(1, 2, 0, 3).reshape(self.n * e, -1)
+        prod = digits[points] @ maps
         # prod mod p != 0, without the slow float modulo
-        return (prod != p * np.floor(prod / p)).reshape(len(prod), -1, e).any(axis=2)
+        return (prod != p * np.floor(prod / p)).reshape(*prod.shape[:-1], -1, e).any(axis=-1)
 
     def _rebuild(self, k: int) -> None:
         count = gaussian_binomial(self.n, k, self.field.q)
@@ -553,7 +556,13 @@ class _CriticalTracker:
 
     def _prune(self, col: tuple) -> None:
         rows = _dual_normal_bases(self.n, self.level, self.field.q)[:, self.alive]
-        self.alive = self.alive[self._nonzero([col])[rows, 0].any(axis=0)]
+        # <a, col> at the survivors' rows, or at every point once those
+        # rows outnumber the points
+        if rows.size < len(_digit_tables(self.field.q, self.n)[0]):
+            hit = self._nonzero([col], rows)[..., 0]
+        else:
+            hit = self._nonzero([col])[rows, 0]
+        self.alive = self.alive[hit.any(axis=0)]
 
     def add(self, col: tuple) -> int:
         """Absorb one nonzero column; returns chi of the columns so far."""

@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
+from functools import lru_cache
 
-from .errors import InvalidParam
+from .errors import InvalidParam, TooLarge
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 #: factors closer to 1 than this are dropped from infinite products
 _PROD_EPS = 1e-16
@@ -162,17 +166,20 @@ def gamma_qc(q: int, c: int) -> float:
     return _product_tail(q, c)
 
 
-def _alpha_poly(q: int, c: int, k: int) -> list[Fraction]:
-    """Coefficients of prod_{j=0}^{c-k-1} (1 - z q^-j), ascending in z."""
-    coefs = [Fraction(1)]
-    for j in range(0, c - k):
-        f = Fraction(1, q**j)
-        nxt = [Fraction(0)] * (len(coefs) + 1)
-        for d, a in enumerate(coefs):
-            nxt[d] += a
-            nxt[d + 1] -= a * f
-        coefs = nxt
-    return coefs
+def _alpha_poly(q: int, c: int, k: int) -> tuple[list[int], int]:
+    """Coefficients of prod_{j=0}^{c-k-1} (1 - z q^-j), ascending in z, as
+    integer numerators over one denominator: those of prod (q^j - z), over
+    q^(0 + 1 + ... + (c-k-1))."""
+    deg = max(c - k, 0)
+    ints = [1]
+    for j in range(deg):
+        w = q ** j
+        nxt = [0] * (len(ints) + 1)
+        for d, a in enumerate(ints):
+            nxt[d] += a * w
+            nxt[d + 1] -= a
+        ints = nxt
+    return ints, q ** (deg * (deg - 1) // 2)
 
 
 def _alpha_signed(q: int, c: int, k: int, i: int) -> Fraction:
@@ -186,26 +193,33 @@ def _alpha_signed(q: int, c: int, k: int, i: int) -> Fraction:
     return (-1) ** d * total
 
 
+# limit_Cck's exact integers grow with c and c - k; at this bound one
+# value takes under 0.1 s at q = 65521, and E2's curves reach c - k = 47
+_CCK_MAX = 64
+
+
 def limit_Cck(q: int, c: int, k: int) -> float:
-    """Limiting P(first corank-c step occurs at step n + k), n -> infty."""
+    """Limiting P(first corank-c step occurs at step n + k), n -> infty;
+    TooLarge when c or c - k exceeds _CCK_MAX."""
     if c < 1:
         raise InvalidParam("need c >= 1")
     if k > c:
         return 0.0
+    if max(c, c - k) > _CCK_MAX:
+        raise TooLarge(f"limit_Cck needs c and c - k <= {_CCK_MAX}")
     beta = _product_tail(q, c + 1 - k)
-    coefs = _alpha_poly(q, c, k)
-
-    def alpha(i):
-        d = c - 1 - i
-        return coefs[d] if 0 <= d < len(coefs) else Fraction(0)
-
-    total = Fraction(0)
-    denom = Fraction(1)
-    total += alpha(0)
-    for i in range(1, c):
-        denom *= 1 - Fraction(1, q**i)
-        total += alpha(i) / denom
-    return beta * q ** float(k - c) * float(total)
+    ints, den = _alpha_poly(q, c, k)
+    # total = sum_{i<c} alpha_i / prod_{j=1}^{i} (1 - q^-j) with alpha_i =
+    # ints[c-1-i] / den, summed exactly over the common denominator
+    # den * prod_{0<j<c} (q^j - 1): term i's numerator is
+    # ints[c-1-i] * q^(i(i+1)/2) * prod_{i<j<c} (q^j - 1)
+    num, rest = 0, 1
+    for i in range(c - 1, -1, -1):
+        if c - 1 - i < len(ints):
+            num += ints[c - 1 - i] * q ** (i * (i + 1) // 2) * rest
+        if i:
+            rest *= q ** i - 1
+    return beta * q ** float(k - c) * (num / (den * rest))  # exact, rounded once
 
 
 # ---- circuits --------------------------------------------------------------
@@ -222,10 +236,13 @@ def mu_k(m: int, k: int, q: int, n: int) -> float:
     so Ax = 0 with probability q^-n.  Each k-circuit contributes the
     q-1 nonzero multiples of one such vector, so the expected number of
     k-circuits is at most mu_k / (q-1); mu_k does not count circuits.
+    TooLarge when the value passes the float range.
     """
     if not 1 <= k <= m:
         raise InvalidParam("need 1 <= k <= m")
     lg = _log_comb(m, k) + k * math.log(q - 1) - n * math.log(q)
+    if lg > _LOG_FLOAT_MAX:
+        raise TooLarge("mu_k passes the float range")
     return math.exp(lg)
 
 
@@ -251,30 +268,40 @@ class ThresholdFn:
             raise InvalidParam("need 0 < a <= 1")
         self.q = q
         self.a = a
+        self._const = a * math.log(q - 1) - a * math.log(a) - math.log(q)
         self._b = None
 
     def g(self, y: float) -> float:
+        """g_a(y) for y >= a."""
         a = self.a
-
-        def xlogx(x):
-            return 0.0 if x <= 0 else x * math.log(x)
-
-        return (xlogx(y) + a * math.log(self.q - 1) - xlogx(a)
-                - xlogx(y - a) - math.log(self.q))
+        if y == a:
+            head = a * math.log(a)
+        else:
+            # y log y - (y-a) log(y-a) as -y log(1 - a/y) + a log(y-a): the
+            # two terms it replaces are huge and nearly equal at large y.
+            # Near a, 1 - a/y is taken as (y-a)/y, where y - a is exact.
+            log_frac = math.log1p(-a / y) if y > 2 * a else math.log((y - a) / y)
+            head = a * math.log(y - a) - y * log_frac
+        return head + self._const
 
     @property
     def b(self) -> float:
         if self._b is None:
             a = self.a
-            hi = a + 1.0
-            while self.g(hi) <= 0:
-                hi = a + 2 * (hi - a)
-            lo = a
-            # g is strictly increasing on (a, inf); bisect until the
-            # interval is 1e-12 or the floats run out (b can be huge
-            # for small a, where absolute 1e-12 is unrepresentable)
+            # g is strictly increasing on (a, inf); the root lies below
+            # a + step once g(a + step) > 0, and step squares to reach roots
+            # near the float limit in a few steps
+            lo, step = a, 1.0
+            while self.g(a + step) <= 0:
+                if step == sys.float_info.max:
+                    raise TooLarge(f"b({a}) at q = {self.q} is beyond the float range")
+                lo, step = a + step, min(2 * step * step, sys.float_info.max)
+            hi = a + step
+            # bisect, at geometric means while hi > 2 lo, until the interval
+            # is 1e-12 or the floats run out (b can be huge for small a,
+            # where absolute 1e-12 is unrepresentable)
             while hi - lo > 1e-12:
-                mid = (lo + hi) / 2
+                mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2 * lo else (lo + hi) / 2
                 if mid == lo or mid == hi:
                     break
                 if self.g(mid) > 0:
@@ -285,8 +312,10 @@ class ThresholdFn:
         return self._b
 
 
+@lru_cache(maxsize=64)  # b_prime and a table row ask for the same root
 def b_of_a(q: int, a: float) -> float:
-    """Root of g_a: rescaled length of the longest circuit at m = a*n."""
+    """Root of g_a: rescaled length of the longest circuit at m = a*n;
+    TooLarge when it lies past the float range."""
     return ThresholdFn(q, a).b
 
 
@@ -295,7 +324,7 @@ def b_prime(q: int, a: float) -> float:
     b' (log b - log(b-a)) = log a - log(q-1) - log(b-a)."""
     b = b_of_a(q, a)
     num = math.log(a) - math.log(q - 1) - math.log(b - a)
-    den = math.log(b) - math.log(b - a)
+    den = -math.log1p(-a / b)  # log b - log(b-a), exact also at large b
     return num / den
 
 
@@ -305,7 +334,11 @@ def conn_limit_prob(q: int, k: int, c: float) -> float:
     """Limiting P(vertically k-connected) at m = n + (k-1) log_q n + c."""
     if k < 2:
         raise InvalidParam("limit law needs k >= 2")
-    return math.exp(-((q - 1) ** (k - 2)) * q ** float(-c) / math.factorial(k - 1))
+    if not math.isfinite(c):
+        raise InvalidParam("need a finite c")
+    # log of (q-1)^(k-2) q^-c / (k-1)!, so that no power overflows
+    lt = (k - 2) * math.log(q - 1) - c * math.log(q) - math.lgamma(k)
+    return 0.0 if lt > _LOG_FLOAT_MAX else math.exp(-math.exp(lt))
 
 
 def ko_alpha_bound(q: int) -> float:
@@ -350,14 +383,22 @@ def tau_conn_asymptotic(q: int, k: int, n: int) -> float:
 def crt_predictors(q: int, k: int, n: int, m: int):
     """(tau_asym, E X, pi table) for the critical-number drop to k:
     tau ~ -k(n-k) log q / log(1 - q^-k); E X = gbinom(n,k) (1-q^-k)^m;
-    pi_h = (1 - 2 q^-k + q^(-2k+h))^m for h = 0..k."""
+    pi_h = (1 - 2 q^-k + q^(-2k+h))^m for h = 0..k.  TooLarge when tau or
+    E X passes the float range."""
     if not 1 <= k < n:
         raise InvalidParam("need 1 <= k < n")
-    tau = -k * (n - k) * math.log(q) / math.log1p(-q ** float(-k))
-    lex = (math.log(gaussian_binomial(n, k, q))
-           + m * math.log1p(-q ** float(-k)))
-    pi = [(1 - 2 * q ** float(-k) + q ** float(-2 * k + h)) ** m
-          for h in range(k + 1)]
+    x = q ** float(-k)
+    tau = -k * (n - k) * math.log(q) / math.log1p(-x) if x else math.inf
+    if tau == math.inf:  # so from here on q^k, and k, fit a float
+        raise TooLarge("crt_tau passes the float range")
+    # log gbinom(n,k) = sum_i log((q^(n-i) - 1) / (q^(k-i) - 1)), in floats
+    # so that no huge exact count is built
+    lex = (k * (n - k) * math.log(q) + m * math.log1p(-x)
+           + math.fsum(math.log1p(-q ** float(i - n)) - math.log1p(-q ** float(i - k))
+                       for i in range(k)))
+    if lex > _LOG_FLOAT_MAX:
+        raise TooLarge("crt_ex passes the float range")
+    pi = [(1 - 2 * x + q ** float(-2 * k + h)) ** m for h in range(k + 1)]
     return tau, math.exp(lex), pi
 
 

@@ -1,13 +1,16 @@
 """Exit codes, output formats, and artifact round-trips of the console tool."""
 
+import contextlib
+import io
 import json
 import math
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fqmatroid import theory
-from fqmatroid.cli import main
+from fqmatroid.cli import _PREDICTORS, main
 
 
 def run(capsys, *argv):
@@ -60,6 +63,13 @@ def test_predict_domain_error_is_usage_error(capsys):
     ("--what", "qint", "--n", "20000", "--q", "2"),
     ("--what", "qint", "--n", "14285", "--q", "2"),  # 2^14285 - 1: 4301 digits
     ("--what", "gbinom", "--n", "100000", "--k", "50000", "--q", "65536"),
+    # values past the float range, and cck past its size bound
+    ("--what", "bofa", "--q", "3", "--a", "0.001"),
+    ("--what", "bprime", "--q", "2", "--a", "0.0009"),
+    ("--what", "mu", "--q", "2", "--n", "0", "--m", "1032", "--k", "486"),
+    ("--what", "crt", "--q", "4", "--n", "539", "--m", "0", "--k", "538"),
+    ("--what", "crt", "--q", "2", "--n", "66", "--m", "0", "--k", "25"),
+    ("--what", "cck", "--q", "9973", "--c", "10000", "--k", "-5"),
 ])
 def test_predict_refuses_values_past_the_digit_limit(capsys, argv):
     t0 = time.perf_counter()
@@ -355,6 +365,15 @@ def table_rows(out):
     return header.split(","), [ln.split(",") for ln in rows]
 
 
+def test_table_bofa_default_grid_at_q3(capsys):
+    # its first root, b(3, 0.01) ~ 9.5e44, cancelled to a ZeroDivisionError
+    rc, out, _ = run(capsys, "table", "--what", "bofa", "--q", "3")
+    assert rc == 0
+    header, rows = table_rows(out)
+    assert len(rows) == 100
+    assert abs(float(rows[0][1]) / 9.4798397159607664e44 - 1) < 1e-9
+
+
 def test_table_bofa_grid(capsys):
     rc, out, _ = run(capsys, "table", "--what", "bofa", "--q", "2",
                      "--steps", "9", "--a-min", "0.1", "--a-max", "0.9")
@@ -422,3 +441,45 @@ def test_selfcheck_detects_seeded_corruption(capsys, monkeypatch):
     assert rc == 1
     assert "field_axioms: FAIL" in out
     assert "selfcheck: FAIL" in out
+
+
+# ---- fuzz -------------------------------------------------------------------
+
+_INTS = st.integers(-5, 10 ** 4)
+# valid field orders are rare among the integers, so draw them often too
+_QS = _INTS | st.sampled_from((2, 3, 4, 5, 9973))
+_FLOATS = st.floats(-2, 2) | st.just(math.nan)
+
+
+def _flags(**strategies):
+    """argv fragments: each flag absent or given a drawn value."""
+    return st.tuples(*(st.none() | s.map(lambda v, f=f: [f"--{f}", str(v)])
+                       for f, s in strategies.items())).map(
+        lambda parts: [x for p in parts if p for x in p])
+
+
+def _run_bounded(argv):
+    """Exit code of one in-process call, which must end documented and fast."""
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert time.perf_counter() - t0 < 2.0, argv
+    assert rc in (0, 1, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue(), argv
+    return rc
+
+
+@given(st.sampled_from(sorted(_PREDICTORS)),
+       _flags(q=_QS, n=_INTS, m=_INTS, k=_INTS, c=_INTS, a=_FLOATS,
+              format=st.sampled_from(("text", "json"))))
+@settings(max_examples=150, deadline=None)
+def test_predict_fuzz_ends_in_a_documented_exit_code(what, flags):
+    _run_bounded(["predict", "--what", what, *flags])
+
+
+@given(st.sampled_from(("bofa", "bounds", "cck")),
+       _flags(q=_QS, c=_INTS, steps=_INTS, **{"a-min": _FLOATS, "a-max": _FLOATS}))
+@settings(max_examples=100, deadline=None)
+def test_table_fuzz_ends_in_a_documented_exit_code(what, flags):
+    _run_bounded(["table", "--what", what, *flags])

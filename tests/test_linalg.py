@@ -19,6 +19,7 @@ from fqmatroid.fqlinalg import (
     random_uniform_matrix,
     unpack_gf2,
 )
+from fqmatroid.fqlinalg.matrix import _Gf2Rref, _Gf3Rref
 from conftest import all_matrices, brute_rank, random_cols
 
 
@@ -122,8 +123,8 @@ def test_prime_push_against_brute_oracles(p, n):
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_spans_against_brute_rank(q):
     # dim after each push is the rank of the prefix, reduce(v) is zero at
-    # the pivots and zero exactly for v in the span, and popping in
-    # reverse empties the span
+    # the pivots push returned and zero exactly for v in the span, and
+    # popping in reverse empties the span
     F = make_field(q)
     rng = np.random.default_rng(40 + q)
     for _ in range(150):
@@ -133,7 +134,7 @@ def test_spans_against_brute_rank(q):
         # (span, column -> span form, span form -> entries)
         spans = [(SpanQ(F, n), tuple, list)]
         if q == 2:
-            spans.append((Span2(), pack_gf2, lambda v: unpack_gf2(v, n)))
+            spans.append((Span2(n), pack_gf2, lambda v: unpack_gf2(v, n)))
         for span, native, entries in spans:
             pivots = []
             for j, c in enumerate(cols):
@@ -141,12 +142,42 @@ def test_spans_against_brute_rank(q):
                 assert span.dim == brute_rank(F, cols[:j + 1])
                 for v in probe:
                     red = entries(span.reduce(native(v)))
-                    assert not any(red[p] for p in span.rows)
+                    assert not any(red[p] for p in pivots if p is not None)
                     assert (not any(red)) == (brute_rank(F, cols[:j + 1] + [v]) == span.dim)
             for p in reversed(pivots):
                 if p is not None:
                     span.pop(p)
-            assert span.rows == {}
+            rows = span.rows.values() if isinstance(span.rows, dict) else span.rows
+            assert span.dim == 0 and all(r is None for r in rows)
+
+
+@pytest.mark.parametrize("q, n", [(2, 1), (2, 2), (2, 62), (2, 63), (2, 64), (2, 65),
+                                  (2, 200), (3, 24), (3, 32), (3, 33), (3, 64)])
+def test_packed_engines_at_their_widest_rows(q, n):
+    # 2n random columns fill every pivot of the flat row tables; the
+    # column with only its last entry set is dependent with every slot
+    # taken, and the all-ones column reaches the widest row
+    F = make_field(q)
+    cols = random_cols(q, n, 2 * n, np.random.default_rng(1000 * q + n))
+    cols += [(0,) * (n - 1) + (1,), (1,) * n]
+    st_ = RrefState(F, n)
+    assert isinstance(st_._impl, _Gf2Rref if q == 2 else _Gf3Rref)
+    for j, c in enumerate(cols):
+        dep = st_.push(c)
+        if dep is not None:
+            _assert_kernel_vector(F, cols, j, dep)
+    assert st_.rank == n and dep is not None  # full tables; all-ones dependent
+    if n <= 65:
+        assert st_.rank == brute_rank(F, cols)
+
+
+@pytest.mark.parametrize("bits", range(1, 9))
+def test_span2_holds_its_widest_vector(bits):
+    ones = (1 << bits) - 1
+    span = Span2(bits)
+    assert span.push(ones) == bits - 1 and span.dim == 1
+    assert span.push(ones) is None and span.reduce(ones) == 0
+    assert span.pop(bits - 1) == ones and span.dim == 0
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqmatroid.errors import InvalidParam
+from fqmatroid.errors import InvalidParam, TooLarge
 from fqmatroid import theory as T
 from fqmatroid.fqlinalg import make_field
 
@@ -217,10 +217,10 @@ def test_alpha_polynomial_matches_signed_sum():
     for q in (2, 3):
         for c in range(1, 6):
             for k in range(-3, c + 1):
-                coefs = T._alpha_poly(q, c, k)
+                ints, den = T._alpha_poly(q, c, k)
                 for i in range(c):
                     d = c - 1 - i
-                    got = coefs[d] if 0 <= d < len(coefs) else Fraction(0)
+                    got = Fraction(ints[d], den) if 0 <= d < len(ints) else Fraction(0)
                     assert got == T._alpha_signed(q, c, k, i)
 
 
@@ -280,6 +280,28 @@ def test_b_at_special_points():
     # frozen 200-step bisections on an independent clone of g
     assert abs(T.b_of_a(2, 1.0) - 1.2938153733404154) < 1e-9
     assert abs(T.b_of_a(2, 0.25) - 1.5982881187135765) < 1e-9
+
+
+@pytest.mark.parametrize("q, a, b", [
+    # roots from mpmath bisections of g at 60 or more digits
+    (2, 0.01, 4.663425944126038e27),
+    (3, 0.01, 9.4798397159607664e44),
+    (4, 0.01, 1.9705315657304203e57),
+    (3, 0.05, 32067907.448129519),
+    (2, 0.001, 3.9418598762207453e297),
+])
+def test_b_at_small_a(q, a, b):
+    # y log y - (y-a) log(y-a) cancelled to nothing at these roots
+    assert abs(T.b_of_a(q, a) - b) <= 1e-9 * b
+    assert T.b_prime(q, a) < 0
+
+
+@pytest.mark.parametrize("q, a", [(3, 0.001), (2, 0.0009), (65536, 0.01), (2, 1e-300)])
+def test_b_beyond_the_float_range_is_too_large(q, a):
+    with pytest.raises(TooLarge):
+        T.b_of_a(q, a)
+    with pytest.raises(TooLarge):
+        T.b_prime(q, a)
 
 
 def test_g_root_residual_and_bracketing():
