@@ -169,7 +169,11 @@ def _cmd_simulate(args) -> int:
     params = dict(_parse_param(p) for p in args.param or [])
     budget = args.budget
     if budget is None and os.environ.get(_BUDGET_ENV):
-        budget = int(os.environ[_BUDGET_ENV])
+        try:
+            budget = int(os.environ[_BUDGET_ENV])
+        except ValueError:
+            raise ConfigError(f"{_BUDGET_ENV} must be an integer, got "
+                              f"{os.environ[_BUDGET_ENV]!r}") from None
     if budget is not None:
         for key in montecarlo.PRESETS.get(args.preset, montecarlo.Preset({}, (), None)).defaults:
             if key.endswith("budget"):
@@ -214,6 +218,10 @@ def _cmd_compare(args) -> int:
     if missing:
         print(f"artifact config lacks {', '.join(missing)}", file=sys.stderr)
         return 2
+    for key, default in montecarlo.PRESETS[preset].defaults.items():
+        if not montecarlo._fits_default(default, res[key]):
+            raise ConfigError(f"artifact config {key!r} must be of type "
+                              f"{type(default).__name__}, got {res[key]!r}")
     montecarlo._validate_resolved(res)
     agg = montecarlo.Aggregate(preset=preset)
     try:

@@ -2,9 +2,10 @@
 
 A RepMatroid wraps an FqMatrix; ground set elements are column indices
 0..m-1.  Rank queries run through the shared elimination engines.
-Circuits are found through kernel supports: the supports of nonzero
-kernel vectors are exactly the dependent sets spanned by circuits, and a
-support S is itself a circuit iff rank(S) = |S| - 1.
+Circuits are found through kernel supports: KernelSweep lists one
+nonzero kernel vector per projective class as the dependencies arrive.
+Every circuit is the support of such a vector, and a support S is itself
+a circuit iff rank(S) = |S| - 1.
 
 Connectivity searches enumerate bipartitions depth-first, assigning one
 column at a time to one of two incremental side spans.  Columns are
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidParam, LoopPresent
@@ -48,7 +48,6 @@ INFINITY = math.inf
 
 DEFAULT_PARTITION_BUDGET = 22
 DEFAULT_KERNEL_BUDGET = 1 << 24
-_SUBSET_GIRTH_MAX_M = 14
 
 
 @dataclass(frozen=True)
@@ -101,6 +100,58 @@ class ComponentTracker:
         return [frozenset(g) for g in groups.values()]
 
 
+class KernelSweep:
+    """Every projective class of nonzero kernel vectors, once, as the
+    dependencies arrive.
+
+    add() takes what RrefState.push returned for a dependent column and
+    yields, as column masks, the supports of that dependency plus every
+    combination of the dependencies added before it.  Only the newest
+    dependency touches its own column, with coefficient 1, so these are
+    the classes whose newest nonzero coefficient is on it: q^j masks after
+    j earlier adds, and every class once over all adds.  At q = 2 the walk
+    is a Gray code over the earlier masks, otherwise a product over the
+    coefficients of the earlier dicts.  add() stores the dependency before
+    it returns the walk, so a caller may stop a walk early.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.vectors: list = []  # masks at q = 2, dependency dicts otherwise
+
+    def add(self, dep: dict):
+        prev = self.vectors[:]
+        if self.field.q == 2:
+            mask = 0
+            for j in dep:
+                mask |= 1 << j
+            self.vectors.append(mask)
+            return self._gray_walk(mask, prev)
+        self.vectors.append(dep)
+        return self._product_walk(dep, prev)
+
+    @staticmethod
+    def _gray_walk(cur: int, prev: list):
+        yield cur
+        for i in range(1, 1 << len(prev)):
+            cur ^= prev[(i & -i).bit_length() - 1]
+            yield cur
+
+    def _product_walk(self, dep: dict, prev: list):
+        F = self.field
+        for coefs in itertools.product(F.elements(), repeat=len(prev)):
+            acc = dict(dep)
+            for cf, vec in zip(coefs, prev):
+                if cf:
+                    for j, x in vec.items():
+                        acc[j] = F.add(acc.get(j, 0), F.mul(cf, x))
+            mask = 0
+            for j, x in acc.items():
+                if x:
+                    mask |= 1 << j
+            yield mask
+
+
 class RepMatroid:
     """Matroid represented by the columns of an FqMatrix."""
 
@@ -109,7 +160,6 @@ class RepMatroid:
         self.field = matrix.field
         self.m = matrix.m
         self._points = None
-        self._kernel_native = None
 
     @property
     def rank(self) -> int:
@@ -146,65 +196,12 @@ class RepMatroid:
             return False
         return len(set(pts)) == self.m
 
-    def is_circuit(self, subset) -> bool:
-        """True iff the subset is a minimal dependent set."""
-        subset = list(subset)
-        if not subset:
-            return False
-        st = RrefState(self.field, self.matrix.n)
-        native = self.matrix.native_columns()
-        dep = None
-        ndep = 0
-        for i in subset:
-            d = st.push(native[i])
-            if d is not None:
-                dep = d
-                ndep += 1
-        return ndep == 1 and len(dep) == len(subset)
-
-    # ---- circuits through the kernel ------------------------------------
-
-    def _kernel_vectors_native(self):
-        if self._kernel_native is None:
-            basis = self.matrix.kernel_basis()
-            if self.field.q == 2:
-                self._kernel_native = [pack_gf2(v) for v in basis]
-            else:
-                self._kernel_native = [tuple(v) for v in basis]
-        return self._kernel_native
-
-    def _iter_kernel_supports(self):
-        """Supports of all nonzero kernel vectors, one per projective class."""
-        ker = self._kernel_vectors_native()
-        c = len(ker)
-        if self.field.q == 2:
-            cur = 0
-            for i in range(1, 1 << c):
-                cur ^= ker[(i & -i).bit_length() - 1]
-                yield cur.bit_count(), cur
-        else:
-            F = self.field
-            elems = list(F.elements())
-            m = self.m
-            for lead in range(c):
-                for tail in itertools.product(elems, repeat=c - lead - 1):
-                    vec = list(ker[lead])
-                    for off, coef in enumerate(tail):
-                        if coef:
-                            kv = ker[lead + 1 + off]
-                            for j in range(m):
-                                if kv[j]:
-                                    vec[j] = F.add(vec[j], F.mul(coef, kv[j]))
-                    supp = frozenset(j for j, x in enumerate(vec) if x)
-                    yield len(supp), supp
-
-    def girth(self, kernel_budget: int = DEFAULT_KERNEL_BUDGET):
+    def girth(self):
         """Length of a shortest circuit, or math.inf for an independent set.
 
         The minimum support size over nonzero kernel vectors equals the
-        girth, so a sweep over the kernel span suffices when q^corank is
-        within budget; otherwise small ground sets fall back to subset
-        search.
+        girth, so one KernelSweep over the dependencies decides it; it
+        refuses when q^corank exceeds DEFAULT_KERNEL_BUDGET.
         """
         if self.loops():
             return 1
@@ -214,56 +211,28 @@ class RepMatroid:
         c = self.corank
         if c == 0:
             return INFINITY
-        if self.field.q**c <= kernel_budget:
-            return min(size for size, _ in self._iter_kernel_supports())
-        if self.m <= _SUBSET_GIRTH_MAX_M:
-            for size in range(3, self.m + 1):
-                for sub in itertools.combinations(range(self.m), size):
-                    if self.matrix.rank_of(sub) < size:
-                        return size
-            return INFINITY
-        raise BudgetExceeded(
-            f"kernel sweep of size {self.field.q}**{c} exceeds budget {kernel_budget}")
-
-    def circuit_spectrum(self, kernel_budget: int = DEFAULT_KERNEL_BUDGET) -> Counter:
-        """Counter mapping circuit length -> number of circuits."""
-        c = self.corank
-        if c == 0:
-            return Counter()
-        if self.field.q**c > kernel_budget:
-            if self.m <= _SUBSET_GIRTH_MAX_M:
-                out = Counter()
-                for size in range(1, self.m + 1):
-                    for sub in itertools.combinations(range(self.m), size):
-                        if self.is_circuit(sub):
-                            out[size] += 1
-                return out
+        if self.field.q**c > DEFAULT_KERNEL_BUDGET:
             raise BudgetExceeded(
-                f"kernel sweep of size {self.field.q}**{c} exceeds budget {kernel_budget}")
-        seen = set()
-        out = Counter()
-        for size, supp in self._iter_kernel_supports():
-            if supp in seen:
-                continue
-            seen.add(supp)
-            if self.field.q == 2:
-                members = [j for j in range(self.m) if (supp >> j) & 1]
-            else:
-                members = sorted(supp)
-            if self.matrix.rank_of(members) == size - 1:
-                out[size] += 1
-        return out
+                f"kernel sweep of size {self.field.q}**{c} exceeds budget "
+                f"{DEFAULT_KERNEL_BUDGET}")
+        sweep = KernelSweep(self.field)
+        st = RrefState(self.field, self.matrix.n)
+        best = INFINITY
+        for col in self.matrix.native_columns():
+            dep = st.push(col)
+            if dep is not None:
+                best = min(best, min(mask.bit_count() for mask in sweep.add(dep)))
+        return best
 
     # ---- uniformity ------------------------------------------------------
 
-    def is_uniform(self, kernel_budget: int = DEFAULT_KERNEL_BUDGET):
+    def is_uniform(self):
         """Return (r, n) when the matroid is the uniform matroid U_{r,n}.
 
         Every subset of size <= rank is independent iff the girth exceeds
         the rank, so one girth computation decides it.
         """
-        g = self.girth(kernel_budget)
-        if g > self.rank:
+        if self.girth() > self.rank:
             return (self.rank, self.m)
         return None
 

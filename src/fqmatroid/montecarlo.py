@@ -84,7 +84,11 @@ class ExperimentConfig:
 
 
 def _fits_default(default, val) -> bool:
-    """int for int, int or float for float, and a bool is never a number."""
+    """int for int, int or float for float, and a bool is never a number;
+    a tuple takes a tuple or list (JSON's form of it) of fitting items."""
+    if isinstance(default, tuple):
+        return isinstance(val, (tuple, list)) and len(val) == len(default) and \
+            all(map(_fits_default, default, val))
     if isinstance(default, bool) or isinstance(val, bool):
         return type(val) is type(default)
     if isinstance(default, float):

@@ -33,6 +33,7 @@ from .matroid import (
     DEFAULT_PARTITION_BUDGET,
     INFINITY,
     ComponentTracker,
+    KernelSweep,
     RepMatroid,
 )
 from .theory import gaussian_binomial, q_int
@@ -41,10 +42,6 @@ DEFAULT_TRACK_SUBSPACE_BUDGET = 10 ** 6
 
 # ProcessState draws its columns this many at a time
 _DRAW_BLOCK = 64
-
-# combos arrays for the gf2 kernel sweep stay vectorized up to this many
-# entries; beyond it the sweep streams one combination at a time
-_SWEEP_VECTOR_MAX = 1 << 22
 
 
 def process_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -71,9 +68,7 @@ class ProcessState:
     """One trajectory of the uniform column process over F_q^n.
 
     Keeps engine-native columns plus an incremental elimination state;
-    kernel vectors are accumulated as the sparse dependency dicts
-    returned by push, one per dependent column (they form a kernel basis
-    since each touches its own column and no earlier vector does).
+    each step reports the sparse dependency dict that push returned.
     """
 
     def __init__(self, field: FieldSpec, n: int, rng):
@@ -85,7 +80,6 @@ class ProcessState:
         self._ahead: list = []  # drawn, not yet pushed; pop() gives the next
         self.rref = RrefState(field, n)
         self.native_cols: list = []
-        self.kernel_vectors: list[dict] = []
         self.corank_history: list[int] = []
         self.m = 0
         self.first_circuit: frozenset | None = None
@@ -122,7 +116,6 @@ class ProcessState:
         is_loop = False
         circuit = None
         if dep is not None:
-            self.kernel_vectors.append(dep)
             is_loop = len(dep) == 1
             if c == 1 and prev_corank == 0:
                 # kernel is one-dimensional here, so this support is the
@@ -180,82 +173,14 @@ def track_first_circuit(state: ProcessState) -> tuple[int, int]:
 # ---- k-circuit tracking -------------------------------------------------
 
 
-class _Gf2KernelSweep:
-    """All F_2 kernel combinations as packed column-index masks.
-
-    New circuits at a dependent step are exactly the minimal supports
-    among combinations involving the newest kernel vector, so only the
-    fresh half of the doubling array is ever inspected.
-    """
-
-    def __init__(self):
-        self.combos: np.ndarray | None = np.zeros(1, dtype=np.uint64)
-        self.vectors: list[int] = []
-
-    def add(self, mask: int, want: int) -> list[int]:
-        """Absorb one kernel vector; return fresh combo masks of popcount want."""
-        self.vectors.append(mask)
-        if (self.combos is not None and mask < (1 << 64)
-                and len(self.combos) <= _SWEEP_VECTOR_MAX):
-            fresh = self.combos ^ np.uint64(mask)
-            hits = fresh[np.bitwise_count(fresh) == want]
-            self.combos = np.concatenate([self.combos, fresh])
-            return [int(x) for x in hits]
-        # streamed Gray-code walk over the previous vectors; also the
-        # fallback once column indices outgrow one machine word
-        if self.combos is not None:
-            self.combos = None
-        hits = []
-        cur = mask
-        if cur.bit_count() == want:
-            hits.append(cur)
-        prev = self.vectors[:-1]
-        for i in range(1, 1 << len(prev)):
-            cur ^= prev[(i & -i).bit_length() - 1]
-            if cur.bit_count() == want:
-                hits.append(cur)
-        return hits
-
-
-def _mask_to_indices(mask: int) -> list[int]:
-    out = []
+def _rank_of_mask(state: ProcessState, mask: int) -> int:
+    """Rank of the columns whose bits are set in mask."""
+    probe = RrefState(state.field, state.n)
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        probe.push(state.native_cols[low.bit_length() - 1])
         mask ^= low
-    return out
-
-
-def _is_circuit_support(state: ProcessState, indices) -> bool:
-    probe = RrefState(state.field, state.n)
-    deps = 0
-    for j in indices:
-        if probe.push(state.native_cols[j]) is not None:
-            deps += 1
-    return deps == 1 and probe.rank == len(indices) - 1
-
-
-def _fresh_circuits_generic(state: ProcessState, want: int) -> bool:
-    """Any circuit of size want among combos touching the newest kernel vector."""
-    field = state.field
-    vecs = state.kernel_vectors
-    new = vecs[-1]
-    old = vecs[:-1]
-    nonzero = [x for x in range(1, field.q)]
-    for r in range(len(old) + 1):
-        for picks in itertools.combinations(range(len(old)), r):
-            for coeffs in itertools.product(nonzero, repeat=r):
-                acc = dict(new)
-                for idx, cf in zip(picks, coeffs):
-                    for col, val in old[idx].items():
-                        v = field.add(acc.get(col, 0), field.mul(cf, val))
-                        if v:
-                            acc[col] = v
-                        else:
-                            acc.pop(col, None)
-                if len(acc) == want and _is_circuit_support(state, sorted(acc)):
-                    return True
-    return False
+    return probe.rank
 
 
 def track_k_circuit(state: ProcessState, k: int,
@@ -264,9 +189,12 @@ def track_k_circuit(state: ProcessState, k: int,
     """First step with a circuit of length exactly k; None if censored.
 
     k=1 is the first zero column and k=2 the first repeated projective
-    point, both O(1) per step; larger k sweeps the kernel combinations
-    that involve the newest dependency (circuits never disappear, so
-    older combinations need no re-inspection).
+    point, both O(1) per step.  The kernel sweep gives the same step, but
+    at n <= 2 zero and parallel columns soon push q^corank past the
+    budget.  Larger k inspects, at each dependent step, only the kernel
+    classes its dependency opens (KernelSweep; circuits never disappear):
+    a support S of size k is a circuit iff rank(S) = k - 1.  Raises
+    BudgetExceeded once q^corank exceeds kernel_budget.
     """
     if k < 1:
         raise InvalidParam("circuit length must be >= 1")
@@ -276,7 +204,6 @@ def track_k_circuit(state: ProcessState, k: int,
     if k > n + 1:
         # every circuit spans at most rank+1 <= n+1 columns
         return None
-
     if k <= 2:
         seen: set = set()
         while max_steps is None or state.m < max_steps:
@@ -287,8 +214,7 @@ def track_k_circuit(state: ProcessState, k: int,
             if pt is not None:
                 seen.add(pt)
         return None
-
-    sweep = _Gf2KernelSweep() if field.q == 2 else None
+    sweep = KernelSweep(field)
     while max_steps is None or state.m < max_steps:
         rep = state.step()
         if rep.dependency is None:
@@ -297,15 +223,8 @@ def track_k_circuit(state: ProcessState, k: int,
             raise BudgetExceeded(
                 f"kernel sweep q^{state.corank} exceeds budget {kernel_budget}"
                 f" at step {state.m}")
-        if sweep is not None:
-            mask = 0
-            for j in rep.dependency:
-                mask |= 1 << j
-            for hit in sweep.add(mask, k):
-                if _is_circuit_support(state, _mask_to_indices(hit)):
-                    return state.m
-        else:
-            if _fresh_circuits_generic(state, k):
+        for mask in sweep.add(rep.dependency):
+            if mask.bit_count() == k and _rank_of_mask(state, mask) == k - 1:
                 return state.m
     return None
 

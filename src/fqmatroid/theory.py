@@ -71,7 +71,12 @@ def rank_full_prob(n: int, m: int, q: int, exact: bool | None = None):
         for i in range(m):
             out *= 1 - Fraction(1, q ** (n - i))
         return out
-    return math.exp(sum(math.log1p(-q ** float(i - n)) for i in range(m)))
+    # the leading factors, with q^(i-n) < 1e-20, leave the float sum as
+    # it is: start at the first i with q^(n-i) <= 10^20
+    d = 0
+    while q ** (d + 1) <= 10 ** 20:
+        d += 1
+    return math.exp(sum(math.log1p(-q ** float(i - n)) for i in range(max(0, n - d), m)))
 
 
 class RankChain:

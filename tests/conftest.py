@@ -23,6 +23,18 @@ def brute_rank(field, cols):
     return len(basis)
 
 
+def brute_circuit_count(field, cols, k):
+    """Number of k-subsets S of the columns with brute_rank(S) = k - 1
+    whose (k-1)-subsets are all independent: the circuits of size k."""
+    count = 0
+    for sub in itertools.combinations(cols, k):
+        if brute_rank(field, sub) == k - 1 and all(
+                brute_rank(field, part) == k - 1
+                for part in itertools.combinations(sub, k - 1)):
+            count += 1
+    return count
+
+
 def brute_separation_kinds(field, cols, part1, part2):
     """(order, kinds) of the bipartition by brute ranks: order is
     r(X) + r(Y) - r(E) + 1, and kinds holds each of "vertical" (both

@@ -85,6 +85,17 @@ def test_predict_prints_values_up_to_the_digit_limit(capsys):
     assert values_of(out)["qint"] == str(2 ** 14284 - 1)
 
 
+def test_predict_rankfull_at_a_billion_columns(capsys):
+    # the float product skips its leading factors, so m = 10^9 takes
+    # about 70 of them; the value is prod_{i>=1} (1 - 2^-i)
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, "predict", "--what", "rankfull",
+                     "--n", "1000000000", "--m", "1000000000", "--q", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0
+    assert abs(float(values_of(out)["rankfull"]) - 0.28878809508660242) < 1e-15
+
+
 @pytest.mark.parametrize("argv", [
     ("predict", "--what", "gamma", "--q", "1", "--c", "1"),
     ("predict", "--what", "cck", "--q", "1", "--c", "1", "--k", "0"),
@@ -290,6 +301,17 @@ def test_simulate_unwritable_out_gives_exit_4(capsys):
     assert "io error" in err
 
 
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_simulate_budget_env_that_is_no_integer_is_usage_error(capsys, tmp_path,
+                                                               monkeypatch, value):
+    monkeypatch.setenv("FQMATROID_BUDGET", value)
+    rc, _, err = run(capsys, "simulate", "--preset", "E6", "--trials", "3",
+                     "--seed", "1", "--out", str(tmp_path / "e6.json"))
+    assert rc == 2
+    assert "FQMATROID_BUDGET" in err and "Traceback" not in err
+    assert not (tmp_path / "e6.json").exists()
+
+
 # ---- compare -------------------------------------------------------------------
 
 
@@ -354,6 +376,26 @@ def test_compare_malformed_artifact_is_usage_error(capsys, tmp_path):
         art.write_text(json.dumps(obj), encoding="utf-8")
         rc, _, err = run(capsys, "compare", "--in", str(art))
         assert rc == 2 and msg in err and "Traceback" not in err
+
+
+def test_compare_stored_config_of_the_wrong_type_is_usage_error(capsys, tmp_path):
+    arts = {}
+    for preset in ("E4", "E5"):
+        arts[preset] = tmp_path / f"{preset}.json"
+        rc, _, _ = run(capsys, "simulate", "--preset", preset, "--trials", "20",
+                       "--seed", "3", "--out", str(arts[preset]))
+        assert rc == 0
+    rc, out, _ = run(capsys, "compare", "--in", str(arts["E5"]))
+    assert rc == 0 and "MISMATCH" not in out
+    good = {p: json.loads(a.read_text(encoding="utf-8")) for p, a in arts.items()}
+    for preset, key, value in (("E4", "k", "x"), ("E5", "band2", "ab"),
+                               ("E5", "band2", [0.45])):
+        obj = json.loads(json.dumps(good[preset]))
+        obj["config"][key] = value
+        art = tmp_path / "bad.json"
+        art.write_text(json.dumps(obj), encoding="utf-8")
+        rc, _, err = run(capsys, "compare", "--in", str(art))
+        assert rc == 2 and repr(key) in err and "Traceback" not in err
 
 
 # ---- table ----------------------------------------------------------------------

@@ -42,11 +42,11 @@ DEAD_ALLOWED = {
     "_alpha_signed": "signed-sum cross-check of _alpha_poly in test_theory",
     "components": "RepMatroid's direct-sum decomposition; bench/tracing.py wraps it",
     "check_consistency": "ProcessState's from-scratch rank check, run by test_process",
-    "circuit_spectrum": "oracle behind the track_k_circuit and track_hamilton tests",
     "contract": "checked by E0 acceptance; bench/tracing.py wraps it",
     "delete": "checked by E0 acceptance",
     "from_span": "cross-check of enumerate_subspaces in test_subspaces and test_linalg",
     "ground": "RepMatroid's ground set accessor",
+    "kernel_basis": "bench/tracing.py wraps it; checked by E0",
     "median": "Aggregate statistic next to mean and variance",
     "parse_emitted_csv": "reads back the csv artifacts that emit writes",
     "rank_of_subset": "RepMatroid's checked rank query",

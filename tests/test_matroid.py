@@ -2,19 +2,22 @@
 
 import itertools
 from collections import Counter
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from fqmatroid.errors import BudgetExceeded, InvalidParam, LoopPresent
-from fqmatroid.fqlinalg import FqMatrix, make_field
+from fqmatroid.fqlinalg import FqMatrix, RrefState, make_field
 from fqmatroid.matroid import (
     INFINITY,
+    KernelSweep,
     RepMatroid,
     pg_matrix,
     uniform_matroid_matrix,
 )
 from conftest import (
+    brute_circuit_count,
     brute_critical_number,
     brute_separation_kinds,
     brute_separations,
@@ -30,16 +33,12 @@ def matroid(q, cols):
     return RepMatroid(FqMatrix(F, cols, n=len(cols[0])))
 
 
-def brute_circuits(M):
-    """Every minimal dependent subset, by direct subset search."""
-    out = []
-    for size in range(1, M.m + 1):
-        for sub in itertools.combinations(range(M.m), size):
-            if M.matrix.rank_of(sub) < size and not any(
-                set(c) < set(sub) for c in out
-            ):
-                out.append(frozenset(sub))
-    return out
+def sweep_walks(field, cols):
+    """The masks KernelSweep yields over the columns' dependencies, one
+    list per add."""
+    st = RrefState(field, len(cols[0]))
+    sweep = KernelSweep(field)
+    return [list(sweep.add(dep)) for dep in map(st.push, cols) if dep is not None]
 
 
 # ---- ground set, rank, points ----------------------------------------------
@@ -66,17 +65,59 @@ def test_points_are_projective_representatives():
 
 # ---- circuits and girth ------------------------------------------------------
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_kernel_sweep_lists_each_class_once(q):
+    F = make_field(q)
+    rng = np.random.default_rng(15 + q)
+    coranks = Counter()
+    for _ in range(40):
+        n = int(rng.integers(1, 4))
+        m = int(rng.integers(1, 6))
+        cols = random_cols(q, n, m, rng)
+        walks = sweep_walks(F, cols)
+        c = len(walks)
+        coranks[c] += 1
+        # the j-th add opens q^(j-1) classes, (q^c - 1)/(q - 1) in all
+        assert [len(w) for w in walks] == [q ** j for j in range(c)]
+        assert sum(map(len, walks)) == (q ** c - 1) // (q - 1)
+        kernel = set()
+        for x in itertools.product(range(q), repeat=m):
+            if any(x) and all(
+                    reduce(F.add, (F.mul(col[i], a) for col, a in zip(cols, x))) == 0
+                    for i in range(n)):
+                kernel.add(sum(1 << j for j, a in enumerate(x) if a))
+        assert {mask for w in walks for mask in w} == kernel
+        if c:
+            # a caller that stops each walk after one mask leaves the sweep
+            # holding every dependency
+            st, sweep = RrefState(F, n), KernelSweep(F)
+            deps = [dep for dep in map(st.push, cols) if dep is not None]
+            for dep in deps[:-1]:
+                next(sweep.add(dep))
+            assert list(sweep.add(deps[-1])) == walks[-1]
+    assert max(coranks) >= 3
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_circuit_spectrum_matches_brute_force(q):
+    # the sweep's supports S with rank(S) = |S| - 1, against the oracle
+    F = make_field(q)
     rng = np.random.default_rng(13)
     for _ in range(80):
         n = int(rng.integers(1, 4))
         m = int(rng.integers(1, 6))
-        M = matroid(q, random_cols(q, n, m, rng))
-        expect = Counter(len(c) for c in brute_circuits(M))
-        assert M.circuit_spectrum() == expect
+        cols = random_cols(q, n, m, rng)
+        M = matroid(q, cols)
+        supports = {mask for w in sweep_walks(F, cols) for mask in w}
+        found = Counter()
+        for mask in supports:
+            sub = [j for j in range(m) if mask >> j & 1]
+            if M.matrix.rank_of(sub) == len(sub) - 1:
+                found[len(sub)] += 1
+        expect = Counter({k: brute_circuit_count(F, cols, k) for k in range(1, m + 1)})
+        assert found == +expect
         g = M.girth()
-        assert g == (min(expect) if expect else INFINITY)
+        assert g == (min(+expect) if +expect else INFINITY)
 
 
 def test_girth_special_cases():
@@ -86,29 +127,12 @@ def test_girth_special_cases():
     assert RepMatroid(pg_matrix(F2, 2)).girth() == 3
 
 
-def test_girth_subset_fallback_agrees_with_kernel_sweep():
-    rng = np.random.default_rng(14)
-    for _ in range(40):
-        M = matroid(2, random_cols(2, 3, 6, rng))
-        if M.corank == 0:
-            continue
-        assert M.girth(kernel_budget=1) == M.girth()
-
-
 def test_girth_budget_exhausted():
-    # corank too big for the sweep and too many columns for subset search
-    cols = [(1, 0) for _ in range(30)]
+    # PG(4, 2): 31 simple columns of rank 5, so 2^26 kernel classes
+    M = RepMatroid(pg_matrix(F2, 5))
+    assert M.corank == 26
     with pytest.raises(BudgetExceeded):
-        matroid(2, cols).circuit_spectrum(kernel_budget=2)
-
-
-def test_is_circuit():
-    M = matroid(2, [(1, 0), (1, 1), (0, 1), (1, 0)])
-    assert M.is_circuit([0, 3])
-    assert M.is_circuit([0, 1, 2])
-    assert not M.is_circuit([0, 1, 2, 3])  # dependent but not minimal
-    assert not M.is_circuit([0, 1])
-    assert not M.is_circuit([])
+        M.girth()
 
 
 @pytest.mark.parametrize("q,r,m", [(2, 2, 3), (3, 2, 4), (4, 3, 5)])

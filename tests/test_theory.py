@@ -7,9 +7,11 @@ equations -- all computed outside this package and frozen here.
 """
 
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -66,6 +68,16 @@ def test_rank_full_prob_exact_vs_float():
         exact = T.rank_full_prob(n, m, q, exact=True)
         approx = T.rank_full_prob(n, m, q, exact=False)
         assert abs(float(exact) - approx) < 1e-12
+
+
+def test_rank_full_prob_float_grid_is_pinned():
+    # [q, n, m, value] recorded from the loop over all m factors, at n, m
+    # near the point where factors start to count; the loop now skips the
+    # factors with q^(i-n) < 1e-20 and must give the same floats
+    path = Path(__file__).parent / "data" / "rank_full_prob_grid.json"
+    rows = json.loads(path.read_text(encoding="utf-8"))
+    assert len(rows) == 276
+    assert [T.rank_full_prob(n, m, q) for q, n, m, _ in rows] == [v for *_, v in rows]
 
 
 # frozen via exhaustive enumeration of all q^(n*m) matrices
