@@ -30,7 +30,6 @@ from .fqlinalg import (
 from .matroid import INFINITY, RepMatroid, pg_matrix, uniform_matroid_matrix
 from .process import (
     ProcessState,
-    StepReport,
     process_rng,
     sample_m1,
     sample_pg_model,
@@ -53,7 +52,7 @@ __all__ = [
     "enumerate_subspaces", "make_field", "projective_points",
     "random_uniform_matrix",
     "INFINITY", "RepMatroid", "pg_matrix", "uniform_matroid_matrix",
-    "ProcessState", "StepReport", "process_rng",
+    "ProcessState", "process_rng",
     "sample_m1", "sample_pg_model",
     "Aggregate", "ComparisonReport", "ExperimentConfig", "PRESETS",
     "emit", "run_experiment",

@@ -150,18 +150,24 @@ def _cmd_predict(args) -> int:
 # ---- simulate --------------------------------------------------------------
 
 
+def _parse_value(raw: str):
+    for kind in (int, float):
+        try:
+            return kind(raw)
+        except ValueError:
+            pass
+    return raw
+
+
 def _parse_param(item: str):
+    """key=value; a comma-separated value is a tuple.  The preset's
+    defaults check the types."""
     if "=" not in item:
         raise ConfigError(f"--param expects key=value, got {item!r}")
     key, raw = item.split("=", 1)
-    try:
-        val = int(raw)
-    except ValueError:
-        try:
-            val = float(raw)
-        except ValueError:
-            val = raw
-    return key, val
+    if "," in raw:
+        return key, tuple(_parse_value(x) for x in raw.split(","))
+    return key, _parse_value(raw)
 
 
 def _cmd_simulate(args) -> int:
@@ -368,7 +374,7 @@ def _check_rank_law() -> tuple[bool, str]:
             cols = [tuple(flat[i * n:(i + 1) * n]) for i in range(m)]
             counts[FqMatrix(f, cols, n=n).rank] += 1
         total = q ** (n * m)
-        pmf = theory.corank_pmf(n, q, m, exact=True)
+        pmf = theory.corank_pmf(n, q, m)
         for c, p in enumerate(pmf):
             if Fraction(counts.get(m - c, 0), total) != p:
                 return False, f"(n,m,q)=({n},{m},{q}) corank {c}"

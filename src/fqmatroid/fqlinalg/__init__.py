@@ -18,6 +18,7 @@ from .subspaces import (
     SubspaceHandle,
     canonical_point,
     enumerate_subspaces,
+    native_point,
     projective_points,
 )
 
@@ -40,5 +41,6 @@ __all__ = [
     "SubspaceHandle",
     "canonical_point",
     "enumerate_subspaces",
+    "native_point",
     "projective_points",
 ]

@@ -360,33 +360,33 @@ class RrefState:
     "prime" covers both prime-field engines, the bitsliced one at p = 3.
     """
 
-    __slots__ = ("field", "n", "engine", "_impl")
+    __slots__ = ("field", "n", "engine", "_core")
 
     def __init__(self, field: FieldSpec, n: int):
         self.field = field
         self.n = n
         self.engine = engine_name(field, n)
         if self.engine == "gf2":
-            self._impl = _Gf2Rref(n)
+            self._core = _Gf2Rref(n)
         elif self.engine == "prime":
-            self._impl = _Gf3Rref(n) if field.q == 3 else _PrimeRref(field, n)
+            self._core = _Gf3Rref(n) if field.q == 3 else _PrimeRref(field, n)
         else:
-            self._impl = _GenericRref(field, n)
+            self._core = _GenericRref(field, n)
 
     def push(self, column):
-        return self._impl.push(_to_native(self.field, self.engine, column))
+        return self._core.push(_to_native(self.field, self.engine, column))
 
     @property
     def rank(self) -> int:
-        return len(self._impl.slots)
+        return len(self._core.slots)
 
     @property
     def ncols(self) -> int:
-        return self._impl.ncols
+        return self._core.ncols
 
     @property
     def corank(self) -> int:
-        return self._impl.ncols - len(self._impl.slots)
+        return self._core.ncols - len(self._core.slots)
 
 
 class FqMatrix:

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, IoError
-from .fqlinalg import RrefState, canonical_point, make_field, random_uniform_matrix
+from .fqlinalg import Span2, make_field, native_point, random_uniform_matrix
 from .matroid import DEFAULT_PARTITION_BUDGET, INFINITY, RepMatroid, pg_matrix
 from . import process as proc
 from . import theory
@@ -257,29 +257,21 @@ def _t_tau_u12(res, rng):
     n = res["n"]
     if field.q == 2 and n <= 62:
         # Packed batch draws; uniform over [0, 2^n) == uniform gf2 column.
-        rr = RrefState(field, n)
-        push = rr._impl.push
+        span = Span2(n)
         m = 0
         while True:
             for v in rng.integers(0, 1 << n, size=128, dtype=np.int64).tolist():
                 m += 1
-                if v and push(v) is not None:
+                if v and span.push(v) is None:
                     return {"tau_u12_minus_n": m - n}
     st = proc.ProcessState(field, n, rng)
     nonzero = 0
     while True:
-        rep = st.step()
-        if not rep.is_loop:
+        dep = st.step()
+        if dep is None or len(dep) > 1:
             nonzero += 1
         if st.rank < nonzero:
             return {"tau_u12_minus_n": st.m - n}
-
-
-def _last_point(field, st):
-    """Canonical projective point of the newest (nonzero) column."""
-    if field.q == 2:
-        return st.native_cols[-1]  # gf2 vectors are their own representatives
-    return canonical_point(field, proc.native_to_tuple(field, st.n, st.native_cols[-1]))
 
 
 def _t_tau_u23(res, rng):
@@ -289,10 +281,11 @@ def _t_tau_u23(res, rng):
     points: set = set()
     tau_crk1 = None
     while True:
-        rep = st.step()
-        if not rep.is_loop:
-            points.add(_last_point(field, st))
-        if tau_crk1 is None and rep.dependent:
+        dep = st.step()
+        pt = native_point(field, n, st.native_cols[-1])
+        if pt is not None:
+            points.add(pt)
+        if tau_crk1 is None and dep is not None:
             tau_crk1 = st.m
         if st.rank < len(points):
             return {"tau_u23_minus_n": st.m - n,
@@ -302,23 +295,20 @@ def _t_tau_u23(res, rng):
 
 
 def _uniform_points(field, n, m, rng):
-    """m draws from F_q^n as (is_nonzero, projective point) pairs.
+    """Projective points of m draws from F_q^n, None for a zero draw.
 
     Collision statistics only need uniformity, not process order, so
     gf2 takes a vectorized integer path.
     """
     if field.q == 2 and n <= 62:
-        raw = rng.integers(0, 1 << n, size=m, dtype=np.int64)
-        return [(int(v) != 0, int(v)) for v in raw]
-    pts = (canonical_point(field, proc.native_to_tuple(field, n, c))
-           for c in proc.draw_native_column(field, n, rng, count=m))
-    return [(p is not None, p) for p in pts]
+        return [v or None for v in rng.integers(0, 1 << n, size=m, dtype=np.int64).tolist()]
+    return [native_point(field, n, c) for c in proc.draw_native_column(field, n, rng, count=m)]
 
 
 def _t_two_circuit_count(res, rng):
     field = make_field(res["q"])
-    pts = [p for ok, p in _uniform_points(field, res["count_n"], res["count_m"], rng)
-           if ok]
+    pts = [p for p in _uniform_points(field, res["count_n"], res["count_m"], rng)
+           if p is not None]
     count = sum(1 for i in range(len(pts)) for j in range(i + 1, len(pts))
                 if pts[i] == pts[j])
     return {"two_circuits": count}
@@ -326,8 +316,8 @@ def _t_two_circuit_count(res, rng):
 
 def _t_no_two_circuit(res, rng):
     field = make_field(res["q"])
-    pts = [p for ok, p in _uniform_points(field, res["prob_n"], res["prob_m"], rng)
-           if ok]
+    pts = [p for p in _uniform_points(field, res["prob_n"], res["prob_m"], rng)
+           if p is not None]
     return {"no_two_circuit": int(len(set(pts)) == len(pts))}
 
 
@@ -391,7 +381,7 @@ def _t_kappa_monitor(res, rng):
 def _t_pg_cover(res, rng):
     field = make_field(res["q"])
     zeta = theory.q_int(res["r"], res["q"])
-    seen = {p for ok, p in _uniform_points(field, res["r"], res["b"], rng) if ok}
+    seen = set(_uniform_points(field, res["r"], res["b"], rng)) - {None}
     missed = zeta - len(seen)
     return {"covered": int(missed == 0), "missed": missed}
 

@@ -1,8 +1,11 @@
 """The growing random matrix A_1, A_2, ... and hitting-time trackers.
 
 Each column is drawn uniformly from F_q^n and appended; the represented
-matroid M[A_m] evolves as columns arrive.  Trackers observe a single
-trajectory and report the first step at which their property holds.
+matroid M[A_m] evolves as columns arrive.  ProcessState.step returns the
+new column's dependency as RrefState.push gave it: the first one that is
+not None is the first circuit, and a support of one column is a loop.
+Trackers observe a single trajectory and report the first step at which
+their property holds.
 Everything is deterministic given (master seed, trial index): trial i
 reads from a counter-based stream keyed by (seed, i), so parallel runs
 reproduce serial ones exactly.
@@ -21,9 +24,9 @@ from .fqlinalg import (
     FieldSpec,
     FqMatrix,
     RrefState,
-    canonical_point,
     draw_native_column,
     make_field,
+    native_point,
     native_to_tuple,
     projective_points,
     random_uniform_matrix,
@@ -53,22 +56,11 @@ def process_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[master_seed, trial]))
 
 
-@dataclass
-class StepReport:
-    """What one column addition did to the matroid."""
-
-    m: int
-    dependent: bool
-    dependency: dict | None  # sparse kernel vector {column index: coefficient}
-    is_loop: bool
-    first_circuit: frozenset | None  # set exactly at the step corank hits 1
-
-
 class ProcessState:
     """One trajectory of the uniform column process over F_q^n.
 
     Keeps engine-native columns plus an incremental elimination state;
-    each step reports the sparse dependency dict that push returned.
+    each step returns the sparse dependency dict that push returned.
     """
 
     def __init__(self, field: FieldSpec, n: int, rng):
@@ -82,7 +74,6 @@ class ProcessState:
         self.native_cols: list = []
         self.corank_history: list[int] = []
         self.m = 0
-        self.first_circuit: frozenset | None = None
 
     @property
     def rank(self) -> int:
@@ -92,38 +83,28 @@ class ProcessState:
     def corank(self) -> int:
         return self.rref.corank
 
-    def step(self) -> StepReport:
-        """Draw one uniform column and append it.
+    def step(self) -> dict | None:
+        """Draw one uniform column and append it; returns what
+        RrefState.push returned for it: None when it is independent of the
+        columns before it, else a kernel vector {column index: coefficient}
+        whose support includes the new column.
 
         Columns are drawn _DRAW_BLOCK at a time, so the state reads its rng
         ahead: once it has stepped, nothing else may draw from that rng."""
         if not self._ahead:
             self._ahead = draw_native_column(self.field, self.n, self.rng,
                                              count=_DRAW_BLOCK)[::-1]
-        return self.push_column(self._ahead.pop())
-
-    def push_column(self, native_col) -> StepReport:
+        col = self._ahead.pop()
         prev_corank = self.corank_history[-1] if self.corank_history else 0
-        dep = self.rref.push(native_col)
-        self.native_cols.append(native_col)
+        dep = self.rref.push(col)
+        self.native_cols.append(col)
         self.m += 1
         c = self.rref.corank
         if c not in (prev_corank, prev_corank + 1):
             raise ConsistencyError(
                 f"corank jumped {prev_corank} -> {c} at step {self.m}")
         self.corank_history.append(c)
-
-        is_loop = False
-        circuit = None
-        if dep is not None:
-            is_loop = len(dep) == 1
-            if c == 1 and prev_corank == 0:
-                # kernel is one-dimensional here, so this support is the
-                # unique first circuit
-                circuit = frozenset(dep)
-                self.first_circuit = circuit
-        return StepReport(m=self.m, dependent=dep is not None, dependency=dep,
-                          is_loop=is_loop, first_circuit=circuit)
+        return dep
 
     def column_tuples(self) -> list[tuple]:
         return [native_to_tuple(self.field, self.n, c) for c in self.native_cols]
@@ -150,24 +131,17 @@ class ProcessState:
 # ---- elementary hitting times -----------------------------------------
 
 
-def run_until_corank(state: ProcessState, c: int) -> int:
-    """First step m with corank(A_m) = c; the state is left at that step."""
-    if c < 1:
-        raise InvalidParam("corank target must be >= 1")
-    while state.corank < c:
-        state.step()
-    return state.m
-
-
 def track_first_circuit(state: ProcessState) -> tuple[int, int]:
     """Step and exact length of the first circuit.
 
     The first dependent column leaves a one-dimensional kernel whose
     generator's support is the circuit; a zero column gives length 1.
     """
-    run_until_corank(state, 1)
-    assert state.first_circuit is not None
-    return state.m, len(state.first_circuit)
+    if state.corank:
+        raise InvalidParam("the first circuit has already appeared")
+    while (dep := state.step()) is None:
+        pass
+    return state.m, len(dep)
 
 
 # ---- k-circuit tracking -------------------------------------------------
@@ -208,7 +182,7 @@ def track_k_circuit(state: ProcessState, k: int,
         seen: set = set()
         while max_steps is None or state.m < max_steps:
             state.step()
-            pt = canonical_point(field, native_to_tuple(field, n, state.native_cols[-1]))
+            pt = native_point(field, n, state.native_cols[-1])
             if k == 1 and pt is None or k == 2 and pt in seen:
                 return state.m
             if pt is not None:
@@ -216,14 +190,14 @@ def track_k_circuit(state: ProcessState, k: int,
         return None
     sweep = KernelSweep(field)
     while max_steps is None or state.m < max_steps:
-        rep = state.step()
-        if rep.dependency is None:
+        dep = state.step()
+        if dep is None:
             continue
         if field.q ** state.corank > kernel_budget:
             raise BudgetExceeded(
                 f"kernel sweep q^{state.corank} exceeds budget {kernel_budget}"
                 f" at step {state.m}")
-        for mask in sweep.add(rep.dependency):
+        for mask in sweep.add(dep):
             if mask.bit_count() == k and _rank_of_mask(state, mask) == k - 1:
                 return state.m
     return None
@@ -271,7 +245,7 @@ def track_connectivity(state: ProcessState, k: int,
         while comps.nonloop_roots > 1:
             if state.m >= cap:
                 return None
-            comps.add(state.step().dependency)
+            comps.add(state.step())
         return state.m
     while True:
         if state.m > partition_budget:

@@ -83,10 +83,10 @@ class RankChain:
     """Markov chain of rank(A_m): from rank j the next column is
     dependent with probability q^(j-n)."""
 
-    def __init__(self, n: int, q: int, exact: bool | None = None):
+    def __init__(self, n: int, q: int, exact: bool):
         self.n = n
         self.q = q
-        self.exact = max(n, q) <= _EXACT_LIMIT if exact is None else exact
+        self.exact = exact
 
     def step(self, dist):
         n, q = self.n, self.q
@@ -109,10 +109,9 @@ class RankChain:
         return dist
 
 
-def corank_pmf(n: int, q: int, m: int, exact: bool | None = None) -> list:
+def corank_pmf(n: int, q: int, m: int) -> list:
     """P(crk(A_m) = c) for c = 0..m (crk = m - rank)."""
-    if exact is None:
-        exact = max(n, m) <= _EXACT_LIMIT
+    exact = max(n, m) <= _EXACT_LIMIT
     rank_dist = RankChain(n, q, exact=exact).distribution(m)
     zero = Fraction(0) if exact else 0.0
     out = [zero] * (m + 1)
@@ -122,7 +121,7 @@ def corank_pmf(n: int, q: int, m: int, exact: bool | None = None) -> list:
     return out
 
 
-def tau_crk_exact_pmf(n: int, q: int, c: int, exact: bool | None = None) -> dict:
+def tau_crk_exact_pmf(n: int, q: int, c: int) -> dict:
     """P(first step with corank c is m), keyed by m; support [c, n+c].
 
     The corank can only step up by one, so first hitting c at step m
@@ -131,8 +130,7 @@ def tau_crk_exact_pmf(n: int, q: int, c: int, exact: bool | None = None) -> dict
     """
     if c < 1:
         raise InvalidParam("corank target must be >= 1")
-    if exact is None:
-        exact = max(n, n + c - 1) <= _EXACT_LIMIT
+    exact = n + c - 1 <= _EXACT_LIMIT
     chain = RankChain(n, q, exact=exact)
     dist = chain.distribution(c - 1)
     out = {}

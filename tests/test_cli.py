@@ -213,6 +213,24 @@ def test_simulate_param_override(capsys, tmp_path):
     assert json.loads(art.read_text(encoding="utf-8"))["config"]["b"] == 20
 
 
+def test_simulate_tuple_param(capsys, tmp_path):
+    art = tmp_path / "e5.json"
+    rc, _, _ = run(capsys, "simulate", "--preset", "E5", "--trials", "10", "--n", "20",
+                   "--seed", "1", "--param", "band2=0.4,0.6", "--out", str(art))
+    assert rc == 0
+    assert json.loads(art.read_text(encoding="utf-8"))["config"]["band2"] == [0.4, 0.6]
+
+
+@pytest.mark.parametrize("value", ["0.4", "a,b", "0.4,0.5,0.6"])
+def test_simulate_tuple_param_of_wrong_shape_is_usage_error(capsys, tmp_path, value):
+    art = tmp_path / "e5.json"
+    rc, _, err = run(capsys, "simulate", "--preset", "E5", "--trials", "10", "--n", "20",
+                     "--seed", "1", "--param", f"band2={value}", "--out", str(art))
+    assert rc == 2
+    assert "band2" in err and "Traceback" not in err
+    assert not art.exists()
+
+
 def test_simulate_usage_errors(capsys, tmp_path):
     rc, _, err = run(capsys, "simulate", "--preset", "E9", "--trials", "0",
                      "--seed", "1", "--out", str(tmp_path / "x.json"))

@@ -1,11 +1,15 @@
 """Source hygiene: every name a module imports is used in that module,
 every function, class and method is referenced somewhere in src/, and
-every entry point bench/tracing.py wraps still exists."""
+every entry point bench/tracing.py wraps still exists, and each
+package's __all__ is exactly what its __init__ imports."""
 
 import ast
+import importlib
 import importlib.util
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fqmatroid"
 
@@ -102,3 +106,22 @@ def test_bench_wrap_targets_exist():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.untraced_problems() == []
+
+
+def _init_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names]
+
+
+@pytest.mark.parametrize("module", ["fqmatroid", "fqmatroid.fqlinalg"])
+def test_all_lists_the_public_imports(module):
+    # a stale re-export or a missing one shows here, not at a user's import
+    mod = importlib.import_module(module)
+    path = Path(mod.__file__)
+    names = [name for name in mod.__all__ if not name.startswith("__")]
+    assert len(set(mod.__all__)) == len(mod.__all__)
+    assert set(names) == set(_init_imports(path))
+    for name in mod.__all__:
+        assert hasattr(mod, name), name

@@ -161,7 +161,7 @@ def test_packed_engines_at_their_widest_rows(q, n):
     cols = random_cols(q, n, 2 * n, np.random.default_rng(1000 * q + n))
     cols += [(0,) * (n - 1) + (1,), (1,) * n]
     st_ = RrefState(F, n)
-    assert isinstance(st_._impl, _Gf2Rref if q == 2 else _Gf3Rref)
+    assert isinstance(st_._core, _Gf2Rref if q == 2 else _Gf3Rref)
     for j, c in enumerate(cols):
         dep = st_.push(c)
         if dep is not None:

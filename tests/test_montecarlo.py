@@ -1,5 +1,6 @@
 """Orchestration determinism, aggregation arithmetic, and emission formats."""
 
+import hashlib
 import json
 import math
 from collections import Counter
@@ -13,6 +14,12 @@ from fqmatroid.matroid import RepMatroid
 from fqmatroid.process import process_rng
 
 GOLDEN = Path(__file__).parent / "data" / "golden_e1_tiny.json"
+# sha256 of Aggregate.to_jsonable() for trial paths outside the benchmark's
+# digests: E2's packed and fallback samplers, E3 off q = 2, E4 and E9's
+# point draws (packed, gf2 past 62 rows, prime and extension fields) and
+# E6's Hamilton tracker, including its n <= 2 repeated-point branch
+AGGREGATE_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "aggregate_digests.json").read_text(encoding="utf-8"))
 
 
 def tiny(preset, seed, trials, **kw):
@@ -29,6 +36,14 @@ def test_e1_tiny_matches_golden_bytes():
     obj.pop("runtime")
     text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
     assert text == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(AGGREGATE_DIGESTS))
+def test_aggregate_matches_pinned_digest(case):
+    pin = AGGREGATE_DIGESTS[case]
+    agg, _ = MC.run_experiment(MC.ExperimentConfig(**pin["config"]))
+    text = json.dumps(agg.to_jsonable(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == pin["sha256"]
 
 
 def test_rerun_identical_except_runtime():

@@ -18,10 +18,16 @@ from fqmatroid import process as P
 from fqmatroid.errors import BudgetExceeded, InvalidParam
 from fqmatroid.fqlinalg import (
     FqMatrix,
+    RrefState,
+    canonical_point,
+    draw_native_column,
     enumerate_subspaces,
     make_field,
+    native_point,
+    native_to_tuple,
     pack_gf2,
     projective_points,
+    unpack_gf2,
 )
 from fqmatroid.matroid import INFINITY as INF, RepMatroid
 
@@ -98,27 +104,67 @@ def test_state_rejects_empty_row_space():
 # ---- corank and first-circuit hitting times ---------------------------------
 
 
-def test_run_until_corank_and_first_circuit():
+def test_first_circuit_is_the_first_dependency():
     st = P.ProcessState(F2, 6, P.process_rng(31, 4))
     m1, length = P.track_first_circuit(st)
     assert st.corank == 1 and st.m == m1
-    assert st.first_circuit is not None and len(st.first_circuit) == length
+    # replay the stream: the first dependency's support is the circuit
+    replay = P.ProcessState(F2, 6, P.process_rng(31, 4))
+    while (dep := replay.step()) is None:
+        pass
+    assert replay.m == m1 and len(dep) == length
     # the reported support really is a circuit of the prefix matroid
     cols = st.column_tuples()
-    assert brute_circuit_count(F2, [cols[j] for j in st.first_circuit], length) == 1
-    m2 = P.run_until_corank(st, 2)
-    assert m2 > m1 and st.corank == 2
-    with pytest.raises(InvalidParam):
-        P.run_until_corank(st, 0)
+    assert brute_circuit_count(F2, [cols[j] for j in dep], length) == 1
+    while st.step() is None:
+        pass
+    assert st.m > m1 and st.corank == 2
 
 
 def test_first_circuit_matches_tau_crk_1():
     st = P.ProcessState(F3, 5, P.process_rng(32, 9))
     tau_fc, _ = P.track_first_circuit(st)
     assert tau_fc == st.m and st.corank == 1
-    tau2 = P.run_until_corank(st, 2)
-    tau3 = P.run_until_corank(st, 3)
-    assert tau_fc < tau2 < tau3
+    while st.corank < 3:
+        st.step()
+    tau1, tau2, tau3 = (st.corank_history.index(c) + 1 for c in (1, 2, 3))
+    assert tau_fc == tau1 < tau2 < tau3 == st.m
+    with pytest.raises(InvalidParam):
+        P.track_first_circuit(st)
+
+
+# q = 3 and 5 at n >= 24 run the prime engines (packed GF(3), numpy)
+@pytest.mark.parametrize("q,n", [(2, 6), (2, 70), (3, 5), (3, 24), (4, 4),
+                                 (5, 3), (5, 30)])
+def test_step_returns_what_push_returns(q, n):
+    field = make_field(q)
+    st = P.ProcessState(field, n, P.process_rng(33, q * 100 + n))
+    fresh = RrefState(field, n)
+    deps = 0
+    for _ in range(n + 8):
+        dep = st.step()
+        assert dep == fresh.push(native_to_tuple(field, n, st.native_cols[-1]))
+        deps += dep is not None
+    assert deps == st.corank >= 8
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (2, 70), (3, 4), (3, 30), (4, 3),
+                                 (5, 3), (5, 30), (9, 2)])
+def test_native_point_is_canonical_point_of_the_native_column(q, n):
+    # every engine's native form: packed gf2 ints, packed GF(3) ints at
+    # n >= 24, numpy rows at p >= 5 and n >= 24, and tuples
+    field = make_field(q)
+    rng = np.random.default_rng(q * 100 + n)
+    tuples = [(0,) * n, (0,) * (n - 1) + (q - 1,), (q - 1,) * n]
+    tuples += [tuple(int(x) for x in rng.integers(0, q, size=n)) for _ in range(20)]
+    natives = (FqMatrix(field, tuples, n=n).native_columns()
+               + draw_native_column(field, n, rng, count=20))
+    for native in natives:
+        want = canonical_point(field, native_to_tuple(field, n, native))
+        got = native_point(field, n, native)
+        if q == 2 and got is not None:
+            got = unpack_gf2(got, n)  # gf2 points stay packed ints
+        assert got == want
 
 
 # ---- k-circuit tracking ------------------------------------------------------
