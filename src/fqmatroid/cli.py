@@ -79,6 +79,10 @@ def _p_mu(a):
     return {"mu": theory.mu_k(a.m, a.k, a.q, a.n)}
 
 
+def _p_kcirc(a):
+    return {"kcirc": theory.expected_k_circuits(a.m, a.k, a.q, a.n)}
+
+
 def _p_nocirc(a):
     return {"nocirc": theory.no_kcircuit_prob_approx(a.m, a.k, a.q, a.n)}
 
@@ -112,6 +116,7 @@ _PREDICTORS = {
     "gamma": (("q", "c"), _p_gamma),
     "rankfull": (("n", "m", "q"), _p_rankfull),
     "mu": (("m", "k", "q", "n"), _p_mu),
+    "kcirc": (("m", "k", "q", "n"), _p_kcirc),
     "nocirc": (("m", "k", "q", "n"), _p_nocirc),
     "tauconn": (("q", "k", "n"), _p_tauconn),
     "koalpha": (("q",), _p_koalpha),

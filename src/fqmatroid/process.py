@@ -457,14 +457,20 @@ class _CriticalTracker:
             hit = self._nonzero([col])[rows, 0]
         self.alive = self.alive[hit.any(axis=0)]
 
-    def add(self, col: tuple) -> int:
-        """Absorb one nonzero column; returns chi of the columns so far."""
+    def add(self, col: tuple, cap: int | None = None) -> int:
+        """Absorb one nonzero column; returns chi of the columns so far.
+
+        With a cap, the tracker stops rising at level `cap`: once that
+        level's set dies it returns cap + 1 (chi >= cap + 1) and builds no
+        level above it."""
         if not any(col):
             raise InvalidParam("chi is undefined once a loop is present")
         self.cols.append(col)
         if self.level:
             self._prune(col)
         while len(self.alive) == 0:
+            if self.level == cap:
+                return cap + 1
             self.level += 1
             if self.level > self.n:
                 raise ConsistencyError("no avoiding subspace at full dual level")
@@ -499,12 +505,12 @@ def critical_trajectory(state: ProcessState, horizon: int) -> CriticalTrace:
 
 def track_critical(state: ProcessState, k: int,
                    max_steps: int | None = None) -> int | None:
-    """First step with chi = k+1; None when a loop arrives first or censored.
+    """First step with chi >= k+1; None when a loop arrives first or censored.
 
-    chi changes only when the new column lands inside every surviving
-    witness... equivalently, when the last witness at the current level
-    dies; the tracker prunes the witness set incrementally and rebuilds
-    one level up on death.
+    A loopless matroid has chi >= k+1 exactly when no codimension-k
+    subspace avoids every column, so the tracker prunes the avoiding sets
+    of levels <= k incrementally and the run ends when the level-k set
+    dies; no level above k is ever built.
     """
     if k < 0:
         raise InvalidParam("critical target must be >= 0")
@@ -518,7 +524,7 @@ def track_critical(state: ProcessState, k: int,
         col = native_to_tuple(state.field, state.n, state.native_cols[-1])
         if not any(col):
             return None  # chi undefined from here on
-        if tracker.add(col) >= k + 1:
+        if tracker.add(col, cap=k) > k:
             return state.m
     return None
 

@@ -238,7 +238,8 @@ def mu_k(m: int, k: int, q: int, n: int) -> float:
     A uniform A maps each fixed nonzero x to a uniform vector of F_q^n,
     so Ax = 0 with probability q^-n.  Each k-circuit contributes the
     q-1 nonzero multiples of one such vector, so the expected number of
-    k-circuits is at most mu_k / (q-1); mu_k does not count circuits.
+    k-circuits is at most mu_k / (q-1); mu_k does not count circuits
+    (expected_k_circuits does).
     TooLarge when the value passes the float range.
     """
     if not 1 <= k <= m:
@@ -246,6 +247,28 @@ def mu_k(m: int, k: int, q: int, n: int) -> float:
     lg = _log_comb(m, k) + k * math.log(q - 1) - n * math.log(q)
     if lg > _LOG_FLOAT_MAX:
         raise TooLarge("mu_k passes the float range")
+    return math.exp(lg)
+
+
+def expected_k_circuits(m: int, k: int, q: int, n: int) -> float:
+    """Expected number of circuits of size exactly k in M[A_m], exactly:
+    binom(m,k) (q-1)^(k-1) prod_{i=0}^{k-2} (q^n - q^i) / q^(nk).
+
+    A k-set of columns is a circuit when its first k-1 columns are
+    independent and the last is a combination of them with every
+    coefficient nonzero: (q-1)^(k-1) of the q^n values.  The product
+    vanishes once k >= n + 2, where the value is exactly 0.  TooLarge
+    when the value passes the float range.
+    """
+    if not 1 <= k <= m:
+        raise InvalidParam("need 1 <= k <= m")
+    if k >= n + 2:
+        return 0.0
+    # prod_{i<k-1} (q^n - q^i) / q^(n(k-1)) is rank_full_prob(n, k-1, q)
+    lg = (_log_comb(m, k) + (k - 1) * math.log(q - 1) - n * math.log(q)
+          + math.log(rank_full_prob(n, k - 1, q, exact=False)))
+    if lg > _LOG_FLOAT_MAX:
+        raise TooLarge("expected_k_circuits passes the float range")
     return math.exp(lg)
 
 

@@ -91,6 +91,24 @@ def brute_critical_number(field, cols):
     raise AssertionError("U = F_q^n has a row off every nonzero column")
 
 
+def gf2_chi_at_most_one(cols):
+    """chi <= 1 for GF(2) columns, at any n: some a has <a, v> = 1 for
+    every column v, which is solvable exactly when the augmented vectors
+    (v, 1) have the same rank as the v.  Plain ints, no subspace lists."""
+    def rank(vectors):
+        pivots = {}  # leading bit -> row
+        for v in vectors:
+            while v and v.bit_length() in pivots:
+                v ^= pivots[v.bit_length()]
+            if v:
+                pivots[v.bit_length()] = v
+        return len(pivots)
+
+    packed = [sum(x << i for i, x in enumerate(v)) for v in cols]
+    n = len(cols[0]) if cols else 0
+    return rank(packed) == rank([v | 1 << n for v in packed])
+
+
 def all_matrices(q, n, m):
     """Every n x m column tuple over F_q, as tuples of columns."""
     cols = list(itertools.product(range(q), repeat=n))

@@ -46,6 +46,13 @@ def test_predict_cck(capsys):
     assert abs(float(values_of(out)["cck"]) - 0.2887880950866024) < 1e-12
 
 
+def test_predict_kcirc(capsys):
+    rc, out, _ = run(capsys, "predict", "--what", "kcirc",
+                     "--m", "4", "--k", "2", "--q", "2", "--n", "3")
+    assert rc == 0
+    assert abs(float(values_of(out)["kcirc"]) - 21 / 32) < 1e-12
+
+
 def test_predict_missing_flag_is_usage_error(capsys):
     rc, _, err = run(capsys, "predict", "--what", "bofa", "--q", "2")
     assert rc == 2
@@ -67,6 +74,7 @@ def test_predict_domain_error_is_usage_error(capsys):
     ("--what", "bofa", "--q", "3", "--a", "0.001"),
     ("--what", "bprime", "--q", "2", "--a", "0.0009"),
     ("--what", "mu", "--q", "2", "--n", "0", "--m", "1032", "--k", "486"),
+    ("--what", "kcirc", "--q", "2", "--n", "5000", "--m", "10000", "--k", "5000"),
     ("--what", "crt", "--q", "4", "--n", "539", "--m", "0", "--k", "538"),
     ("--what", "crt", "--q", "2", "--n", "66", "--m", "0", "--k", "25"),
     ("--what", "cck", "--q", "9973", "--c", "10000", "--k", "-5"),
@@ -251,6 +259,16 @@ def test_simulate_seed_outside_domain_is_usage_error(capsys, tmp_path):
         assert rc == 2
         assert "seed" in err and "Traceback" not in err
         assert not out.exists()
+
+
+def test_simulate_e10_past_the_level_2_budget(capsys, tmp_path):
+    # at n = 12 level 2 holds 2,794,155 spaces; tau_1crt reads only level 1
+    out = tmp_path / "e10.json"
+    rc, _, err = run(capsys, "simulate", "--preset", "E10", "--n", "12", "--trials", "5",
+                     "--param", "noskip_trials=3", "--seed", "7", "--out", str(out))
+    assert rc == 0, err
+    hist = json.loads(out.read_text())["aggregate"]["tau1.tau1crt"]
+    assert sum(hist.values()) == 5
 
 
 def test_simulate_param_of_wrong_type_is_usage_error(capsys, tmp_path):

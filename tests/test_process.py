@@ -31,7 +31,8 @@ from fqmatroid.fqlinalg import (
 )
 from fqmatroid.matroid import INFINITY as INF, RepMatroid
 
-from conftest import brute_circuit_count, brute_critical_number, brute_rank
+from conftest import (brute_circuit_count, brute_critical_number, brute_rank,
+                      gf2_chi_at_most_one)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -583,6 +584,61 @@ def test_track_critical_hits_and_censors():
     st4.step()
     with pytest.raises(InvalidParam):
         P.track_critical(st4, 1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("field", [F2, F3, F4], ids=["q2", "q3", "q4"])
+def test_track_critical_is_the_first_brute_hit(field, n, k):
+    # chi of the loopless prefixes never falls, so the first m with
+    # chi >= k + 1 is the hit whose prefix one column shorter stays below
+    horizon = 80
+    for seed in range(8):
+        st = P.ProcessState(field, n, P.process_rng(seed, 0))
+        got = P.track_critical(st, k, max_steps=horizon)
+        cols = replay_columns(field, n, seed, 0, horizon)
+        loop = next((m for m, v in enumerate(cols, start=1) if not any(v)), None)
+        loopless = horizon if loop is None else loop - 1
+        if got is None:
+            assert brute_critical_number(field, cols[:loopless]) <= k
+            if k < n:  # k + 1 > n returns before the first step
+                assert st.m == (horizon if loop is None else loop)
+        else:
+            assert got <= loopless and st.m == got
+            assert brute_critical_number(field, cols[:got]) >= k + 1
+            assert brute_critical_number(field, cols[:got - 1]) <= k
+
+
+@pytest.mark.parametrize("field,n,k", [
+    (F2, 10, 1), (F2, 6, 2), (F2, 5, 0), (F3, 4, 1), (F4, 3, 1)])
+def test_track_critical_builds_no_level_above_its_target(field, n, k, monkeypatch):
+    levels = []
+    rebuild = P._CriticalTracker._rebuild
+
+    def record(self, level):
+        levels.append(level)
+        rebuild(self, level)
+
+    monkeypatch.setattr(P._CriticalTracker, "_rebuild", record)
+    for trial in range(4):
+        levels.clear()
+        got = P.track_critical(P.ProcessState(field, n, P.process_rng(60, trial)), k)
+        assert max(levels, default=0) <= k
+        if got is not None:  # the hit is the death of the level-k set
+            assert levels == list(range(1, k + 1))
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_track_critical_at_q2_past_the_level_2_budget(n):
+    # level 2 holds more than 10^6 spaces from n = 12 on; tau_1crt reads
+    # only level 1, so it runs, and the rank oracle checks each hit
+    for trial in range(5):
+        got = P.track_critical(P.ProcessState(F2, n, P.process_rng(61, trial)), 1)
+        assert got is not None
+        cols = replay_columns(F2, n, 61, trial, got)
+        assert all(any(v) for v in cols)
+        assert not gf2_chi_at_most_one(cols)
+        assert gf2_chi_at_most_one(cols[:-1])
 
 
 # ---- minor hitting times (the E2 and E3 detectors) -------------------------------

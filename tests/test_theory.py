@@ -20,6 +20,8 @@ from fqmatroid.errors import InvalidParam, TooLarge
 from fqmatroid import theory as T
 from fqmatroid.fqlinalg import make_field
 
+from conftest import all_matrices, brute_circuit_count
+
 
 # ---- q-binomials ------------------------------------------------------------
 
@@ -270,6 +272,39 @@ def test_mu_k_counts_weight_k_kernel_vectors(q, n, m):
         exact = Fraction(hits[k], total)
         assert exact == Fraction(math.comb(m, k) * (q - 1) ** k, q ** n)
         assert abs(T.mu_k(m, k, q, n) - float(exact)) < 1e-12
+
+
+@pytest.mark.parametrize("q,n,m", [(3, 2, 4), (4, 2, 3), (3, 3, 3)])
+def test_expected_k_circuits_counts_circuits_of_size_k(q, n, m):
+    # average, over every n x m matrix, of the brute count of k-circuits
+    F = make_field(q)
+    totals = Counter()
+    matrices = 0
+    for cols in all_matrices(q, n, m):
+        matrices += 1
+        for k in range(1, m + 1):
+            totals[k] += brute_circuit_count(F, cols, k)
+    for k in range(1, m + 1):
+        exact = Fraction(totals[k], matrices)
+        closed = Fraction(math.comb(m, k) * (q - 1) ** (k - 1)
+                          * math.prod(q ** n - q ** i for i in range(k - 1)), q ** (n * k))
+        assert exact == closed, k
+        assert math.isclose(T.expected_k_circuits(m, k, q, n), exact, rel_tol=1e-12, abs_tol=0)
+
+
+def test_expected_k_circuits_edges():
+    # E[2-circuits] at (n, m, q) = (3, 4, 2) is 6 * 7/64 = 21/32, below mu_2 = 0.75
+    assert math.isclose(T.expected_k_circuits(4, 2, 2, 3), 21 / 32, rel_tol=1e-15)
+    assert T.expected_k_circuits(4, 2, 2, 3) < T.mu_k(4, 2, 2, 3)
+    # k >= n + 2: k - 1 columns of F_q^n cannot be independent
+    assert T.expected_k_circuits(10, 5, 2, 3) == 0.0
+    assert T.expected_k_circuits(10 ** 6, 12, 3, 10) == 0.0
+    assert T.expected_k_circuits(10, 4, 2, 3) > 0.0
+    for m, k in ((0, 1), (5, 0), (3, 4), (5, -1)):
+        with pytest.raises(InvalidParam):
+            T.expected_k_circuits(m, k, 2, 3)
+    with pytest.raises(TooLarge):
+        T.expected_k_circuits(10 ** 4, 5000, 2, 5000)
 
 
 def test_no_kcircuit_prob_approx():
