@@ -28,12 +28,7 @@ from .fqlinalg import (
     random_uniform_matrix,
 )
 from .matroid import INFINITY, RepMatroid, pg_matrix, uniform_matroid_matrix
-from .process import (
-    ProcessState,
-    process_rng,
-    sample_m1,
-    sample_pg_model,
-)
+from .process import ProcessState, process_rng, sample_pg_model
 from .montecarlo import (
     Aggregate,
     ComparisonReport,
@@ -52,8 +47,7 @@ __all__ = [
     "enumerate_subspaces", "make_field", "projective_points",
     "random_uniform_matrix",
     "INFINITY", "RepMatroid", "pg_matrix", "uniform_matroid_matrix",
-    "ProcessState", "process_rng",
-    "sample_m1", "sample_pg_model",
+    "ProcessState", "process_rng", "sample_pg_model",
     "Aggregate", "ComparisonReport", "ExperimentConfig", "PRESETS",
     "emit", "run_experiment",
     "__version__",

@@ -26,7 +26,6 @@ from .fqlinalg import (FqMatrix, enumerate_subspaces, make_field, prime_power,
 from .matroid import RepMatroid
 
 _BUDGET_ENV = "FQMATROID_BUDGET"
-_CORRUPT_ENV = "FQMATROID_SELFCHECK_CORRUPT"  # test hook: q whose tables to corrupt
 
 
 # ---- predict ---------------------------------------------------------------
@@ -312,30 +311,11 @@ def _cmd_table(args) -> int:
 # ---- selfcheck -------------------------------------------------------------
 
 
-class _CorruptField:
-    """Delegating wrapper whose multiplication table has one wrong entry."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.q = inner.q
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def mul(self, a, b):
-        if a == 1 and b == 1:
-            return 0
-        return self._inner.mul(a, b)
-
-
 def _check_field_axioms() -> tuple[bool, str]:
     import itertools
 
-    corrupt_q = int(os.environ.get(_CORRUPT_ENV, "0") or "0")
     for q in (2, 3, 4, 5, 7, 8, 9):
         f = make_field(q)
-        if q == corrupt_q:
-            f = _CorruptField(f)
         els = list(f.elements())
         for a, b in itertools.product(els, els):
             if f.add(a, b) != f.add(b, a) or f.mul(a, b) != f.mul(b, a):

@@ -340,31 +340,29 @@ class _GenericRref(SpanQ):
 
 
 def _to_native(field: FieldSpec, engine: str, column):
-    """A column tuple (or an engine-native column) in `engine`'s form."""
+    """A column tuple in `engine`'s form."""
     if engine == "gf2":
-        return column if isinstance(column, int) else pack_gf2(column)
+        return pack_gf2(column)
     if engine == "prime":
-        if field.q == 3:
-            return column if isinstance(column, int) else _pack_gf3(column)
-        return column if isinstance(column, np.ndarray) else np.asarray(column, dtype=np.int64)
+        return _pack_gf3(column) if field.q == 3 else np.asarray(column, dtype=np.int64)
     return column
 
 
 class RrefState:
     """Incremental elimination state over the columns pushed so far.
 
-    push() returns None when the new column is independent of the span,
-    or a kernel vector of the matrix-so-far as a sparse {column index:
-    coefficient} dict whose support always includes the new column.  The
-    incremental rank matches batch elimination exactly.  The engine label
-    "prime" covers both prime-field engines, the bitsliced one at p = 3.
+    push() takes a column in the engine's native form, as
+    FqMatrix.native_columns and draw_native_column give it.  It returns
+    None when the new column is independent of the span, or a kernel
+    vector of the matrix-so-far as a sparse {column index: coefficient}
+    dict whose support always includes the new column.  The incremental
+    rank matches batch elimination exactly.  The engine label "prime"
+    covers both prime-field engines, the bitsliced one at p = 3.
     """
 
-    __slots__ = ("field", "n", "engine", "_core")
+    __slots__ = ("engine", "_core")
 
     def __init__(self, field: FieldSpec, n: int):
-        self.field = field
-        self.n = n
         self.engine = engine_name(field, n)
         if self.engine == "gf2":
             self._core = _Gf2Rref(n)
@@ -374,7 +372,7 @@ class RrefState:
             self._core = _GenericRref(field, n)
 
     def push(self, column):
-        return self._core.push(_to_native(self.field, self.engine, column))
+        return self._core.push(column)
 
     @property
     def rank(self) -> int:
@@ -456,9 +454,6 @@ class FqMatrix:
             self.field, [c for i, c in enumerate(self.columns) if i not in drop], n=self.n
         )
 
-    def submatrix(self, indices) -> "FqMatrix":
-        return FqMatrix(self.field, [self.columns[i] for i in indices], n=self.n)
-
     def contract(self, indices) -> "FqMatrix":
         """Contract the columns in `indices` and drop them.
 
@@ -493,20 +488,18 @@ class FqMatrix:
         return f"FqMatrix(q={self.field.q}, n={self.n}, m={self.m})"
 
 
-def draw_native_column(field: FieldSpec, n: int, rng, count: int | None = None):
-    """One uniform column in engine-native form, or a list of `count` columns
-    from one (count, n) draw: for Philox, the same stream as single draws."""
-    raw = rng.integers(0, field.q, size=(1 if count is None else count, n))
+def draw_native_column(field: FieldSpec, n: int, rng, count: int) -> list:
+    """`count` uniform columns in engine-native form, from one (count, n)
+    draw: for Philox, the same stream as `count` single-column draws."""
+    raw = rng.integers(0, field.q, size=(count, n))
     eng = engine_name(field, n)
     if eng == "gf2":
-        cols = _pack_rows(raw.astype(np.uint8))
-    elif eng == "prime" and field.q == 3:
-        cols = _pack_rows(np.concatenate([raw == 1, raw == 2], axis=1))
-    elif eng == "prime":
-        cols = list(raw)
-    else:
-        cols = [tuple(r) for r in raw.tolist()]
-    return cols[0] if count is None else cols
+        return _pack_rows(raw.astype(np.uint8))
+    if eng == "prime" and field.q == 3:
+        return _pack_rows(np.concatenate([raw == 1, raw == 2], axis=1))
+    if eng == "prime":
+        return list(raw)
+    return [tuple(r) for r in raw.tolist()]
 
 
 def native_to_tuple(field: FieldSpec, n: int, native) -> tuple:
@@ -521,6 +514,6 @@ def native_to_tuple(field: FieldSpec, n: int, native) -> tuple:
 
 
 def random_uniform_matrix(field: FieldSpec, n: int, m: int, rng) -> FqMatrix:
-    """n x m matrix with i.i.d. uniform entries, drawn column by column."""
-    cols = [native_to_tuple(field, n, c) for c in draw_native_column(field, n, rng, count=m)]
-    return FqMatrix(field, cols, n=n)
+    """n x m matrix with i.i.d. uniform entries, drawn column by column: the
+    stream draw_native_column(field, n, rng, m) reads."""
+    return FqMatrix(field, rng.integers(0, field.q, size=(m, n)).tolist(), n=n)

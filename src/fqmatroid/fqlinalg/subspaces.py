@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from ..errors import BudgetExceeded, InvalidParam
 from ..theory import gaussian_binomial
 from .fields import FieldSpec
-from .matrix import SpanQ, native_to_tuple
+from .matrix import native_to_tuple
 
 DEFAULT_SUBSPACE_BUDGET = 10**7
 
@@ -20,21 +20,6 @@ class SubspaceHandle:
     n: int
     dim: int
     rows: tuple  # tuple of k row tuples, pivots strictly increasing
-
-    @classmethod
-    def from_span(cls, field: FieldSpec, n: int, vectors) -> "SubspaceHandle":
-        """Canonical handle for the span of arbitrary vectors."""
-        span = SpanQ(field, n)
-        for vec in vectors:
-            if len(vec) != n:
-                raise InvalidParam("vector length mismatch")
-            span.push(vec)
-        # push reduces fully, so re-pushing each row clears it at the
-        # other pivots: the reduced echelon form
-        for p in list(span.rows):
-            span.push(span.pop(p))
-        rows = tuple(tuple(span.rows[p]) for p in sorted(span.rows))
-        return cls(n=n, dim=len(rows), rows=rows)
 
 
 def enumerate_subspaces(field: FieldSpec, n: int, k: int,

@@ -40,7 +40,6 @@ from .fqlinalg import (
     Span2,
     SpanQ,
     canonical_point,
-    pack_gf2,
     projective_points,
 )
 
@@ -168,9 +167,6 @@ class RepMatroid:
     @property
     def corank(self) -> int:
         return self.m - self.matrix.rank
-
-    def ground(self) -> range:
-        return range(self.m)
 
     # ---- basic queries -------------------------------------------------
 
@@ -426,9 +422,10 @@ class RepMatroid:
 
 
 def _spans(mat: FqMatrix, k: int):
-    """The columns in span form and k empty spans over them."""
+    """The columns in span form and k empty spans over them: at q = 2 the
+    packed columns that the gf2 engine also takes."""
     if mat.field.q == 2:
-        return [pack_gf2(c) for c in mat.columns], [Span2(mat.n) for _ in range(k)]
+        return mat.native_columns(), [Span2(mat.n) for _ in range(k)]
     return list(mat.columns), [SpanQ(mat.field, mat.n) for _ in range(k)]
 
 

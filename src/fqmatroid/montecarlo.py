@@ -62,18 +62,19 @@ class ExperimentConfig:
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; have "
                               f"{sorted(PRESETS)}")
-        res = dict(PRESETS[self.preset].defaults)
+        defaults = PRESETS[self.preset].defaults
+        res = dict(defaults)
         res["preset"] = self.preset
         res["seed"] = self.seed
         for key, val in (("trials", self.trials), ("n", self.n), ("q", self.q)):
             if val is not None:
                 res[key] = val
         for key, val in self.params.items():
-            if key not in res:
+            if key not in defaults:
                 raise ConfigError(f"preset {self.preset} has no parameter {key!r}")
-            if not _fits_default(res[key], val):
+            if not _fits_default(defaults[key], val):
                 raise ConfigError(f"parameter {key!r} must be of type "
-                                  f"{type(res[key]).__name__}, got {val!r}")
+                                  f"{type(defaults[key]).__name__}, got {val!r}")
             res[key] = val
         _validate_resolved(res)
         if self.workers < 1:
@@ -165,9 +166,6 @@ class Aggregate:
             return math.nan
         mu = self.mean(key)
         return sum(v * (k - mu) ** 2 for k, v in cnt.items()) / (tot - 1)
-
-    def median(self, key: str) -> float:
-        return _median(self.counters.get(key, Counter()))
 
     def freq(self, key: str, value: int = 1) -> float:
         """Frequency of `value` among the trials of this part."""
@@ -331,8 +329,8 @@ def _t_first_circuit(res, rng):
 def _t_hamilton(res, rng):
     field = make_field(res["q"])
     st = proc.ProcessState(field, res["n"], rng)
-    tau = proc.track_hamilton(st, kernel_budget=res["kernel_budget"],
-                              max_steps=res["max_steps"])
+    tau = proc.track_k_circuit(st, res["n"], kernel_budget=res["kernel_budget"],
+                               max_steps=res["max_steps"])
     if tau is None:
         return {"censored": 1}
     return {"tau_ham": tau}
@@ -405,25 +403,24 @@ def _t_tau_1crt(res, rng):
 
 def _t_m2_rank(res, rng):
     field = make_field(res["q"])
-    s = proc.sample_pg_model(field, res["n"], rng, m=res["m"])
-    return {"rank": s.matrix.rank}
+    return {"rank": proc.sample_pg_model(field, res["n"], rng, m=res["m"]).rank}
 
 
 def _t_m1_simple_rank(res, rng):
     field = make_field(res["q"])
     while True:
-        s = proc.sample_m1(field, res["n"], res["m"], rng)
-        if RepMatroid(s.matrix).is_simple():
-            return {"rank": s.matrix.rank}
+        mat = random_uniform_matrix(field, res["n"], res["m"], rng)
+        if RepMatroid(mat).is_simple():
+            return {"rank": mat.rank}
 
 
 def _t_m3_conditioned_rank(res, rng):
     field = make_field(res["q"])
     p = res["m"] / theory.q_int(res["n"], res["q"])
     while True:
-        s = proc.sample_pg_model(field, res["n"], rng, p=p)
-        if len(s.selection) == res["m"]:
-            return {"rank": s.matrix.rank}
+        mat = proc.sample_pg_model(field, res["n"], rng, p=p)
+        if mat.m == res["m"]:
+            return {"rank": mat.rank}
 
 
 # ---- preset registry -------------------------------------------------------
@@ -442,10 +439,6 @@ class Preset:
     defaults: dict
     parts: tuple
     reporter: object
-
-
-def _part_trials(res: dict, spec: PartSpec) -> int:
-    return res[spec.trials_key]
 
 
 # ---- report helpers --------------------------------------------------------
@@ -819,7 +812,7 @@ def _run_chunk(preset: str, res: dict, part_idx: int, start: int, stop: int) -> 
 def _plan_chunks(preset: str, res: dict) -> list:
     jobs = []
     for idx, spec in enumerate(PRESETS[preset].parts):
-        total = _part_trials(res, spec)
+        total = res[spec.trials_key]
         for start in range(0, total, _CHUNK):
             jobs.append((idx, start, min(start + _CHUNK, total)))
     return jobs
@@ -846,11 +839,11 @@ def run_experiment(config: ExperimentConfig):
                        for idx, start, stop in jobs]
             for fut in futures:
                 agg.merge_in(fut.result())
-    agg.validate({spec.name: _part_trials(res, spec)
+    agg.validate({spec.name: res[spec.trials_key]
                   for spec in PRESETS[preset].parts})
     wall = time.perf_counter() - t0
     body = PRESETS[preset].reporter(res, agg)
-    insufficient = any(_part_trials(res, spec) < 2
+    insufficient = any(res[spec.trials_key] < 2
                        for spec in PRESETS[preset].parts)
     report = ComparisonReport(
         preset=preset, seed=res["seed"], schema_version=SCHEMA_VERSION,
@@ -913,11 +906,3 @@ def _to_csv(obj: dict) -> str:
     for key, val in sorted(obj["runtime"].items()):
         w.writerow(["runtime", key, "", val])
     return buf.getvalue()
-
-
-def parse_emitted_csv(text: str) -> list:
-    """Rows under the documented header, for round-trip checks."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or rows[0] != ["section", "name", "key", "value"]:
-        raise IoError("unexpected csv header")
-    return rows[1:]

@@ -29,7 +29,6 @@ from .fqlinalg import (
     native_point,
     native_to_tuple,
     projective_points,
-    random_uniform_matrix,
 )
 from .matroid import (
     DEFAULT_KERNEL_BUDGET,
@@ -115,18 +114,6 @@ class ProcessState:
     def matroid(self) -> RepMatroid:
         return RepMatroid(self.matrix())
 
-    def check_consistency(self) -> None:
-        """Incremental rank must equal batch elimination from scratch."""
-        scratch = RrefState(self.field, self.n)
-        for col in self.native_cols:
-            scratch.push(col)
-        if scratch.rank != self.rank:
-            raise ConsistencyError(
-                f"incremental rank {self.rank} != scratch rank {scratch.rank}")
-        for a, b in zip(self.corank_history, self.corank_history[1:]):
-            if b < a or b > a + 1:
-                raise ConsistencyError("corank history not a unit-step ascent")
-
 
 # ---- elementary hitting times -----------------------------------------
 
@@ -201,14 +188,6 @@ def track_k_circuit(state: ProcessState, k: int,
             if mask.bit_count() == k and _rank_of_mask(state, mask) == k - 1:
                 return state.m
     return None
-
-
-def track_hamilton(state: ProcessState,
-                   kernel_budget: int = DEFAULT_KERNEL_BUDGET,
-                   max_steps: int | None = None) -> int | None:
-    """Hamilton hitting time: first circuit of length n."""
-    return track_k_circuit(state, state.n, kernel_budget=kernel_budget,
-                           max_steps=max_steps)
 
 
 # ---- connectivity tracking ----------------------------------------------
@@ -532,25 +511,13 @@ def track_critical(state: ProcessState, k: int,
 # ---- projective-geometry models -----------------------------------------
 
 
-@dataclass
-class ModelSample:
-    """One draw from M1/M2/M3 with its realized point multiset."""
-
-    model: str
-    n: int
-    q: int
-    param: object  # m for M1/M2, inclusion probability p for M3
-    selection: tuple  # column tuples in canonical order
-    matrix: FqMatrix
-
-
 def sample_pg_model(field: FieldSpec, n: int, rng,
-                    m: int | None = None, p: float | None = None) -> ModelSample:
+                    m: int | None = None, p: float | None = None) -> FqMatrix:
     """Sample M2 (uniform m-subset of PG(n-1,q)) or M3 (Bernoulli(p) inclusion).
 
-    Points are realized by their canonical representatives (first nonzero
-    coordinate 1), listed in the fixed enumeration order so equal
-    selections compare equal.  Raises BudgetExceeded before listing more
+    The matrix's columns are the chosen points' canonical representatives
+    (first nonzero coordinate 1), in the fixed enumeration order, so equal
+    selections give equal matrices.  Raises BudgetExceeded before listing more
     than DEFAULT_TRACK_SUBSPACE_BUDGET points.
     """
     if (m is None) == (p is None):
@@ -564,20 +531,10 @@ def sample_pg_model(field: FieldSpec, n: int, rng,
         if not 0 <= m <= total:
             raise InvalidParam(f"m must lie in [0, {total}]")
         idx = sorted(int(i) for i in rng.choice(total, size=m, replace=False))
-        sel = tuple(pts[i] for i in idx)
-        tag, param = "M2", m
+        sel = [pts[i] for i in idx]
     else:
         if not 0.0 <= p <= 1.0:
             raise InvalidParam("p must lie in [0, 1]")
         mask = rng.random(total) < p
-        sel = tuple(pt for pt, keep in zip(pts, mask) if keep)
-        tag, param = "M3", p
-    return ModelSample(model=tag, n=n, q=field.q, param=param, selection=sel,
-                       matrix=FqMatrix(field, sel, n=n))
-
-
-def sample_m1(field: FieldSpec, n: int, m: int, rng) -> ModelSample:
-    """m i.i.d. uniform columns, wrapped like the PG-model samples."""
-    mat = random_uniform_matrix(field, n, m, rng)
-    return ModelSample(model="M1", n=n, q=field.q, param=m, selection=mat.columns,
-                       matrix=mat)
+        sel = [pt for pt, keep in zip(pts, mask) if keep]
+    return FqMatrix(field, sel, n=n)

@@ -11,7 +11,6 @@ cross-checked.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from fractions import Fraction
@@ -185,17 +184,6 @@ def _alpha_poly(q: int, c: int, k: int) -> tuple[list[int], int]:
     return ints, q ** (deg * (deg - 1) // 2)
 
 
-def _alpha_signed(q: int, c: int, k: int, i: int) -> Fraction:
-    """Signed-sum form of the same coefficient, kept as a cross-check."""
-    d = c - 1 - i
-    if d < 0 or d > c - k:
-        return Fraction(0)
-    total = Fraction(0)
-    for js in itertools.combinations(range(0, c - k), d):
-        total += Fraction(1, q ** sum(js))
-    return (-1) ** d * total
-
-
 # limit_Cck's exact integers grow with c and c - k; at this bound one
 # value takes under 0.1 s at q = 65521, and E2's curves reach c - k = 47
 _CCK_MAX = 64
@@ -284,65 +272,48 @@ def no_kcircuit_prob_approx(m: int, k: int, q: int, n: int) -> float:
     return math.exp(-math.exp(lg))
 
 
-class ThresholdFn:
-    """g_a(y) = y log y + a log(q-1) - a log a - (y-a) log(y-a) - log q,
-    with 0 log 0 = 0; its unique root b > a marks the longest-circuit
-    threshold at column density a."""
-
-    def __init__(self, q: int, a: float):
-        if not 0 < a <= 1:
-            raise InvalidParam("need 0 < a <= 1")
-        self.q = q
-        self.a = a
-        self._const = a * math.log(q - 1) - a * math.log(a) - math.log(q)
-        self._b = None
-
-    def g(self, y: float) -> float:
-        """g_a(y) for y >= a."""
-        a = self.a
-        if y == a:
-            head = a * math.log(a)
-        else:
-            # y log y - (y-a) log(y-a) as -y log(1 - a/y) + a log(y-a): the
-            # two terms it replaces are huge and nearly equal at large y.
-            # Near a, 1 - a/y is taken as (y-a)/y, where y - a is exact.
-            log_frac = math.log1p(-a / y) if y > 2 * a else math.log((y - a) / y)
-            head = a * math.log(y - a) - y * log_frac
-        return head + self._const
-
-    @property
-    def b(self) -> float:
-        if self._b is None:
-            a = self.a
-            # g is strictly increasing on (a, inf); the root lies below
-            # a + step once g(a + step) > 0, and step squares to reach roots
-            # near the float limit in a few steps
-            lo, step = a, 1.0
-            while self.g(a + step) <= 0:
-                if step == sys.float_info.max:
-                    raise TooLarge(f"b({a}) at q = {self.q} is beyond the float range")
-                lo, step = a + step, min(2 * step * step, sys.float_info.max)
-            hi = a + step
-            # bisect, at geometric means while hi > 2 lo, until the interval
-            # is 1e-12 or the floats run out (b can be huge for small a,
-            # where absolute 1e-12 is unrepresentable)
-            while hi - lo > 1e-12:
-                mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2 * lo else (lo + hi) / 2
-                if mid == lo or mid == hi:
-                    break
-                if self.g(mid) > 0:
-                    hi = mid
-                else:
-                    lo = mid
-            self._b = (lo + hi) / 2
-        return self._b
+def _threshold_g(q: int, a: float, y: float) -> float:
+    """g_a(y) = y log y + a log(q-1) - a log a - (y-a) log(y-a) - log q for
+    y >= a, with 0 log 0 = 0; its unique root b > a marks the
+    longest-circuit threshold at column density a."""
+    if y == a:
+        head = a * math.log(a)
+    else:
+        # y log y - (y-a) log(y-a) as -y log(1 - a/y) + a log(y-a): the
+        # two terms it replaces are huge and nearly equal at large y.
+        # Near a, 1 - a/y is taken as (y-a)/y, where y - a is exact.
+        log_frac = math.log1p(-a / y) if y > 2 * a else math.log((y - a) / y)
+        head = a * math.log(y - a) - y * log_frac
+    return head + (a * math.log(q - 1) - a * math.log(a) - math.log(q))
 
 
 @lru_cache(maxsize=64)  # b_prime and a table row ask for the same root
 def b_of_a(q: int, a: float) -> float:
-    """Root of g_a: rescaled length of the longest circuit at m = a*n;
-    TooLarge when it lies past the float range."""
-    return ThresholdFn(q, a).b
+    """Root of g_a (_threshold_g): rescaled length of the longest circuit
+    at m = a*n; TooLarge when it lies past the float range."""
+    if not 0 < a <= 1:
+        raise InvalidParam("need 0 < a <= 1")
+    # g is strictly increasing on (a, inf); the root lies below a + step
+    # once g(a + step) > 0, and step squares to reach roots near the float
+    # limit in a few steps
+    lo, step = a, 1.0
+    while _threshold_g(q, a, a + step) <= 0:
+        if step == sys.float_info.max:
+            raise TooLarge(f"b({a}) at q = {q} is beyond the float range")
+        lo, step = a + step, min(2 * step * step, sys.float_info.max)
+    hi = a + step
+    # bisect, at geometric means while hi > 2 lo, until the interval is
+    # 1e-12 or the floats run out (b can be huge for small a, where
+    # absolute 1e-12 is unrepresentable)
+    while hi - lo > 1e-12:
+        mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2 * lo else (lo + hi) / 2
+        if mid == lo or mid == hi:
+            break
+        if _threshold_g(q, a, mid) > 0:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2
 
 
 def b_prime(q: int, a: float) -> float:

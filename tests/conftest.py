@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fqmatroid.fqlinalg import enumerate_subspaces, make_field
+from fqmatroid.fqlinalg import SpanQ, SubspaceHandle, enumerate_subspaces, make_field
 
 
 def brute_rank(field, cols):
@@ -89,6 +89,20 @@ def brute_critical_number(field, cols):
             if all(any(dot(u, v) for u in h.rows) for v in cols):
                 return k
     raise AssertionError("U = F_q^n has a row off every nonzero column")
+
+
+def handle_of_span(field, n, vectors):
+    """Canonical SubspaceHandle of the span of arbitrary vectors, in the
+    reduced echelon form that enumerate_subspaces lists."""
+    span = SpanQ(field, n)
+    for vec in vectors:
+        span.push(vec)
+    # push reduces fully, so re-pushing each row clears it at the other
+    # pivots: the reduced echelon form
+    for p in list(span.rows):
+        span.push(span.pop(p))
+    rows = tuple(tuple(span.rows[p]) for p in sorted(span.rows))
+    return SubspaceHandle(n=n, dim=len(rows), rows=rows)
 
 
 def gf2_chi_at_most_one(cols):

@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqmatroid import theory
+from fqmatroid import cli, theory
 from fqmatroid.cli import _PREDICTORS, main
 
 
@@ -237,6 +237,18 @@ def test_simulate_tuple_param_of_wrong_shape_is_usage_error(capsys, tmp_path, va
     assert rc == 2
     assert "band2" in err and "Traceback" not in err
     assert not art.exists()
+
+
+@pytest.mark.parametrize("key, value", [("seed", "7"), ("preset", "E1")])
+def test_simulate_param_cannot_replace_seed_or_preset(capsys, tmp_path, key, value):
+    # --seed and --preset set these; a --param of either would run or
+    # label another experiment than the one the command printed
+    art = tmp_path / "e9.json"
+    rc, out, err = run(capsys, "simulate", "--preset", "E9", "--seed", "5",
+                       "--trials", "50", "--param", f"{key}={value}", "--out", str(art))
+    assert rc == 2
+    assert repr(key) in err and "Traceback" not in err
+    assert out == "" and not art.exists()
 
 
 def test_simulate_usage_errors(capsys, tmp_path):
@@ -513,8 +525,24 @@ def test_selfcheck_passes_clean(capsys):
         assert f"{name}: pass" in out
 
 
+class _CorruptField:
+    """A field whose multiplication table has one wrong entry, 1 * 1 = 0."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.q = inner.q
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def mul(self, a, b):
+        return 0 if a == b == 1 else self._inner.mul(a, b)
+
+
 def test_selfcheck_detects_seeded_corruption(capsys, monkeypatch):
-    monkeypatch.setenv("FQMATROID_SELFCHECK_CORRUPT", "4")
+    make_field = cli.make_field
+    monkeypatch.setattr(cli, "make_field",
+                        lambda q: _CorruptField(make_field(q)) if q == 4 else make_field(q))
     rc, out, _ = run(capsys, "selfcheck")
     assert rc == 1
     assert "field_axioms: FAIL" in out

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
-every function, class and method is referenced somewhere in src/, and
-every entry point bench/tracing.py wraps still exists, and each
-package's __all__ is exactly what its __init__ imports."""
+every function, class and method is referenced somewhere in src/, no
+module reads an environment variable but FQMATROID_BUDGET, every entry
+point bench/tracing.py wraps still exists, and each package's __all__ is
+exactly what its __init__ imports."""
 
 import ast
 import importlib
@@ -43,18 +44,11 @@ def test_no_unused_imports():
 
 # definitions that nothing in src/ references, each kept on purpose
 DEAD_ALLOWED = {
-    "_alpha_signed": "signed-sum cross-check of _alpha_poly in test_theory",
     "components": "RepMatroid's direct-sum decomposition; bench/tracing.py wraps it",
-    "check_consistency": "ProcessState's from-scratch rank check, run by test_process",
     "contract": "checked by E0 acceptance; bench/tracing.py wraps it",
     "delete": "checked by E0 acceptance",
-    "from_span": "cross-check of enumerate_subspaces in test_subspaces and test_linalg",
-    "ground": "RepMatroid's ground set accessor",
     "kernel_basis": "bench/tracing.py wraps it; checked by E0",
-    "median": "Aggregate statistic next to mean and variance",
-    "parse_emitted_csv": "reads back the csv artifacts that emit writes",
     "rank_of_subset": "RepMatroid's checked rank query",
-    "submatrix": "FqMatrix column selection",
     "subspace_count": "checked by E0 acceptance",
     "track_connectivity": "2-connectivity tracker, to be wired into a preset",
     "uniform_matroid_matrix": "bench/tracing.py wraps it, so deleting it needs "
@@ -96,6 +90,53 @@ def _dead_definitions() -> set[str]:
 
 def test_no_dead_definitions():
     assert _dead_definitions() == set(DEAD_ALLOWED)
+
+
+def _is_environ(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            or isinstance(node, ast.Name) and node.id == "environ")
+
+
+def _env_keys(path: Path) -> set:
+    """Names of the environment variables the module reads: a key spelled as
+    a string or as a module-level string constant, else a <placeholder>."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    consts = {t.id: node.value.value for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+              for t in node.targets if isinstance(t, ast.Name)}
+
+    def key(arg):
+        if isinstance(arg, ast.Constant):
+            return arg.value
+        if isinstance(arg, ast.Name) and arg.id in consts:
+            return consts[arg.id]
+        return "<computed key>"
+
+    keys, keyed = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Subscript) and _is_environ(node.value):
+            keys.add(key(node.slice))
+            keyed.add(id(node.value))
+        elif isinstance(node, ast.Call):
+            fn = node.func
+            if isinstance(fn, ast.Attribute) and _is_environ(fn.value):
+                keyed.add(id(fn.value))
+            elif not (isinstance(fn, ast.Attribute) and fn.attr == "getenv"
+                      or isinstance(fn, ast.Name) and fn.id == "getenv"):
+                continue
+            keys.add(key(node.args[0]) if node.args else "<computed key>")
+    # any other use of os.environ (a copy, an iteration) reads every variable
+    if any(_is_environ(node) and id(node) not in keyed for node in ast.walk(tree)):
+        keys.add("<whole environment>")
+    return keys
+
+
+def test_only_the_budget_variable_is_read():
+    # an environment variable is a hidden option; FQMATROID_BUDGET is the
+    # one documented in the README
+    reads = {str(p.relative_to(PACKAGE.parent)): _env_keys(p)
+             for p in sorted(PACKAGE.rglob("*.py"))}
+    assert set().union(*reads.values()) == {"FQMATROID_BUDGET"}, reads
 
 
 def test_bench_wrap_targets_exist():

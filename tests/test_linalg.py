@@ -10,7 +10,6 @@ from fqmatroid.fqlinalg import (
     RrefState,
     Span2,
     SpanQ,
-    SubspaceHandle,
     draw_native_column,
     engine_name,
     make_field,
@@ -20,7 +19,7 @@ from fqmatroid.fqlinalg import (
     unpack_gf2,
 )
 from fqmatroid.fqlinalg.matrix import _Gf2Rref, _Gf3Rref
-from conftest import all_matrices, brute_rank, random_cols
+from conftest import all_matrices, brute_rank, handle_of_span, random_cols
 
 
 # ---- rank against an independent oracle -----------------------------------
@@ -79,7 +78,7 @@ def test_push_dependency_is_kernel_vector(q):
         m = int(rng.integers(1, 11))
         cols = random_cols(q, n, m, rng)
         st_ = RrefState(F, n)
-        for j, c in enumerate(cols):
+        for j, c in enumerate(FqMatrix(F, cols, n=n).native_columns()):
             dep = st_.push(c)
             if dep is not None:
                 _assert_kernel_vector(F, cols, j, dep)
@@ -91,7 +90,7 @@ def _check_push_against_brute_oracles(p, n, rng):
     st_ = RrefState(F, n)
     assert st_.engine == "prime"
     basis, deps = set(), 0
-    for j, c in enumerate(cols):
+    for j, c in enumerate(FqMatrix(F, cols, n=n).native_columns()):
         dep = st_.push(c)
         if dep is None:
             basis.add(j)
@@ -162,7 +161,7 @@ def test_packed_engines_at_their_widest_rows(q, n):
     cols += [(0,) * (n - 1) + (1,), (1,) * n]
     st_ = RrefState(F, n)
     assert isinstance(st_._core, _Gf2Rref if q == 2 else _Gf3Rref)
-    for j, c in enumerate(cols):
+    for j, c in enumerate(FqMatrix(F, cols, n=n).native_columns()):
         dep = st_.push(c)
         if dep is not None:
             _assert_kernel_vector(F, cols, j, dep)
@@ -235,9 +234,9 @@ def test_delete_contract_rank_identities_random(q, n, m, trials):
                 assert C.rank_of(S) == mat.rank_of(orig + X) - rkX
 
 
-# (q, rows, X, contract(X).columns, from_span(first three columns).rows),
-# recorded from the row-by-row Gauss-Jordan contraction and the
-# basis-list from_span that the spans replaced
+# (q, rows, X, contract(X).columns, handle_of_span(first three columns).rows),
+# recorded from the row-by-row Gauss-Jordan contraction and a basis-list
+# span handle that the spans replaced
 PINNED = [
     (2, [(1, 0, 0, 1, 0, 1, 0), (1, 0, 0, 0, 1, 0, 0), (0, 0, 1, 1, 1, 1, 0),
          (1, 1, 0, 1, 1, 0, 1), (1, 1, 0, 0, 0, 1, 0)], (1, 4),
@@ -278,7 +277,7 @@ def test_contract_and_from_span_pinned(q, rows, X, contracted, span_rows):
     mat = FqMatrix(F, list(zip(*rows)), n=len(rows))
     assert mat.contract(X).columns == contracted
     assert mat.contract(X).n == len(contracted[0])
-    assert SubspaceHandle.from_span(F, len(rows), mat.columns[:3]).rows == span_rows
+    assert handle_of_span(F, len(rows), mat.columns[:3]).rows == span_rows
 
 
 def test_delete_bad_index():
@@ -287,12 +286,6 @@ def test_delete_bad_index():
         mat.delete([5])
     with pytest.raises(InvalidParam):
         mat.contract([-1])
-
-
-def test_submatrix_keeps_order_and_duplicates():
-    mat = FqMatrix(make_field(2), [(1, 0), (0, 1), (1, 1)])
-    sub = mat.submatrix([2, 0, 2])
-    assert sub.columns == ((1, 1), (1, 0), (1, 1))
 
 
 # ---- construction and representation ---------------------------------------
@@ -318,16 +311,19 @@ def test_pack_unpack_round_trip(bits):
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 40), (4, 3)] + [
     (3, n) for n in (24, 63, 64, 65, 100, 201)])
 def test_native_round_trip(q, n):
-    # native columns decode to the rows of the same-keyed integer draw, and
+    # native columns decode to the rows of the same-keyed integer draw,
     # packing those rows as tuples gives the native columns back (the q = 3
-    # sizes straddle byte and word boundaries of its two bit planes)
+    # sizes straddle byte and word boundaries of its two bit planes), and
+    # random_uniform_matrix keeps those rows as its columns
     F = make_field(q)
     for k in (1, 20):
-        cols = draw_native_column(F, n, np.random.default_rng([n, k]), count=k)
+        cols = draw_native_column(F, n, np.random.default_rng([n, k]), k)
         rows = [tuple(r) for r in
                 np.random.default_rng([n, k]).integers(0, q, size=(k, n)).tolist()]
         assert [native_to_tuple(F, n, c) for c in cols] == rows
         assert FqMatrix(F, rows, n=n).native_columns() == cols
+        assert random_uniform_matrix(F, n, k, np.random.default_rng([n, k])).columns \
+            == tuple(rows)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -337,8 +333,8 @@ def test_block_draw_is_the_per_column_stream(q, n):
     for k in (1, 5, 64):
         block_rng = np.random.Generator(np.random.Philox(key=[q, n]))
         single_rng = np.random.Generator(np.random.Philox(key=[q, n]))
-        block = draw_native_column(F, n, block_rng, count=k)
-        singles = [draw_native_column(F, n, single_rng) for _ in range(k)]
+        block = draw_native_column(F, n, block_rng, k)
+        singles = [draw_native_column(F, n, single_rng, 1)[0] for _ in range(k)]
         assert len(block) == k
         assert ([native_to_tuple(F, n, c) for c in block]
                 == [native_to_tuple(F, n, c) for c in singles])

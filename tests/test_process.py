@@ -27,6 +27,7 @@ from fqmatroid.fqlinalg import (
     native_to_tuple,
     pack_gf2,
     projective_points,
+    random_uniform_matrix,
     unpack_gf2,
 )
 from fqmatroid.matroid import INFINITY as INF, RepMatroid
@@ -85,16 +86,25 @@ def test_block_refills_keep_the_per_column_stream():
     assert st.column_tuples() == expected
 
 
+def assert_consistent(st):
+    """The incremental rank equals batch elimination from scratch, and the
+    corank history ascends by unit steps."""
+    scratch = RrefState(st.field, st.n)
+    for col in st.native_cols:
+        scratch.push(col)
+    assert scratch.rank == st.rank
+    hist = st.corank_history
+    assert all(b - a in (0, 1) for a, b in zip(hist, hist[1:]))
+
+
 def test_corank_ascends_by_unit_steps():
     st = P.ProcessState(F3, 4, P.process_rng(7, 0))
     for _ in range(40):
         st.step()
         if st.m % 7 == 0:
-            st.check_consistency()
+            assert_consistent(st)
     assert st.rank + st.corank == st.m == 40
-    hist = st.corank_history
-    assert all(b - a in (0, 1) for a, b in zip(hist, hist[1:]))
-    st.check_consistency()
+    assert_consistent(st)
 
 
 def test_state_rejects_empty_row_space():
@@ -144,7 +154,8 @@ def test_step_returns_what_push_returns(q, n):
     deps = 0
     for _ in range(n + 8):
         dep = st.step()
-        assert dep == fresh.push(native_to_tuple(field, n, st.native_cols[-1]))
+        col = native_to_tuple(field, n, st.native_cols[-1])
+        assert dep == fresh.push(FqMatrix(field, [col], n=n).native_columns()[0])
         deps += dep is not None
     assert deps == st.corank >= 8
 
@@ -159,7 +170,7 @@ def test_native_point_is_canonical_point_of_the_native_column(q, n):
     tuples = [(0,) * n, (0,) * (n - 1) + (q - 1,), (q - 1,) * n]
     tuples += [tuple(int(x) for x in rng.integers(0, q, size=n)) for _ in range(20)]
     natives = (FqMatrix(field, tuples, n=n).native_columns()
-               + draw_native_column(field, n, rng, count=20))
+               + draw_native_column(field, n, rng, 20))
     for native in natives:
         want = canonical_point(field, native_to_tuple(field, n, native))
         got = native_point(field, n, native)
@@ -246,7 +257,7 @@ def test_track_k_circuit_kernel_budget():
 
 def test_track_hamilton_against_spectrum():
     st = P.ProcessState(F2, 4, P.process_rng(905, 0))
-    m = P.track_hamilton(st, max_steps=200)
+    m = P.track_k_circuit(st, 4, max_steps=200)  # a circuit of length n
     assert m == 10
     cols = replay_columns(F2, 4, 905, 0, m)
     assert brute_circuit_count(F2, cols, 4) > 0
@@ -712,33 +723,32 @@ def test_sample_pg_model_param_validation():
 def test_sample_m2_is_a_sorted_simple_point_set():
     pts = projective_points(F2, 3)
     sample = P.sample_pg_model(F2, 3, P.process_rng(62, 1), m=4)
-    assert sample.model == "M2" and sample.param == 4
-    assert len(sample.selection) == 4
-    assert len(set(sample.selection)) == 4
-    order = [pts.index(c) for c in sample.selection]
+    assert (sample.n, sample.m) == (3, 4)
+    assert len(set(sample.columns)) == 4
+    order = [pts.index(c) for c in sample.columns]
     assert order == sorted(order)
-    mat = RepMatroid(sample.matrix)
+    mat = RepMatroid(sample)
     assert mat.is_simple() and not mat.loops()
     # same stream, same subset
     again = P.sample_pg_model(F2, 3, P.process_rng(62, 1), m=4)
-    assert again.selection == sample.selection
+    assert again == sample
 
 
 def test_sample_m3_bernoulli_inclusion():
     pts = projective_points(F3, 2)
     sample = P.sample_pg_model(F3, 2, P.process_rng(62, 2), p=0.5)
-    assert sample.model == "M3" and sample.param == 0.5
-    assert set(sample.selection) <= set(pts)
-    order = [pts.index(c) for c in sample.selection]
+    assert sample.n == 2
+    assert set(sample.columns) <= set(pts)
+    order = [pts.index(c) for c in sample.columns]
     assert order == sorted(order)
-    assert P.sample_pg_model(F3, 2, P.process_rng(62, 3), p=0.0).selection == ()
-    assert len(P.sample_pg_model(F3, 2, P.process_rng(62, 4), p=1.0).selection) == 4
+    assert P.sample_pg_model(F3, 2, P.process_rng(62, 3), p=0.0).m == 0
+    assert P.sample_pg_model(F3, 2, P.process_rng(62, 4), p=1.0).m == 4
 
 
 def test_sample_m1_matches_process_stream():
-    sample = P.sample_m1(F3, 3, 9, P.process_rng(63, 0))
-    assert sample.model == "M1" and sample.param == 9
+    mat = random_uniform_matrix(F3, 3, 9, P.process_rng(63, 0))
+    assert (mat.n, mat.m) == (3, 9)
     st = P.ProcessState(F3, 3, P.process_rng(63, 0))
     for _ in range(9):
         st.step()
-    assert list(sample.selection) == st.column_tuples()
+    assert list(mat.columns) == st.column_tuples()

@@ -226,8 +226,19 @@ def test_finite_n_pmf_converges_to_limit(c):
     assert sup <= 0.01
 
 
+def _alpha_signed(q, c, k, i):
+    """Signed-sum form of _alpha_poly's coefficient of z^(c-1-i)."""
+    d = c - 1 - i
+    if d < 0 or d > c - k:
+        return Fraction(0)
+    total = Fraction(0)
+    for js in itertools.combinations(range(0, c - k), d):
+        total += Fraction(1, q ** sum(js))
+    return (-1) ** d * total
+
+
 def test_alpha_polynomial_matches_signed_sum():
-    # exact convolution vs the retained signed-sum cross-check form
+    # exact convolution vs the signed-sum form
     for q in (2, 3):
         for c in range(1, 6):
             for k in range(-3, c + 1):
@@ -235,7 +246,7 @@ def test_alpha_polynomial_matches_signed_sum():
                 for i in range(c):
                     d = c - 1 - i
                     got = Fraction(ints[d], den) if 0 <= d < len(ints) else Fraction(0)
-                    assert got == T._alpha_signed(q, c, k, i)
+                    assert got == _alpha_signed(q, c, k, i)
 
 
 # ---- circuits ------------------------------------------------------------------
@@ -353,15 +364,13 @@ def test_b_beyond_the_float_range_is_too_large(q, a):
 
 def test_g_root_residual_and_bracketing():
     for a in (0.1, 0.3, 0.5, 0.8, 1.0):
-        fn = T.ThresholdFn(2, a)
-        b = fn.b
-        assert abs(fn.g(b)) < 1e-10
-        assert fn.g(b - 1e-6) < 0 < fn.g(b + 1e-6)
+        b = T.b_of_a(2, a)
+        assert abs(T._threshold_g(2, a, b)) < 1e-10
+        assert T._threshold_g(2, a, b - 1e-6) < 0 < T._threshold_g(2, a, b + 1e-6)
 
 
 def test_g_continuity_at_a():
-    fn = T.ThresholdFn(2, 0.4)
-    assert fn.g(0.4 + 1e-12) - fn.g(0.4) < 1e-9
+    assert T._threshold_g(2, 0.4, 0.4 + 1e-12) - T._threshold_g(2, 0.4, 0.4) < 1e-9
 
 
 def test_b_shape():
