@@ -408,17 +408,15 @@ class RepMatroid:
 
     def critical_number(self) -> int:
         """Smallest k such that some (n-k)-dimensional subspace avoids all
-        columns; 0 with no columns.  Feeds the columns in order to
-        process._CriticalTracker, so it raises BudgetExceeded rather than
-        build a level of more than 10^6 candidate subspaces."""
-        from .process import _CriticalTracker  # process imports this module
+        columns; 0 with no columns.  It is the first level k whose largest
+        death index is the number of columns (process._level_deaths), so it
+        raises BudgetExceeded rather than build a level of more than 10^6
+        candidate subspaces."""
+        from .process import _level_deaths  # process imports this module
 
         if self.loops():
             raise LoopPresent("critical number undefined with a zero column")
-        tracker = _CriticalTracker(self.field, self.matrix.n)
-        for col in self.matrix.columns:
-            tracker.add(col)
-        return tracker.level
+        return len(_level_deaths(self.field, self.matrix.n, list(self.matrix.columns), [0])) - 1
 
 
 def _spans(mat: FqMatrix, k: int):

@@ -17,7 +17,6 @@ import json
 import math
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as _dfield
 from fractions import Fraction
 
@@ -834,6 +833,7 @@ def run_experiment(config: ExperimentConfig):
         for idx, start, stop in jobs:
             agg.merge_in(_run_chunk(preset, res, idx, start, stop))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # costs every start-up
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             futures = [pool.submit(_run_chunk, preset, res, idx, start, stop)
                        for idx, start, stop in jobs]

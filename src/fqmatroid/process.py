@@ -14,6 +14,7 @@ reproduce serial ones exactly.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -44,6 +45,8 @@ DEFAULT_TRACK_SUBSPACE_BUDGET = 10 ** 6
 
 # ProcessState draws its columns this many at a time
 _DRAW_BLOCK = 64
+# track_critical's first look-ahead window holds this many times n columns
+_LOOKAHEAD = 2
 
 
 def process_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -88,8 +91,9 @@ class ProcessState:
         columns before it, else a kernel vector {column index: coefficient}
         whose support includes the new column.
 
-        Columns are drawn _DRAW_BLOCK at a time, so the state reads its rng
-        ahead: once it has stepped, nothing else may draw from that rng."""
+        Columns are drawn _DRAW_BLOCK at a time, and peek may draw further
+        blocks before they are stepped, so the state reads its rng ahead:
+        once it has stepped or peeked, nothing else may draw from that rng."""
         if not self._ahead:
             self._ahead = draw_native_column(self.field, self.n, self.rng,
                                              count=_DRAW_BLOCK)[::-1]
@@ -104,6 +108,15 @@ class ProcessState:
                 f"corank jumped {prev_corank} -> {c} at step {self.m}")
         self.corank_history.append(c)
         return dep
+
+    def peek(self, count: int) -> list:
+        """The next `count` engine-native columns, in order, without
+        appending them: the next `count` steps append exactly these.  Blocks
+        are drawn in the order steps would draw them."""
+        while len(self._ahead) < count:
+            self._ahead[:0] = draw_native_column(self.field, self.n, self.rng,
+                                                 count=_DRAW_BLOCK)[::-1]
+        return self._ahead[len(self._ahead) - count:][::-1]
 
     def column_tuples(self) -> list[tuple]:
         return [native_to_tuple(self.field, self.n, c) for c in self.native_cols]
@@ -370,93 +383,64 @@ def _digit_tables(q: int, n: int) -> tuple:
     return elem[coords].reshape(len(coords), -1), np.stack(maps, axis=1)
 
 
-class _CriticalTracker:
-    """Current chi via the shrinking set of avoiding subspaces.
+def _syndrome_words(field: FieldSpec, n: int, cols) -> np.ndarray:
+    """Per projective point a, the columns packed 64 to a word: bit j of word
+    w is set when <a, cols[64w + j]> != 0, and the padding bits are set.  The
+    inner products are one product over F_p of the points' digits with the
+    multiplication maps of the columns' entries; its sums stay below
+    n*e*p^2 < 2^53, so float64 is exact."""
+    digits, mul = _digit_tables(field.q, n)
+    p, e = field.p, field.e
+    # row (i, t) of a column's map holds the digits of entry i times X^t
+    maps = mul[np.asarray(cols)].transpose(1, 2, 0, 3).reshape(n * e, -1)
+    prod = digits @ maps
+    bits = np.ones((len(prod), -(-len(cols) // 64) * 64), dtype=bool)
+    # prod mod p != 0, without the slow float modulo
+    bits[:, :len(cols)] = (prod != p * np.floor(prod / p)).reshape(len(prod), -1, e).any(-1)
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
-    At level k the tracker keeps every codimension-k subspace that still
-    avoids all columns; a new column prunes the set, and chi increments
-    by exactly one when the set dies (a rebuild at the next level that
-    also comes up empty would be a skip, which is recorded rather than
-    assumed away).
 
-    A codimension-k subspace is the annihilator of a k-dimensional dual
-    space U whose reduced basis rows u_1..u_k are projective points, and
-    it avoids column v exactly when <u_i, v> != 0 for some i.  A rebuild
-    tabulates that test for every point and column, one bit per column, and
-    keeps the U whose k rows OR to all ones, by an outer OR over each Schubert
-    cell's mesh that reads no table of bases; a prune keeps the U with a row
-    off the new column's hyperplane.  Only `cols` and `alive` outlive a call.
-    RepMatroid.critical_number runs on this tracker too.
-    """
+def _death_indices(words: np.ndarray, count: int, q: int, n: int, k: int) -> np.ndarray:
+    """Per codimension-k subspace, in table order, the index of the first of
+    the `count` columns behind `words` that it contains; `count` if none.
 
-    def __init__(self, field: FieldSpec, n: int):
-        self.field = field
-        self.n = n
-        self.level = 0
-        self.cols: list[tuple] = []
-        self.skips: list[int] = []
-        self.alive = np.empty(0, dtype=np.intp)  # indices into _dual_normal_bases(n, level, q)
+    The subspace is the annihilator of a dual space U whose reduced basis rows
+    are projective points, and it contains v when every row u has <u, v> = 0.
+    An outer OR over each Schubert cell's mesh (no table of bases is read)
+    marks, per U, the columns that some row misses; the lowest zero bit of the
+    first word that is not all ones is the first column U contains."""
+    cells, death = _schubert_cells(q, n, k), count
+    for w in reversed(range(words.shape[1])):
+        word = words[:, w]
+        orred = np.concatenate([reduce(np.bitwise_or, [word[ix] for ix in mesh]).ravel()
+                                for mesh in cells])
+        ones = np.bitwise_count(orred & ~(orred + np.uint64(1))).astype(np.intp)
+        death = np.where(ones < 64, 64 * w + ones, death)
+    return death
 
-    def _nonzero(self, cols, points=slice(None)) -> np.ndarray:
-        """<a, v> != 0 for the projective points a at `points` (an index
-        array of any shape; all points by default) and the columns v, as a
-        bool array of that shape plus a len(cols) axis.  It is one product
-        over F_p of the points' digits with the multiplication maps of the
-        columns' entries; its sums stay below n*e*p^2 < 2^53, so float64
-        is exact."""
-        digits, mul = _digit_tables(self.field.q, self.n)
-        p, e = self.field.p, self.field.e
-        # row (i, t) of a column's map holds the digits of entry i times X^t
-        maps = mul[np.asarray(cols)].transpose(1, 2, 0, 3).reshape(self.n * e, -1)
-        prod = digits[points] @ maps
-        # prod mod p != 0, without the slow float modulo
-        return (prod != p * np.floor(prod / p)).reshape(*prod.shape[:-1], -1, e).any(axis=-1)
 
-    def _rebuild(self, k: int) -> None:
-        count = gaussian_binomial(self.n, k, self.field.q)
+def _level_deaths(field: FieldSpec, n: int, cols: list, deaths: list,
+                  top: int | None = None) -> list:
+    """Extend deaths = [E_0, .., E_j] upward and return it: E_k is the largest
+    death index at level k over the loopless `cols`, and E_0 = 0.  chi of the
+    first m columns is the least k with E_k >= m.
+
+    Levels stop at the first that survives all of `cols` (E_k = len(cols)),
+    or at level `top`; each checks its subspace count against the budget
+    before any table is read."""
+    words = None
+    while deaths[-1] < len(cols) and len(deaths) - 1 != top:
+        k = len(deaths)
+        if k > n:
+            raise ConsistencyError("no avoiding subspace at full dual level")
+        count = gaussian_binomial(n, k, field.q)
         if count > DEFAULT_TRACK_SUBSPACE_BUDGET:
             raise BudgetExceeded(f"{count} candidate subspaces at level {k} exceed"
                                  f" budget {DEFAULT_TRACK_SUBSPACE_BUDGET}")
-        # 64 columns a word, padding bits set, so a surviving OR is all ones
-        syn = np.packbits(np.pad(self._nonzero(self.cols), ((0, 0), (0, -len(self.cols) % 64)),
-                                 constant_values=True), axis=1).view(np.uint64)
-        cells, ok = _schubert_cells(self.field.q, self.n, k), np.ones(count, dtype=bool)
-        for word in syn.T:
-            ok &= np.concatenate([reduce(np.bitwise_or, [word[ix] for ix in mesh]).ravel()
-                                  == ~np.uint64(0) for mesh in cells])
-        self.alive = np.flatnonzero(ok)
-
-    def _prune(self, col: tuple) -> None:
-        rows = _dual_normal_bases(self.n, self.level, self.field.q)[:, self.alive]
-        # <a, col> at the survivors' rows, or at every point once those
-        # rows outnumber the points
-        if rows.size < len(_digit_tables(self.field.q, self.n)[0]):
-            hit = self._nonzero([col], rows)[..., 0]
-        else:
-            hit = self._nonzero([col])[rows, 0]
-        self.alive = self.alive[hit.any(axis=0)]
-
-    def add(self, col: tuple, cap: int | None = None) -> int:
-        """Absorb one nonzero column; returns chi of the columns so far.
-
-        With a cap, the tracker stops rising at level `cap`: once that
-        level's set dies it returns cap + 1 (chi >= cap + 1) and builds no
-        level above it."""
-        if not any(col):
-            raise InvalidParam("chi is undefined once a loop is present")
-        self.cols.append(col)
-        if self.level:
-            self._prune(col)
-        while len(self.alive) == 0:
-            if self.level == cap:
-                return cap + 1
-            self.level += 1
-            if self.level > self.n:
-                raise ConsistencyError("no avoiding subspace at full dual level")
-            self._rebuild(self.level)
-            if len(self.alive) == 0:
-                self.skips.append(len(self.cols))
-        return self.level
+        if words is None:
+            words = _syndrome_words(field, n, cols)
+        deaths.append(int(_death_indices(words, len(cols), field.q, n, k).max()))
+    return deaths
 
 
 @dataclass
@@ -467,45 +451,61 @@ class CriticalTrace:
 
 
 def critical_trajectory(state: ProcessState, horizon: int) -> CriticalTrace:
-    """chi at every step until the horizon; tracking stops at a loop."""
+    """chi at every step until the horizon; tracking stops at a loop.
+
+    The levels are evaluated once, over the loopless prefix: chi(m) is the
+    least k with E_k >= m, and level k+1 is skipped at step E_k + 1 when
+    E_{k+1} = E_k (recorded rather than assumed away).
+    """
     if state.m:
         raise InvalidParam("critical trajectory must start from an empty state")
-    tracker = _CriticalTracker(state.field, state.n)
-    chis: list = []
-    loop_at = None
     for _ in range(horizon):
         state.step()
-        col = native_to_tuple(state.field, state.n, state.native_cols[-1])
-        if loop_at is None and not any(col):
-            loop_at = state.m
-        chis.append(None if loop_at is not None else tracker.add(col))
-    return CriticalTrace(chis=chis, loop_at=loop_at, skips=tracker.skips)
+    cols = state.column_tuples()
+    loop_at = next((m for m, col in enumerate(cols, start=1) if not any(col)), None)
+    if loop_at is not None:
+        del cols[loop_at - 1:]
+    deaths = _level_deaths(state.field, state.n, cols, [0])
+    chis = [bisect_left(deaths, m) for m in range(1, len(cols) + 1)]
+    return CriticalTrace(chis=chis + [None] * (horizon - len(cols)), loop_at=loop_at,
+                         skips=[e + 1 for e, up in zip(deaths, deaths[1:]) if up == e])
 
 
 def track_critical(state: ProcessState, k: int,
                    max_steps: int | None = None) -> int | None:
     """First step with chi >= k+1; None when a loop arrives first or censored.
 
-    A loopless matroid has chi >= k+1 exactly when no codimension-k
-    subspace avoids every column, so the tracker prunes the avoiding sets
-    of levels <= k incrementally and the run ends when the level-k set
-    dies; no level above k is ever built.
+    The hit is E_k + 1.  The levels <= k are evaluated over a look-ahead
+    window of the state's next columns, cut at the first loop and at
+    max_steps; while the window's last level survives, the window doubles
+    and that level is evaluated again.  No level above k is ever built.
+    The state then steps exactly to the hit, the loop or max_steps.
     """
     if k < 0:
         raise InvalidParam("critical target must be >= 0")
     if state.m:
         raise InvalidParam("critical tracking must start from an empty state")
-    if k + 1 > state.n:
+    field, n = state.field, state.n
+    if k + 1 > n:
         return None  # chi never exceeds n (the zero subspace avoids everything)
-    tracker = _CriticalTracker(state.field, state.n)
-    while max_steps is None or state.m < max_steps:
+    deaths, size = [0], _LOOKAHEAD * n
+    while True:
+        end = size if max_steps is None else min(size, max_steps)
+        cols = [native_to_tuple(field, n, c) for c in state.peek(end)]
+        loop = next((i for i, col in enumerate(cols) if not any(col)), None)
+        cols = cols[:loop]
+        _level_deaths(field, n, cols, deaths, top=k)
+        if deaths[-1] < len(cols):
+            stop = hit = deaths[k] + 1
+            break
+        if loop is not None or end == max_steps:
+            stop, hit = end if loop is None else loop + 1, None
+            break
+        deaths.pop()  # the surviving level, evaluated again over more columns
+        size *= 2
+    while state.m < stop:
         state.step()
-        col = native_to_tuple(state.field, state.n, state.native_cols[-1])
-        if not any(col):
-            return None  # chi undefined from here on
-        if tracker.add(col, cap=k) > k:
-            return state.m
-    return None
+    return hit
 
 
 # ---- projective-geometry models -----------------------------------------

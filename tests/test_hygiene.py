@@ -1,12 +1,16 @@
 """Source hygiene: every name a module imports is used in that module,
 every function, class and method is referenced somewhere in src/, no
 module reads an environment variable but FQMATROID_BUDGET, every entry
-point bench/tracing.py wraps still exists, and each package's __all__ is
-exactly what its __init__ imports."""
+point bench/tracing.py wraps still exists, each package's __all__ is
+exactly what its __init__ imports, and the CLI starts without the process
+pool's machinery."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -44,6 +48,8 @@ def test_no_unused_imports():
 
 # definitions that nothing in src/ references, each kept on purpose
 DEAD_ALLOWED = {
+    "_dual_normal_bases": "bench/child.py warms e10's _schubert_cells through it, "
+                          "and tests read it as the table-order reference",
     "components": "RepMatroid's direct-sum decomposition; bench/tracing.py wraps it",
     "contract": "checked by E0 acceptance; bench/tracing.py wraps it",
     "delete": "checked by E0 acceptance",
@@ -166,3 +172,14 @@ def test_all_lists_the_public_imports(module):
     assert set(names) == set(_init_imports(path))
     for name in mod.__all__:
         assert hasattr(mod, name), name
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # run_experiment imports ProcessPoolExecutor only for workers > 1, so
+    # every start-up, the serial runs included, skips its import cost
+    code = ("import sys, fqmatroid.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -19,9 +19,10 @@ GOLDEN = Path(__file__).parent / "data" / "golden_e1_tiny.json"
 # sha256 of Aggregate.to_jsonable() for trial paths outside the benchmark's
 # digests: E2's packed and fallback samplers, E3 off q = 2, E4 and E9's
 # point draws (packed, gf2 past 62 rows, prime and extension fields),
-# E6's Hamilton tracker, including its n <= 2 repeated-point branch, and
-# the whole-matrix samplers random_uniform_matrix and sample_pg_model
-# through E8 and E11 at q = 2 and 3
+# E6's Hamilton tracker, including its n <= 2 repeated-point branch, the
+# whole-matrix samplers random_uniform_matrix and sample_pg_model through
+# E8 and E11 at q = 2 and 3, and E10's critical-number trackers at q = 3
+# and 4, where tau_1crt often outruns track_critical's first window
 AGGREGATE_DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "aggregate_digests.json").read_text(encoding="utf-8"))
 

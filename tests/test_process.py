@@ -5,6 +5,7 @@ rng keyed by (seed, trial)) and checks the reported hitting step against
 a from-scratch oracle on each prefix matrix.
 """
 
+import bisect
 import importlib.util
 import sys
 import time
@@ -464,33 +465,79 @@ def test_critical_trajectory_against_per_prefix(field, n, trial, horizon, top):
     assert trace.skips == []
 
 
+def death_indices(field, n, k, cols):
+    return P._death_indices(P._syndrome_words(field, n, cols), len(cols), field.q, n, k)
+
+
 def test_critical_tracker_rebuilds_over_more_than_64_columns():
     # 70 distinct columns with first coordinate 1: only e_1 in the dual
     # has <a, v> = 1 on all of them, so chi stays 1 until e_2 arrives and
-    # forces a level-2 rebuild over 71 columns (two syndrome words, the
-    # second one padded)
+    # level 2 is read over 71 columns (two syndrome words, the second one
+    # padded)
     n = 8
     cols = [(1,) + tuple((w >> i) & 1 for i in range(n - 1)) for w in range(70)]
     cols.append((0, 1) + (0,) * (n - 2))
-    tracker = P._CriticalTracker(F2, n)
-    chis = [tracker.add(c) for c in cols]
-    assert chis == [1] * 70 + [2]
-    assert tracker.skips == []
+    deaths = P._level_deaths(F2, n, cols, [0])
+    assert deaths == [0, 70, 71]  # chi = 1 up to 70 and 2 at 71, no skip
     for m in (70, 71):
-        assert brute_critical_number(F2, cols[:m]) == chis[m - 1]
-    # the surviving set is exactly the dual planes avoiding every column;
-    # table rows are indices into projective_points
+        assert brute_critical_number(F2, cols[:m]) == bisect.bisect_left(deaths, m)
+    # the spaces with death >= m are exactly the dual planes avoiding the
+    # first m columns; table rows are indices into projective_points
+    death = death_indices(F2, n, 2, cols)
     packed = [pack_gf2(c) for c in cols]
     points = [pack_gf2(pt) for pt in projective_points(F2, n)]
-    keep = [i for i, rows in enumerate(P._dual_normal_bases(n, 2).T.tolist())
-            if all(any((points[r] & v).bit_count() & 1 for r in rows) for v in packed)]
-    assert tracker.alive.tolist() == keep
+    for m in (70, 71):
+        keep = [i for i, rows in enumerate(P._dual_normal_bases(n, 2).T.tolist())
+                if all(any((points[r] & v).bit_count() & 1 for r in rows)
+                       for v in packed[:m])]
+        assert np.flatnonzero(death >= m).tolist() == keep
+
+
+def _first_inside(field, rows, cols):
+    """Index of the first column with <u, v> = 0 for every row u; len(cols)
+    when there is none, from FieldSpec arithmetic alone."""
+    def dot(u, v):
+        acc = 0
+        for x, y in zip(u, v):
+            acc = field.add(acc, field.mul(x, y))
+        return acc
+    return next((j for j, v in enumerate(cols) if not any(dot(u, v) for u in rows)),
+                len(cols))
+
+
+@pytest.mark.parametrize("field,n,trial,horizon", [
+    pytest.param(F2, 4, 0, 20, id="q2-4"),
+    pytest.param(F3, 3, 0, 20, id="q3-3"),
+    pytest.param(F3, 4, 1, 30, id="q3-4"),
+    pytest.param(F4, 2, 0, 12, id="q4-2"),
+    pytest.param(F4, 3, 1, 25, id="q4-3"),
+])
+def test_death_indices_against_brute_first_column_inside(field, n, trial, horizon):
+    cols = replay_columns(field, n, 58, trial, horizon)
+    cols = [v for v in cols if any(v)]  # the evaluator reads loopless columns
+    for k in range(1, n + 1):
+        want = [_first_inside(field, h.rows, cols) for h in enumerate_subspaces(field, n, k)]
+        assert death_indices(field, n, k, cols).tolist() == want, k
+
+
+def test_death_indices_past_64_columns_read_the_second_word():
+    # 70 columns with first coordinate 1, then e_2: the dual point e_1 and
+    # every dual space through it avoid the first 70, so their deaths are
+    # 70 (e_2 lies inside) or 71 (e_2 too is avoided)
+    F, n = F3, 4
+    rng = np.random.default_rng(59)
+    cols = [(1,) + tuple(int(x) for x in rng.integers(0, 3, n - 1)) for _ in range(70)]
+    cols.append((0, 1, 0, 0))
+    for k in range(1, n + 1):
+        got = death_indices(F, n, k, cols).tolist()
+        assert got == [_first_inside(F, h.rows, cols) for h in enumerate_subspaces(F, n, k)]
+        assert max(got) >= 70
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_normal_bases_follow_enumerate_subspaces(q):
     # the numpy tables must list the spaces in enumerate_subspaces order,
-    # since the tracker's alive indices and skips depend on that order
+    # the order of the death indices that the tracker reads
     F = make_field(q)
     for n in range(1, 5):
         index = {pt: i for i, pt in enumerate(projective_points(F, n))}
@@ -501,18 +548,19 @@ def test_normal_bases_follow_enumerate_subspaces(q):
 
 def test_critical_tracker_over_gf256_against_field_arithmetic():
     # e = 8: each inner product is a product with the digit maps of x * X^t;
-    # at level 1 the table is the identity, so alive lists the points a
-    # with <a, v> != 0 for every column v
+    # at level 1 the table is the identity, so the survivors of each prefix
+    # are the points a with <a, v> != 0 for every column v in it
     F = make_field(256)
     n, horizon = 2, 24
     cols = replay_columns(F, n, 56, 0, horizon)
     points = projective_points(F, n)
-    tracker = P._CriticalTracker(F, n)
-    for m, col in enumerate(cols, start=1):
-        assert tracker.add(col) == brute_critical_number(F, cols[:m])
+    deaths = P._level_deaths(F, n, cols, [0])
+    death = death_indices(F, n, 1, cols)
+    for m in range(1, horizon + 1):
+        assert bisect.bisect_left(deaths, m) == brute_critical_number(F, cols[:m])
         off = [i for i, a in enumerate(points)
                if all(F.add(F.mul(a[0], v[0]), F.mul(a[1], v[1])) for v in cols[:m])]
-        assert tracker.alive.tolist() == off
+        assert np.flatnonzero(death >= m).tolist() == off
 
 
 def _track_critical(field, n):
@@ -543,7 +591,8 @@ def test_track_critical_refuses_before_building_tables(entry, field, n):
 
 
 def test_bench_warm_up_fills_the_tables_the_tracker_reads(monkeypatch):
-    # bench/child.py warms e10_critical with process._dual_normal_bases(n, k);
+    # bench/child.py warms e10_critical with process._dual_normal_bases(n, k),
+    # which fills the _schubert_cells that the evaluator reads;
     # a drift in that call form or in the cache key would move table
     # building into the timed calls
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -558,11 +607,9 @@ def test_bench_warm_up_fills_the_tables_the_tracker_reads(monkeypatch):
     misses = [c.cache_info().misses for c in caches]
     for n in {n for n, _ in tables}:
         top = max(k for m, k in tables if m == n)
-        tracker = P._CriticalTracker(F2, n)
-        for col in projective_points(F2, n):  # chi climbs to n over PG(n-1, 2)
-            if tracker.add(col) == top:
-                break
-        assert tracker.level == top
+        # chi climbs to n over PG(n-1, 2), so every level up to top is read
+        deaths = P._level_deaths(F2, n, projective_points(F2, n), [0], top)
+        assert len(deaths) == top + 1
     assert [c.cache_info().misses for c in caches] == misses
 
 
@@ -624,19 +671,22 @@ def test_track_critical_is_the_first_brute_hit(field, n, k):
     (F2, 10, 1), (F2, 6, 2), (F2, 5, 0), (F3, 4, 1), (F4, 3, 1)])
 def test_track_critical_builds_no_level_above_its_target(field, n, k, monkeypatch):
     levels = []
-    rebuild = P._CriticalTracker._rebuild
+    evaluate = P._death_indices
 
-    def record(self, level):
+    def record(words, count, q, n, level):
         levels.append(level)
-        rebuild(self, level)
+        return evaluate(words, count, q, n, level)
 
-    monkeypatch.setattr(P._CriticalTracker, "_rebuild", record)
+    monkeypatch.setattr(P, "_death_indices", record)
     for trial in range(4):
         levels.clear()
         got = P.track_critical(P.ProcessState(field, n, P.process_rng(60, trial)), k)
         assert max(levels, default=0) <= k
-        if got is not None:  # the hit is the death of the level-k set
-            assert levels == list(range(1, k + 1))
+        # levels go upward; a level that survives a look-ahead window is
+        # read again over the doubled one
+        assert levels == sorted(levels)
+        if got is not None:  # the hit is the death of level k
+            assert list(dict.fromkeys(levels)) == list(range(1, k + 1))
 
 
 @pytest.mark.parametrize("n", [12, 16])
