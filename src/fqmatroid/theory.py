@@ -33,13 +33,12 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n, exact."""
     if not 0 <= k <= n:
         return 0
-    num = 1
-    den = 1
-    for i in range(k):
-        num *= q ** (n - i) - 1
-        den *= q ** (k - i) - 1
-    assert num % den == 0
-    return num // den
+    # [n, i+1]_q = [n, i]_q (q^(n-i) - 1) / (q^(i+1) - 1), exact at every i,
+    # so no intermediate outgrows the answer; k and n - k count alike
+    out = 1
+    for i in range(min(k, n - k)):
+        out = out * (q ** (n - i) - 1) // (q ** (i + 1) - 1)
+    return out
 
 
 def q_int(n: int, q: int) -> int:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import signal
 import time
 
 import pytest
@@ -21,6 +22,22 @@ def run(capsys, *argv):
 
 def values_of(out):
     return dict(line.split("=", 1) for line in out.strip().splitlines())
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in a call that runs past `seconds`, so a slow
+    input fails its test instead of stalling the run."""
+    def out_of_time(signum, frame):
+        raise TimeoutError(f"the call ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---- predict ----------------------------------------------------------------
@@ -91,6 +108,23 @@ def test_predict_prints_values_up_to_the_digit_limit(capsys):
     rc, out, _ = run(capsys, "predict", "--what", "qint", "--n", "14284", "--q", "2")
     assert rc == 0
     assert values_of(out)["qint"] == str(2 ** 14284 - 1)
+
+
+@pytest.mark.parametrize("n, k, q, want", [
+    (10000, 10000, 9973, "1"),
+    (10000, 0, 9973, "1"),
+    (1000, 999, 2, str(2 ** 1000 - 1)),
+])
+def test_predict_gbinom_at_the_edges_of_k_is_fast(capsys, n, k, q, want):
+    # k(n - k) is small, so the digit limit passes these; the product of
+    # k factors at k = n took minutes before it cancelled to 1
+    t0 = time.perf_counter()
+    with time_limit(1.0):
+        rc, out, _ = run(capsys, "predict", "--what", "gbinom",
+                         "--n", str(n), "--k", str(k), "--q", str(q))
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 0
+    assert values_of(out) == {"gbinom": want}
 
 
 def test_predict_rankfull_at_a_billion_columns(capsys):
@@ -568,7 +602,7 @@ def _run_bounded(argv):
     """Exit code of one in-process call, which must end documented and fast."""
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with time_limit(2.0), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
     assert time.perf_counter() - t0 < 2.0, argv
     assert rc in (0, 1, 2, 3, 4), argv

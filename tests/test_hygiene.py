@@ -181,5 +181,5 @@ def test_cli_import_leaves_out_the_process_pool():
             "print('concurrent.futures.process' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
