@@ -24,6 +24,7 @@ from .errors import (BudgetExceeded, ConfigError, FqError, InvalidParam,
 from .fqlinalg import (FqMatrix, enumerate_subspaces, make_field, prime_power,
                        random_uniform_matrix)
 from .matroid import RepMatroid
+from .process import process_rng
 
 _BUDGET_ENV = "FQMATROID_BUDGET"
 
@@ -367,8 +368,6 @@ def _check_rank_law() -> tuple[bool, str]:
 
 
 def _check_connectivity_identities() -> tuple[bool, str]:
-    from .process import process_rng
-
     rng = process_rng(20240817, 0)
     checked = 0
     for _ in range(120):

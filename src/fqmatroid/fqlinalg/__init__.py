@@ -1,4 +1,5 @@
-"""Exact linear algebra over finite fields: fields, matrices, subspaces."""
+"""Exact linear algebra over finite fields: fields, matrices, subspaces and
+their death indices."""
 
 from .fields import FieldSpec, make_field, MAX_ORDER, prime_power
 from .matrix import (
@@ -14,10 +15,12 @@ from .matrix import (
     unpack_gf2,
 )
 from .subspaces import (
+    DEFAULT_LEVEL_BUDGET,
     DEFAULT_SUBSPACE_BUDGET,
     SubspaceHandle,
     canonical_point,
     enumerate_subspaces,
+    level_deaths,
     native_point,
     projective_points,
 )
@@ -37,10 +40,12 @@ __all__ = [
     "pack_gf2",
     "random_uniform_matrix",
     "unpack_gf2",
+    "DEFAULT_LEVEL_BUDGET",
     "DEFAULT_SUBSPACE_BUDGET",
     "SubspaceHandle",
     "canonical_point",
     "enumerate_subspaces",
+    "level_deaths",
     "native_point",
     "projective_points",
 ]

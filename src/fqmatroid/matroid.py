@@ -40,6 +40,7 @@ from .fqlinalg import (
     Span2,
     SpanQ,
     canonical_point,
+    level_deaths,
     projective_points,
 )
 
@@ -409,14 +410,12 @@ class RepMatroid:
     def critical_number(self) -> int:
         """Smallest k such that some (n-k)-dimensional subspace avoids all
         columns; 0 with no columns.  It is the first level k whose largest
-        death index is the number of columns (process._level_deaths), so it
+        death index is the number of columns (fqlinalg.level_deaths), so it
         raises BudgetExceeded rather than build a level of more than 10^6
         candidate subspaces."""
-        from .process import _level_deaths  # process imports this module
-
         if self.loops():
             raise LoopPresent("critical number undefined with a zero column")
-        return len(_level_deaths(self.field, self.matrix.n, list(self.matrix.columns), [0])) - 1
+        return len(level_deaths(self.field, self.matrix.n, list(self.matrix.columns), [0])) - 1
 
 
 def _spans(mat: FqMatrix, k: int):

@@ -13,20 +13,19 @@ reproduce serial ones exactly.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import BudgetExceeded, ConsistencyError, InvalidParam
 from .fqlinalg import (
+    DEFAULT_LEVEL_BUDGET,
     FieldSpec,
     FqMatrix,
     RrefState,
     draw_native_column,
-    make_field,
+    level_deaths,
     native_point,
     native_to_tuple,
     projective_points,
@@ -35,13 +34,10 @@ from .matroid import (
     DEFAULT_KERNEL_BUDGET,
     DEFAULT_PARTITION_BUDGET,
     INFINITY,
-    ComponentTracker,
     KernelSweep,
     RepMatroid,
 )
-from .theory import gaussian_binomial, q_int
-
-DEFAULT_TRACK_SUBSPACE_BUDGET = 10 ** 6
+from .theory import q_int
 
 # ProcessState draws its columns this many at a time
 _DRAW_BLOCK = 64
@@ -206,50 +202,6 @@ def track_k_circuit(state: ProcessState, k: int,
 # ---- connectivity tracking ----------------------------------------------
 
 
-def track_connectivity(state: ProcessState, k: int,
-                       partition_budget: int = DEFAULT_PARTITION_BUDGET,
-                       min_steps: int = 0,
-                       max_steps: int | None = None) -> int | None:
-    """First step m >= min_steps with vertical connectivity >= k; None if
-    censored, that is when no such m <= max_steps exists.
-
-    With a single column the matroid is vacuously k-connected for every
-    k, so the literal hitting time is 1; min_steps lets callers skip
-    that degenerate free phase.  k=2 runs on incremental components;
-    k>=3 re-proves connectivity by bounded bipartition search and raises
-    BudgetExceeded once m outgrows the partition budget.
-    """
-    if k < 1:
-        raise InvalidParam("connectivity target must be >= 1")
-    cap = INFINITY if max_steps is None else max_steps
-    if max(1, min_steps, state.m) > cap:
-        return None
-    while state.m < max(1, min_steps):
-        state.step()
-    if k == 1 or state.m == 1:
-        return state.m
-    if k == 2:
-        comps = ComponentTracker()
-        # replay history, then extend
-        probe = RrefState(state.field, state.n)
-        for col in state.native_cols:
-            comps.add(probe.push(col))
-        while comps.nonloop_roots > 1:
-            if state.m >= cap:
-                return None
-            comps.add(state.step())
-        return state.m
-    while True:
-        if state.m > partition_budget:
-            raise BudgetExceeded(
-                f"{state.m} columns exceed partition budget {partition_budget}")
-        if state.matroid().is_vertically_k_connected(k, budget=partition_budget):
-            return state.m
-        if state.m >= cap:
-            return None
-        state.step()
-
-
 @dataclass
 class KappaTrace:
     """Step-by-step vertical connectivity along one trajectory."""
@@ -331,118 +283,6 @@ def kappa_trajectory(state: ProcessState, horizon: int,
 # ---- critical number tracking -------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _schubert_cells(q: int, n: int, k: int) -> tuple:
-    """Per pivot pattern (Schubert cell) of the k-dimensional subspaces of F_q^n,
-    in enumerate_subspaces order, the open mesh (np.ix_) of the projective_points
-    indices its k reduced basis rows run through; raveled in C order, it lists
-    the cell's spaces in table order.  Point (0,..,0,1,x_{l+1},..) has index
-    offsets[l] + sum_j x_j q^(n-1-j), and the smallest free j varies slowest."""
-    offsets = np.cumsum([0] + [q ** (n - 1 - lead) for lead in range(n - 1)])
-    cells = []
-    for pivots in itertools.combinations(range(n), k):
-        places = [[np.arange(q) * q ** (n - 1 - j)
-                   for j in range(lead + 1, n) if j not in pivots] for lead in pivots]
-        cells.append(np.ix_(*[np.ravel(offsets[lead] + sum(np.ix_(*row)))
-                              for lead, row in zip(pivots, places)]))
-    return tuple(cells)
-
-
-@lru_cache(maxsize=64)
-def _normal_bases(q: int, n: int, k: int) -> np.ndarray:
-    """Reduced bases of the k-dimensional subspaces U of F_q^n, in table order, as
-    (k, N) indices into projective_points(F_q, n); U encodes its annihilator."""
-    arr = np.concatenate([np.array(np.broadcast_arrays(*mesh), dtype=np.int64).reshape(
-        k, -1 if k else 1) for mesh in _schubert_cells(q, n, k)], axis=1)
-    arr.setflags(write=False)
-    return arr
-
-
-def _dual_normal_bases(n: int, k: int, q: int = 2) -> np.ndarray:
-    return _normal_bases(q, n, k)  # one cache entry for every call form
-
-
-@lru_cache(maxsize=16)  # E10: the reporter's 8 (q, n) pairs beside the trials' 2
-def _digit_tables(q: int, n: int) -> tuple:
-    """Base-p digits (least significant first) of projective_points(F_q, n),
-    n*e per point; and the multiplication map of every element x of F_q,
-    a (q, e, e) array whose row t holds the digits of x * X^t.  Both are
-    float64, so products run in BLAS and stay exact."""
-    field = make_field(q)
-    p, e = field.p, field.e
-    elem = (np.arange(q)[:, None] // p ** np.arange(e) % p).astype(np.float64)
-    step = np.eye(e, k=1)  # digits(X*y) = digits(y) @ step mod p
-    step[e - 1] = [-c % p for c in field.modulus[:e]]
-    maps = [elem]
-    for _ in range(e - 1):
-        maps.append(maps[-1] @ step % p)
-    # points led by coordinate l: e_l plus the base-q digits of arange(q^(n-1-l))
-    places = q ** np.arange(n - 1, -1, -1)
-    coords = np.concatenate([np.arange(q ** (n - 1 - lead))[:, None] // places % q
-                             + np.eye(n, dtype=np.int64)[lead] for lead in range(n)])
-    return elem[coords].reshape(len(coords), -1), np.stack(maps, axis=1)
-
-
-def _syndrome_words(field: FieldSpec, n: int, cols) -> np.ndarray:
-    """Per projective point a, the columns packed 64 to a word: bit j of word
-    w is set when <a, cols[64w + j]> != 0, and the padding bits are set.  The
-    inner products are one product over F_p of the points' digits with the
-    multiplication maps of the columns' entries; its sums stay below
-    n*e*p^2 < 2^53, so float64 is exact."""
-    digits, mul = _digit_tables(field.q, n)
-    p, e = field.p, field.e
-    # row (i, t) of a column's map holds the digits of entry i times X^t
-    maps = mul[np.asarray(cols)].transpose(1, 2, 0, 3).reshape(n * e, -1)
-    prod = digits @ maps
-    bits = np.ones((len(prod), -(-len(cols) // 64) * 64), dtype=bool)
-    # prod mod p != 0, without the slow float modulo
-    bits[:, :len(cols)] = (prod != p * np.floor(prod / p)).reshape(len(prod), -1, e).any(-1)
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
-
-
-def _death_indices(words: np.ndarray, count: int, q: int, n: int, k: int) -> np.ndarray:
-    """Per codimension-k subspace, in table order, the index of the first of
-    the `count` columns behind `words` that it contains; `count` if none.
-
-    The subspace is the annihilator of a dual space U whose reduced basis rows
-    are projective points, and it contains v when every row u has <u, v> = 0.
-    An outer OR over each Schubert cell's mesh (no table of bases is read)
-    marks, per U, the columns that some row misses; the lowest zero bit of the
-    first word that is not all ones is the first column U contains."""
-    cells, death = _schubert_cells(q, n, k), count
-    for w in reversed(range(words.shape[1])):
-        word = words[:, w]
-        orred = np.concatenate([reduce(np.bitwise_or, [word[ix] for ix in mesh]).ravel()
-                                for mesh in cells])
-        ones = np.bitwise_count(orred & ~(orred + np.uint64(1))).astype(np.intp)
-        death = np.where(ones < 64, 64 * w + ones, death)
-    return death
-
-
-def _level_deaths(field: FieldSpec, n: int, cols: list, deaths: list,
-                  top: int | None = None) -> list:
-    """Extend deaths = [E_0, .., E_j] upward and return it: E_k is the largest
-    death index at level k over the loopless `cols`, and E_0 = 0.  chi of the
-    first m columns is the least k with E_k >= m.
-
-    Levels stop at the first that survives all of `cols` (E_k = len(cols)),
-    or at level `top`; each checks its subspace count against the budget
-    before any table is read."""
-    words = None
-    while deaths[-1] < len(cols) and len(deaths) - 1 != top:
-        k = len(deaths)
-        if k > n:
-            raise ConsistencyError("no avoiding subspace at full dual level")
-        count = gaussian_binomial(n, k, field.q)
-        if count > DEFAULT_TRACK_SUBSPACE_BUDGET:
-            raise BudgetExceeded(f"{count} candidate subspaces at level {k} exceed"
-                                 f" budget {DEFAULT_TRACK_SUBSPACE_BUDGET}")
-        if words is None:
-            words = _syndrome_words(field, n, cols)
-        deaths.append(int(_death_indices(words, len(cols), field.q, n, k).max()))
-    return deaths
-
-
 @dataclass
 class CriticalTrace:
     chis: list  # chis[i] = chi(M[A_{i+1}]), or None from the first loop on
@@ -465,7 +305,7 @@ def critical_trajectory(state: ProcessState, horizon: int) -> CriticalTrace:
     loop_at = next((m for m, col in enumerate(cols, start=1) if not any(col)), None)
     if loop_at is not None:
         del cols[loop_at - 1:]
-    deaths = _level_deaths(state.field, state.n, cols, [0])
+    deaths = level_deaths(state.field, state.n, cols, [0])
     chis = [bisect_left(deaths, m) for m in range(1, len(cols) + 1)]
     return CriticalTrace(chis=chis + [None] * (horizon - len(cols)), loop_at=loop_at,
                          skips=[e + 1 for e, up in zip(deaths, deaths[1:]) if up == e])
@@ -494,7 +334,7 @@ def track_critical(state: ProcessState, k: int,
         cols = [native_to_tuple(field, n, c) for c in state.peek(end)]
         loop = next((i for i, col in enumerate(cols) if not any(col)), None)
         cols = cols[:loop]
-        _level_deaths(field, n, cols, deaths, top=k)
+        level_deaths(field, n, cols, deaths, top=k)
         if deaths[-1] < len(cols):
             stop = hit = deaths[k] + 1
             break
@@ -518,14 +358,14 @@ def sample_pg_model(field: FieldSpec, n: int, rng,
     The matrix's columns are the chosen points' canonical representatives
     (first nonzero coordinate 1), in the fixed enumeration order, so equal
     selections give equal matrices.  Raises BudgetExceeded before listing more
-    than DEFAULT_TRACK_SUBSPACE_BUDGET points.
+    than DEFAULT_LEVEL_BUDGET points.
     """
     if (m is None) == (p is None):
         raise InvalidParam("exactly one of m (M2) or p (M3) must be given")
     total = q_int(n, field.q)
-    if total > DEFAULT_TRACK_SUBSPACE_BUDGET:
+    if total > DEFAULT_LEVEL_BUDGET:
         raise BudgetExceeded(f"{total} projective points exceed budget "
-                             f"{DEFAULT_TRACK_SUBSPACE_BUDGET}")
+                             f"{DEFAULT_LEVEL_BUDGET}")
     pts = projective_points(field, n)
     if m is not None:
         if not 0 <= m <= total:

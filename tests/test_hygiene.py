@@ -1,9 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
 every function, class and method is referenced somewhere in src/, no
-module reads an environment variable but FQMATROID_BUDGET, every entry
-point bench/tracing.py wraps still exists, each package's __all__ is
-exactly what its __init__ imports, and the CLI starts without the process
-pool's machinery."""
+function imports from the package, no module reads an environment
+variable but FQMATROID_BUDGET, every entry point bench/tracing.py wraps
+still exists, each package's __all__ is exactly what its __init__
+imports, and the CLI starts without the process pool's machinery."""
 
 import ast
 import importlib
@@ -48,15 +48,12 @@ def test_no_unused_imports():
 
 # definitions that nothing in src/ references, each kept on purpose
 DEAD_ALLOWED = {
-    "_dual_normal_bases": "bench/child.py warms e10's _schubert_cells through it, "
-                          "and tests read it as the table-order reference",
     "components": "RepMatroid's direct-sum decomposition; bench/tracing.py wraps it",
     "contract": "checked by E0 acceptance; bench/tracing.py wraps it",
     "delete": "checked by E0 acceptance",
     "kernel_basis": "bench/tracing.py wraps it; checked by E0",
     "rank_of_subset": "RepMatroid's checked rank query",
     "subspace_count": "checked by E0 acceptance",
-    "track_connectivity": "2-connectivity tracker, to be wired into a preset",
     "uniform_matroid_matrix": "bench/tracing.py wraps it, so deleting it needs "
                               "its own benchmark change",
 }
@@ -96,6 +93,20 @@ def _dead_definitions() -> set[str]:
 
 def test_no_dead_definitions():
     assert _dead_definitions() == set(DEAD_ALLOWED)
+
+
+def test_no_relative_import_inside_a_function():
+    # a deferred package import hides a module cycle; the standard library's
+    # lazy imports (concurrent.futures in montecarlo) stay allowed
+    deferred = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred += [f"{path.relative_to(PACKAGE.parent)}:{node.lineno}"
+                             for node in ast.walk(fn)
+                             if isinstance(node, ast.ImportFrom) and node.level >= 1]
+    assert deferred == []
 
 
 def _is_environ(node) -> bool:

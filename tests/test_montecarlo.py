@@ -21,8 +21,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden_e1_tiny.json"
 # point draws (packed, gf2 past 62 rows, prime and extension fields),
 # E6's Hamilton tracker, including its n <= 2 repeated-point branch, the
 # whole-matrix samplers random_uniform_matrix and sample_pg_model through
-# E8 and E11 at q = 2 and 3, and E10's critical-number trackers at q = 3
-# and 4, where tau_1crt often outruns track_critical's first window
+# E8 and E11 at q = 2 and 3, and E10's critical-number trackers at q = 2
+# (small n), 3 and 4, where tau_1crt often outruns track_critical's first
+# window
 AGGREGATE_DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "aggregate_digests.json").read_text(encoding="utf-8"))
 

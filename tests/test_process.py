@@ -23,6 +23,7 @@ from fqmatroid.fqlinalg import (
     canonical_point,
     draw_native_column,
     enumerate_subspaces,
+    level_deaths,
     make_field,
     native_point,
     native_to_tuple,
@@ -31,6 +32,7 @@ from fqmatroid.fqlinalg import (
     random_uniform_matrix,
     unpack_gf2,
 )
+from fqmatroid.fqlinalg import subspaces as S
 from fqmatroid.matroid import INFINITY as INF, RepMatroid
 
 from conftest import (brute_circuit_count, brute_critical_number, brute_rank,
@@ -268,76 +270,6 @@ def test_track_hamilton_against_spectrum():
 # ---- connectivity tracking -----------------------------------------------------
 
 
-def test_track_connectivity_literal_start():
-    st = P.ProcessState(F2, 4, P.process_rng(51, 0))
-    assert P.track_connectivity(st, 1) == 1
-    st2 = P.ProcessState(F2, 4, P.process_rng(51, 1))
-    assert P.track_connectivity(st2, 5) == 1  # single column is vacuously k-conn
-    st3 = P.ProcessState(F2, 4, P.process_rng(51, 2))
-    assert P.track_connectivity(st3, 1, min_steps=7) == 7
-    with pytest.raises(InvalidParam):
-        P.track_connectivity(st3, 0)
-
-
-@pytest.mark.parametrize("trial", [0, 1, 2])
-def test_track_2_connectivity_against_prefixes(trial):
-    st = P.ProcessState(F2, 5, P.process_rng(52, trial))
-    # the cap turns a union-find that never joins into a failure, not a hang
-    tau = P.track_connectivity(st, 2, min_steps=3, max_steps=200)
-    assert tau is not None
-    cols = replay_columns(F2, 5, 52, trial, tau)
-    # the bipartition search, not the union-find the tracker shares
-    assert prefix_matroid(cols, F2, 5, tau).is_vertically_k_connected(2)
-    for m in range(3, tau):
-        assert not prefix_matroid(cols, F2, 5, m).is_vertically_k_connected(2)
-
-
-def test_track_2_connectivity_resumes_mid_stream():
-    st = P.ProcessState(F2, 5, P.process_rng(52, 0))
-    for _ in range(4):
-        st.step()
-    fresh = P.ProcessState(F2, 5, P.process_rng(52, 0))
-    assert P.track_connectivity(st, 2, min_steps=3) == P.track_connectivity(
-        fresh, 2, min_steps=3)
-
-
-@pytest.mark.parametrize("trial", [0, 2, 3])
-def test_track_3_connectivity_against_prefixes(trial):
-    st = P.ProcessState(F2, 4, P.process_rng(903, trial))
-    tau = P.track_connectivity(st, 3, min_steps=6)
-    cols = replay_columns(F2, 4, 903, trial, tau)
-    assert prefix_matroid(cols, F2, 4, tau).is_vertically_k_connected(3)
-    for m in range(6, tau):
-        assert not prefix_matroid(cols, F2, 4, m).is_vertically_k_connected(3)
-
-
-@pytest.mark.parametrize("k,n,seed,min_steps", [(2, 5, 52, 3), (3, 4, 903, 6)])
-def test_track_connectivity_max_steps(k, n, seed, min_steps):
-    tau = P.track_connectivity(P.ProcessState(F2, n, P.process_rng(seed, 0)), k,
-                               min_steps=min_steps)
-    assert tau > min_steps
-    st = P.ProcessState(F2, n, P.process_rng(seed, 0))
-    assert P.track_connectivity(st, k, min_steps=min_steps, max_steps=tau - 1) is None
-    assert st.m == tau - 1  # stops at the cap, never steps past it
-    st = P.ProcessState(F2, n, P.process_rng(seed, 0))
-    assert P.track_connectivity(st, k, min_steps=min_steps, max_steps=tau) == tau
-    # a cap below min_steps, or below the steps already taken, draws nothing
-    st = P.ProcessState(F2, n, P.process_rng(seed, 0))
-    assert P.track_connectivity(st, k, min_steps=min_steps,
-                                max_steps=min_steps - 1) is None
-    assert st.m == 0
-    st.step()
-    st.step()
-    assert P.track_connectivity(st, k, max_steps=1) is None
-    assert st.m == 2
-
-
-def test_track_connectivity_budget():
-    st = P.ProcessState(F2, 5, P.process_rng(53, 0))
-    with pytest.raises(BudgetExceeded):
-        P.track_connectivity(st, 3, partition_budget=5, min_steps=6)
-
-
 @pytest.mark.parametrize("field,n,trial,horizon", [
     pytest.param(F2, 4, 1, 14, id="q2-4-1"),
     pytest.param(F2, 5, 0, 20, id="q2-5-0"),
@@ -466,7 +398,7 @@ def test_critical_trajectory_against_per_prefix(field, n, trial, horizon, top):
 
 
 def death_indices(field, n, k, cols):
-    return P._death_indices(P._syndrome_words(field, n, cols), len(cols), field.q, n, k)
+    return S._death_indices(S._syndrome_words(field, n, cols), len(cols), field.q, n, k)
 
 
 def test_critical_tracker_rebuilds_over_more_than_64_columns():
@@ -477,19 +409,18 @@ def test_critical_tracker_rebuilds_over_more_than_64_columns():
     n = 8
     cols = [(1,) + tuple((w >> i) & 1 for i in range(n - 1)) for w in range(70)]
     cols.append((0, 1) + (0,) * (n - 2))
-    deaths = P._level_deaths(F2, n, cols, [0])
+    deaths = level_deaths(F2, n, cols, [0])
     assert deaths == [0, 70, 71]  # chi = 1 up to 70 and 2 at 71, no skip
     for m in (70, 71):
         assert brute_critical_number(F2, cols[:m]) == bisect.bisect_left(deaths, m)
     # the spaces with death >= m are exactly the dual planes avoiding the
-    # first m columns; table rows are indices into projective_points
+    # first m columns, in enumerate_subspaces order
     death = death_indices(F2, n, 2, cols)
     packed = [pack_gf2(c) for c in cols]
-    points = [pack_gf2(pt) for pt in projective_points(F2, n)]
+    planes = [[pack_gf2(row) for row in h.rows] for h in enumerate_subspaces(F2, n, 2)]
     for m in (70, 71):
-        keep = [i for i, rows in enumerate(P._dual_normal_bases(n, 2).T.tolist())
-                if all(any((points[r] & v).bit_count() & 1 for r in rows)
-                       for v in packed[:m])]
+        keep = [i for i, rows in enumerate(planes)
+                if all(any((r & v).bit_count() & 1 for r in rows) for v in packed[:m])]
         assert np.flatnonzero(death >= m).tolist() == keep
 
 
@@ -536,14 +467,18 @@ def test_death_indices_past_64_columns_read_the_second_word():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_normal_bases_follow_enumerate_subspaces(q):
-    # the numpy tables must list the spaces in enumerate_subspaces order,
-    # the order of the death indices that the tracker reads
+    # the Schubert cells' meshes, raveled in C order, must list the reduced
+    # bases in enumerate_subspaces order, the order of the death indices
+    # that the tracker reads; each basis row is a projective_points index
     F = make_field(q)
     for n in range(1, 5):
         index = {pt: i for i, pt in enumerate(projective_points(F, n))}
         for k in range(n + 1):
             want = [[index[row] for row in h.rows] for h in enumerate_subspaces(F, n, k)]
-            assert P._dual_normal_bases(n, k, q).T.tolist() == want
+            got = [[int(ix.ravel()[i]) for ix, i in zip(mesh, pos)]
+                   for mesh in S._schubert_cells(q, n, k)
+                   for pos in np.ndindex(*(ix.size for ix in mesh))]
+            assert got == want
 
 
 def test_critical_tracker_over_gf256_against_field_arithmetic():
@@ -554,7 +489,7 @@ def test_critical_tracker_over_gf256_against_field_arithmetic():
     n, horizon = 2, 24
     cols = replay_columns(F, n, 56, 0, horizon)
     points = projective_points(F, n)
-    deaths = P._level_deaths(F, n, cols, [0])
+    deaths = level_deaths(F, n, cols, [0])
     death = death_indices(F, n, 1, cols)
     for m in range(1, horizon + 1):
         assert bisect.bisect_left(deaths, m) == brute_critical_number(F, cols[:m])
@@ -581,7 +516,7 @@ def _critical_number(field, n):
 ])
 def test_track_critical_refuses_before_building_tables(entry, field, n):
     # [n]_q level-1 spaces exceed the budget: the refusal comes first
-    caches = (P._schubert_cells, P._normal_bases, P._digit_tables)
+    caches = (S._schubert_cells, S._digit_tables)
     before = [c.cache_info().misses for c in caches]
     t0 = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="budget 1000000"):
@@ -591,26 +526,22 @@ def test_track_critical_refuses_before_building_tables(entry, field, n):
 
 
 def test_bench_warm_up_fills_the_tables_the_tracker_reads(monkeypatch):
-    # bench/child.py warms e10_critical with process._dual_normal_bases(n, k),
-    # which fills the _schubert_cells that the evaluator reads;
-    # a drift in that call form or in the cache key would move table
-    # building into the timed calls
+    # bench/child.py's set-up runs one e10_critical reference call at the
+    # default seed; it must build the tables every timed call reads, or
+    # their building moves into the timed calls
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
     spec.loader.exec_module(workloads)
-    tables = workloads.WORKLOADS["e10_critical"].subspace_tables
-    for n, k in tables:
-        P._dual_normal_bases(n, k)
-    caches = (P._schubert_cells, P._normal_bases)
-    misses = [c.cache_info().misses for c in caches]
-    for n in {n for n, _ in tables}:
-        top = max(k for m, k in tables if m == n)
-        # chi climbs to n over PG(n-1, 2), so every level up to top is read
-        deaths = P._level_deaths(F2, n, projective_points(F2, n), [0], top)
-        assert len(deaths) == top + 1
-    assert [c.cache_info().misses for c in caches] == misses
+    wl = workloads.WORKLOADS["e10_critical"]
+    S._schubert_cells.cache_clear()
+    MC.run_experiment(workloads.experiment_config(MC, wl.preset, workloads.DEFAULT_SEED,
+                                                  wl.warmup))
+    misses = S._schubert_cells.cache_info().misses
+    for key in ((2, 10, 1), (2, 8, 1), (2, 8, 2)):
+        S._schubert_cells(*key)
+    assert S._schubert_cells.cache_info().misses == misses
 
 
 def test_critical_trajectory_stops_at_loop():
@@ -671,13 +602,13 @@ def test_track_critical_is_the_first_brute_hit(field, n, k):
     (F2, 10, 1), (F2, 6, 2), (F2, 5, 0), (F3, 4, 1), (F4, 3, 1)])
 def test_track_critical_builds_no_level_above_its_target(field, n, k, monkeypatch):
     levels = []
-    evaluate = P._death_indices
+    evaluate = S._death_indices
 
     def record(words, count, q, n, level):
         levels.append(level)
         return evaluate(words, count, q, n, level)
 
-    monkeypatch.setattr(P, "_death_indices", record)
+    monkeypatch.setattr(S, "_death_indices", record)
     for trial in range(4):
         levels.clear()
         got = P.track_critical(P.ProcessState(field, n, P.process_rng(60, trial)), k)
