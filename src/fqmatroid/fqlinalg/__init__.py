@@ -11,6 +11,7 @@ from .matrix import (
     engine_name,
     native_to_tuple,
     pack_gf2,
+    pack_native,
     random_uniform_matrix,
     unpack_gf2,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "engine_name",
     "native_to_tuple",
     "pack_gf2",
+    "pack_native",
     "random_uniform_matrix",
     "unpack_gf2",
     "DEFAULT_LEVEL_BUDGET",

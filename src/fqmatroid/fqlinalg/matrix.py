@@ -491,7 +491,12 @@ class FqMatrix:
 def draw_native_column(field: FieldSpec, n: int, rng, count: int) -> list:
     """`count` uniform columns in engine-native form, from one (count, n)
     draw: for Philox, the same stream as `count` single-column draws."""
-    raw = rng.integers(0, field.q, size=(count, n))
+    return pack_native(field, n, rng.integers(0, field.q, size=(count, n)))
+
+
+def pack_native(field: FieldSpec, n: int, raw: np.ndarray) -> list:
+    """The rows of an int64 (count, n) array of field elements as columns in
+    engine-native form; the prime engine at p >= 5 gets the int64 rows."""
     eng = engine_name(field, n)
     if eng == "gf2":
         return _pack_rows(raw.astype(np.uint8))

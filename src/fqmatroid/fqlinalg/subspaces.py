@@ -116,7 +116,7 @@ def _schubert_cells(q: int, n: int, k: int) -> tuple:
     return tuple(cells)
 
 
-@lru_cache(maxsize=16)  # E10: the reporter's 8 (q, n) pairs beside the trials' 2
+@lru_cache(maxsize=16)  # E10: the reporter's 4 (3, n) pairs beside the trials' 2
 def _digit_tables(q: int, n: int) -> tuple:
     """Base-p digits (least significant first) of projective_points(F_q, n),
     n*e per point; and the multiplication map of every element x of F_q,
@@ -139,19 +139,46 @@ def _digit_tables(q: int, n: int) -> tuple:
 
 def _syndrome_words(field: FieldSpec, n: int, cols) -> np.ndarray:
     """Per projective point a, the columns packed 64 to a word: bit j of word
-    w is set when <a, cols[64w + j]> != 0, and the padding bits are set.  The
-    inner products are one product over F_p of the points' digits with the
-    multiplication maps of the columns' entries; its sums stay below
-    n*e*p^2 < 2^53, so float64 is exact."""
+    w is set when <a, cols[64w + j]> != 0, and the padding bits are set.
+    cols is an (m, n) integer array of field elements, one row per column,
+    or a list of m column tuples.  The inner products are one product over
+    F_p of the points' digits with the multiplication maps of the columns'
+    entries, which the entries index directly; its sums stay below
+    n*e*p^2 < 2^53, so float64 is exact.  q = 2 needs no product
+    (_gf2_syndrome_words)."""
+    cols = np.asarray(cols)
+    if field.q == 2:
+        return _gf2_syndrome_words(n, cols)
     digits, mul = _digit_tables(field.q, n)
     p, e = field.p, field.e
     # row (i, t) of a column's map holds the digits of entry i times X^t
-    maps = mul[np.asarray(cols)].transpose(1, 2, 0, 3).reshape(n * e, -1)
+    maps = mul[cols].transpose(1, 2, 0, 3).reshape(n * e, -1)
     prod = digits @ maps
     bits = np.ones((len(prod), -(-len(cols) // 64) * 64), dtype=bool)
     # prod mod p != 0, without the slow float modulo
     bits[:, :len(cols)] = (prod != p * np.floor(prod / p)).reshape(len(prod), -1, e).any(-1)
     return np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+def _gf2_syndrome_words(n: int, cols: np.ndarray) -> np.ndarray:
+    """_syndrome_words over F_2: <a, v> is the parity of a AND v, so the word
+    of a is the XOR of the packed coordinate rows of cols that a selects.
+    Doubling over the coordinates from the last gives every nonzero a its
+    word with one XOR, and the points led by coordinate i as one block, in
+    projective_points order."""
+    count = len(cols)
+    bits = np.zeros((n, -(-count // 64) * 64), dtype=np.uint8)
+    bits[:, :count] = cols.T
+    coords = np.packbits(bits, axis=1, bitorder="little").view("<u8")
+    span = np.zeros((1 << n, coords.shape[1]), dtype=np.uint64)
+    blocks = []
+    for i in reversed(range(n)):
+        half = 1 << (n - 1 - i)
+        blocks.append(np.bitwise_xor(span[:half], coords[i], out=span[half:2 * half]))
+    words = np.concatenate(blocks[::-1])
+    pad = -count % 64
+    words[:, -1] |= np.uint64(((1 << pad) - 1) << (64 - pad))
+    return words
 
 
 def _death_indices(words: np.ndarray, count: int, q: int, n: int, k: int) -> np.ndarray:
@@ -184,11 +211,13 @@ def _death_indices(words: np.ndarray, count: int, q: int, n: int, k: int) -> np.
     return death
 
 
-def level_deaths(field: FieldSpec, n: int, cols: list, deaths: list,
+def level_deaths(field: FieldSpec, n: int, cols, deaths: list,
                  top: int | None = None) -> list:
     """Extend deaths = [E_0, .., E_j] upward and return it: E_k is the largest
     death index at level k over the loopless `cols`, and E_0 = 0.  chi of the
-    first m columns is the least k with E_k >= m.
+    first m columns is the least k with E_k >= m.  `cols` is an (m, n)
+    integer array of field elements, one row per column, or a list of m
+    column tuples.
 
     Levels stop at the first that survives all of `cols` (E_k = len(cols)),
     or at level `top`; each checks its subspace count against the budget

@@ -23,7 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, IoError
-from .fqlinalg import Span2, make_field, native_point, random_uniform_matrix
+from .fqlinalg import (Span2, draw_native_column, make_field, native_point,
+                       random_uniform_matrix)
 from .matroid import DEFAULT_PARTITION_BUDGET, INFINITY, RepMatroid, pg_matrix
 from . import process as proc
 from . import theory
@@ -299,7 +300,7 @@ def _uniform_points(field, n, m, rng):
     """
     if field.q == 2 and n <= 62:
         return [v or None for v in rng.integers(0, 1 << n, size=m, dtype=np.int64).tolist()]
-    return [native_point(field, n, c) for c in proc.draw_native_column(field, n, rng, count=m)]
+    return [native_point(field, n, c) for c in draw_native_column(field, n, rng, count=m)]
 
 
 def _t_two_circuit_count(res, rng):

@@ -24,10 +24,9 @@ from .fqlinalg import (
     FieldSpec,
     FqMatrix,
     RrefState,
-    draw_native_column,
     level_deaths,
     native_point,
-    native_to_tuple,
+    pack_native,
     projective_points,
 )
 from .matroid import (
@@ -57,8 +56,11 @@ def process_rng(master_seed: int, trial: int) -> np.random.Generator:
 class ProcessState:
     """One trajectory of the uniform column process over F_q^n.
 
-    Keeps engine-native columns plus an incremental elimination state;
-    each step returns the sparse dependency dict that push returned.
+    Keeps every drawn column twice, from the same draw: in engine-native
+    form for the elimination state, and as a row of field elements in one
+    (drawn, n) store of the narrowest unsigned dtype that holds q - 1, which
+    peek, rows, column_tuples and matrix slice.  Each step returns the
+    sparse dependency dict that push returned.
     """
 
     def __init__(self, field: FieldSpec, n: int, rng):
@@ -67,7 +69,8 @@ class ProcessState:
         self.field = field
         self.n = n
         self.rng = rng
-        self._ahead: list = []  # drawn, not yet pushed; pop() gives the next
+        self._natives: list = []  # every drawn column; the first m are stepped
+        self._rows = np.empty((0, n), dtype=np.uint8 if field.q <= 256 else np.uint16)
         self.rref = RrefState(field, n)
         self.native_cols: list = []
         self.corank_history: list[int] = []
@@ -81,6 +84,22 @@ class ProcessState:
     def corank(self) -> int:
         return self.rref.corank
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The (m, n) element rows of the stepped columns, a view of the store."""
+        return self._rows[:self.m]
+
+    def _draw_block(self) -> None:
+        """Draw _DRAW_BLOCK columns; the store doubles when it is full."""
+        raw = self.rng.integers(0, self.field.q, size=(_DRAW_BLOCK, self.n))
+        drawn = len(self._natives)
+        self._natives += pack_native(self.field, self.n, raw)
+        if drawn == len(self._rows):
+            grown = np.empty((max(2 * drawn, _DRAW_BLOCK), self.n), self._rows.dtype)
+            grown[:drawn] = self._rows
+            self._rows = grown
+        self._rows[drawn:drawn + _DRAW_BLOCK] = raw
+
     def step(self) -> dict | None:
         """Draw one uniform column and append it; returns what
         RrefState.push returned for it: None when it is independent of the
@@ -90,10 +109,9 @@ class ProcessState:
         Columns are drawn _DRAW_BLOCK at a time, and peek may draw further
         blocks before they are stepped, so the state reads its rng ahead:
         once it has stepped or peeked, nothing else may draw from that rng."""
-        if not self._ahead:
-            self._ahead = draw_native_column(self.field, self.n, self.rng,
-                                             count=_DRAW_BLOCK)[::-1]
-        col = self._ahead.pop()
+        if self.m == len(self._natives):
+            self._draw_block()
+        col = self._natives[self.m]
         prev_corank = self.corank_history[-1] if self.corank_history else 0
         dep = self.rref.push(col)
         self.native_cols.append(col)
@@ -105,17 +123,18 @@ class ProcessState:
         self.corank_history.append(c)
         return dep
 
-    def peek(self, count: int) -> list:
-        """The next `count` engine-native columns, in order, without
-        appending them: the next `count` steps append exactly these.  Blocks
-        are drawn in the order steps would draw them."""
-        while len(self._ahead) < count:
-            self._ahead[:0] = draw_native_column(self.field, self.n, self.rng,
-                                                 count=_DRAW_BLOCK)[::-1]
-        return self._ahead[len(self._ahead) - count:][::-1]
+    def peek(self, count: int) -> np.ndarray:
+        """The (count, n) element rows of the next `count` columns, a view of
+        the store, without appending them: the next `count` steps append
+        exactly these.  Blocks are drawn in the order steps would draw them."""
+        if count < 0:
+            raise InvalidParam("cannot peek a negative number of columns")
+        while len(self._natives) < self.m + count:
+            self._draw_block()
+        return self._rows[self.m:self.m + count]
 
     def column_tuples(self) -> list[tuple]:
-        return [native_to_tuple(self.field, self.n, c) for c in self.native_cols]
+        return [tuple(r) for r in self.rows.tolist()]
 
     def matrix(self) -> FqMatrix:
         return FqMatrix(self.field, self.column_tuples(), n=self.n)
@@ -290,6 +309,12 @@ class CriticalTrace:
     skips: list
 
 
+def _first_loop(rows: np.ndarray) -> int | None:
+    """Index of the first zero row, or None."""
+    zero = np.flatnonzero(~rows.any(axis=1))
+    return int(zero[0]) if zero.size else None
+
+
 def critical_trajectory(state: ProcessState, horizon: int) -> CriticalTrace:
     """chi at every step until the horizon; tracking stops at a loop.
 
@@ -297,17 +322,19 @@ def critical_trajectory(state: ProcessState, horizon: int) -> CriticalTrace:
     least k with E_k >= m, and level k+1 is skipped at step E_k + 1 when
     E_{k+1} = E_k (recorded rather than assumed away).
     """
+    if horizon < 0:
+        raise InvalidParam("critical trajectory horizon must be >= 0")
     if state.m:
         raise InvalidParam("critical trajectory must start from an empty state")
     for _ in range(horizon):
         state.step()
-    cols = state.column_tuples()
-    loop_at = next((m for m, col in enumerate(cols, start=1) if not any(col)), None)
-    if loop_at is not None:
-        del cols[loop_at - 1:]
-    deaths = level_deaths(state.field, state.n, cols, [0])
-    chis = [bisect_left(deaths, m) for m in range(1, len(cols) + 1)]
-    return CriticalTrace(chis=chis + [None] * (horizon - len(cols)), loop_at=loop_at,
+    rows = state.rows
+    loop = _first_loop(rows)
+    rows = rows[:loop]
+    deaths = level_deaths(state.field, state.n, rows, [0])
+    chis = [bisect_left(deaths, m) for m in range(1, len(rows) + 1)]
+    return CriticalTrace(chis=chis + [None] * (horizon - len(rows)),
+                         loop_at=None if loop is None else loop + 1,
                          skips=[e + 1 for e, up in zip(deaths, deaths[1:]) if up == e])
 
 
@@ -316,13 +343,15 @@ def track_critical(state: ProcessState, k: int,
     """First step with chi >= k+1; None when a loop arrives first or censored.
 
     The hit is E_k + 1.  The levels <= k are evaluated over a look-ahead
-    window of the state's next columns, cut at the first loop and at
+    window of the state's next columns (peek), cut at the first loop and at
     max_steps; while the window's last level survives, the window doubles
     and that level is evaluated again.  No level above k is ever built.
     The state then steps exactly to the hit, the loop or max_steps.
     """
     if k < 0:
         raise InvalidParam("critical target must be >= 0")
+    if max_steps is not None and max_steps < 0:
+        raise InvalidParam("max_steps must be >= 0")
     if state.m:
         raise InvalidParam("critical tracking must start from an empty state")
     field, n = state.field, state.n
@@ -331,11 +360,11 @@ def track_critical(state: ProcessState, k: int,
     deaths, size = [0], _LOOKAHEAD * n
     while True:
         end = size if max_steps is None else min(size, max_steps)
-        cols = [native_to_tuple(field, n, c) for c in state.peek(end)]
-        loop = next((i for i, col in enumerate(cols) if not any(col)), None)
-        cols = cols[:loop]
-        level_deaths(field, n, cols, deaths, top=k)
-        if deaths[-1] < len(cols):
+        rows = state.peek(end)
+        loop = _first_loop(rows)
+        rows = rows[:loop]
+        level_deaths(field, n, rows, deaths, top=k)
+        if deaths[-1] < len(rows):
             stop = hit = deaths[k] + 1
             break
         if loop is not None or end == max_steps:

@@ -273,8 +273,9 @@ def no_kcircuit_prob_approx(m: int, k: int, q: int, n: int) -> float:
 
 def _threshold_g(q: int, a: float, y: float) -> float:
     """g_a(y) = y log y + a log(q-1) - a log a - (y-a) log(y-a) - log q for
-    y >= a, with 0 log 0 = 0; its unique root b > a marks the
-    longest-circuit threshold at column density a."""
+    y >= a, with 0 log 0 = 0: the limit of (1/n) log of the expected
+    number of circuits of size a*n among y*n columns.  Its unique root
+    b > a is the column density at which those circuits appear."""
     if y == a:
         head = a * math.log(a)
     else:
@@ -288,8 +289,10 @@ def _threshold_g(q: int, a: float, y: float) -> float:
 
 @lru_cache(maxsize=64)  # b_prime and a table row ask for the same root
 def b_of_a(q: int, a: float) -> float:
-    """Root of g_a (_threshold_g): rescaled length of the longest circuit
-    at m = a*n; TooLarge when it lies past the float range."""
+    """Root b > a of g_a (_threshold_g), a column density: the expected
+    number of circuits of size a*n among y*n columns decays exponentially
+    in n for y < b and grows for y > b, so those circuits appear at about
+    b*n columns.  TooLarge when b lies past the float range."""
     if not 0 < a <= 1:
         raise InvalidParam("need 0 < a <= 1")
     # g is strictly increasing on (a, inf); the root lies below a + step

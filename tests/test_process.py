@@ -115,6 +115,65 @@ def test_state_rejects_empty_row_space():
         P.ProcessState(F2, 0, P.process_rng(1, 1))
 
 
+# gf2, packed GF(3), generic, the numpy prime engine (q = 5, n = 24), and
+# generic over a uint16 store (q = 257)
+@pytest.mark.parametrize("q,n,dtype", [(2, 6, np.uint8), (3, 5, np.uint8),
+                                       (4, 4, np.uint8), (5, 24, np.uint8),
+                                       (257, 3, np.uint16)])
+def test_store_holds_the_rows_of_the_pushed_natives(q, n, dtype, monkeypatch):
+    field = make_field(q)
+    pushed = []
+    push = RrefState.push
+
+    def record(self, column):
+        pushed.append(column)
+        return push(self, column)
+
+    monkeypatch.setattr(RrefState, "push", record)
+    st = P.ProcessState(field, n, P.process_rng(88, q))
+    assert st.peek(0).shape == (0, n)
+    first = st.peek(100).copy()  # past the first 64-column block
+    for _ in range(30):
+        st.step()
+    later = st.peek(150)  # columns 30..179, into the third block
+    assert first.dtype == later.dtype == st.rows.dtype == dtype
+    assert np.array_equal(later[:70], first[30:])
+    for _ in range(150):
+        st.step()
+    assert st.m == 180
+    rows = np.concatenate([first[:30], later])
+    assert st.column_tuples() == [tuple(r) for r in rows.tolist()]
+    replay = random_uniform_matrix(field, n, 180, P.process_rng(88, q))
+    assert st.matrix() == replay
+    assert list(replay.columns) == st.column_tuples()
+    # the natives the state pushed are draw_native_column's, in value and type
+    rng = P.process_rng(88, q)
+    drawn = [c for _ in range(3) for c in draw_native_column(field, n, rng, 64)]
+    assert len(pushed) == 180 and pushed == st.native_cols
+    for got, want in zip(pushed, drawn):
+        assert type(got) is type(want)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        else:
+            assert got == want
+            if isinstance(want, tuple):
+                assert {type(x) for x in got} == {type(x) for x in want}
+
+
+@pytest.mark.parametrize("call", [
+    lambda st: st.peek(-3),
+    lambda st: P.critical_trajectory(st, -2),
+    lambda st: P.track_critical(st, 1, max_steps=-3),
+], ids=["peek", "critical_trajectory", "track_critical"])
+def test_negative_counts_are_refused(call):
+    st = P.ProcessState(F2, 4, P.process_rng(5, 0))
+    with pytest.raises(InvalidParam):
+        call(st)
+    # nothing was stepped or drawn
+    fresh = P.ProcessState(F2, 4, P.process_rng(5, 0))
+    assert st.m == 0 and np.array_equal(st.peek(64), fresh.peek(64))
+
+
 # ---- corank and first-circuit hitting times ---------------------------------
 
 
@@ -401,6 +460,29 @@ def death_indices(field, n, k, cols):
     return S._death_indices(S._syndrome_words(field, n, cols), len(cols), field.q, n, k)
 
 
+# q = 2 builds the words by XOR doubling, every other q by a float product
+@pytest.mark.parametrize("field,n", [(F2, 1), (F2, 6), (F3, 3), (F4, 3)],
+                         ids=["q2-1", "q2-6", "q3-3", "q4-3"])
+def test_syndrome_words_against_field_arithmetic(field, n):
+    points = projective_points(field, n)
+    rng = np.random.default_rng(field.q * 10 + n)
+    for count in (1, 64, 70, 130):
+        cols = rng.integers(0, field.q, size=(count, n)).astype(np.uint8)
+        words = S._syndrome_words(field, n, cols)
+        assert words.dtype == np.uint64 and words.shape == (len(points), -(-count // 64))
+        assert np.array_equal(S._syndrome_words(field, n, [tuple(c) for c in cols.tolist()]),
+                              words)
+        width = 64 * words.shape[1]
+        for a, row in zip(points, words.tolist()):
+            bits = [row[j // 64] >> j % 64 & 1 for j in range(width)]
+            dots = [0] * count
+            for j, col in enumerate(cols.tolist()):
+                for x, y in zip(a, col):
+                    dots[j] = field.add(dots[j], field.mul(x, y))
+            # bit j is set when <a, column j> != 0, and every padding bit is set
+            assert bits == [int(d != 0) for d in dots] + [1] * (width - count)
+
+
 def test_critical_tracker_rebuilds_over_more_than_64_columns():
     # 70 distinct columns with first coordinate 1: only e_1 in the dual
     # has <a, v> = 1 on all of them, so chi stays 1 until e_2 arrives and
@@ -618,6 +700,36 @@ def test_track_critical_builds_no_level_above_its_target(field, n, k, monkeypatc
         assert levels == sorted(levels)
         if got is not None:  # the hit is the death of level k
             assert list(dict.fromkeys(levels)) == list(range(1, k + 1))
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])
+def test_critical_trackers_unpack_no_native_column(field, monkeypatch):
+    # both trackers read the state's element rows, never a native column
+    def refuse(*args):
+        raise AssertionError("a native column was unpacked")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fqmatroid"):
+            for attr in ("unpack_gf2", "native_to_tuple"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    n, horizon = 4, 60
+    for seed in range(6):
+        cols = list(random_uniform_matrix(field, n, horizon,
+                                          P.process_rng(seed, 2)).columns)
+        loop = next((m for m, v in enumerate(cols, start=1) if not any(v)), None)
+        loopless = horizon if loop is None else loop - 1
+        got = P.track_critical(P.ProcessState(field, n, P.process_rng(seed, 2)), 1,
+                               max_steps=horizon)
+        if got is None:
+            assert brute_critical_number(field, cols[:loopless]) <= 1
+        else:
+            assert brute_critical_number(field, cols[:got]) == 2
+            assert brute_critical_number(field, cols[:got - 1]) <= 1
+        trace = P.critical_trajectory(P.ProcessState(field, n, P.process_rng(seed, 2)), 12)
+        assert trace.loop_at == (loop if loop is not None and loop <= 12 else None)
+        for m, chi in enumerate(trace.chis, start=1):
+            assert chi == (None if m > loopless else brute_critical_number(field, cols[:m]))
 
 
 @pytest.mark.parametrize("n", [12, 16])

@@ -318,6 +318,19 @@ def test_expected_k_circuits_edges():
         T.expected_k_circuits(10 ** 4, 5000, 2, 5000)
 
 
+@pytest.mark.parametrize("a", [0.5, 1.0])
+@pytest.mark.parametrize("q", [2, 3])
+def test_b_of_a_is_where_circuits_of_size_a_n_appear(q, a):
+    # b(a) n is a column count, not a circuit length: (1/n) log of the
+    # expected number of circuits of size a n among b(a) n columns tends
+    # to g_a(b(a)) = 0
+    b = T.b_of_a(q, a)
+    assert b > a
+    rates = [abs(math.log(T.expected_k_circuits(round(b * n), round(a * n), q, n))) / n
+             for n in (250, 500, 1000, 2000)]
+    assert all(later < earlier for earlier, later in zip(rates, rates[1:])), rates
+
+
 def test_no_kcircuit_prob_approx():
     # exp(-(q-1)^{k-1}/k! * m^k / q^n)
     got = T.no_kcircuit_prob_approx(40, 2, 2, 10)
