@@ -494,17 +494,18 @@ def draw_native_column(field: FieldSpec, n: int, rng, count: int) -> list:
     return pack_native(field, n, rng.integers(0, field.q, size=(count, n)))
 
 
-def pack_native(field: FieldSpec, n: int, raw: np.ndarray) -> list:
-    """The rows of an int64 (count, n) array of field elements as columns in
-    engine-native form; the prime engine at p >= 5 gets the int64 rows."""
+def pack_native(field: FieldSpec, n: int, rows: np.ndarray) -> list:
+    """The rows of a (count, n) integer array of field elements as columns in
+    engine-native form; the prime engine at p >= 5 gets int64 rows, the only
+    case that copies rows of another dtype."""
     eng = engine_name(field, n)
     if eng == "gf2":
-        return _pack_rows(raw.astype(np.uint8))
+        return _pack_rows(rows.astype(np.uint8, copy=False))
     if eng == "prime" and field.q == 3:
-        return _pack_rows(np.concatenate([raw == 1, raw == 2], axis=1))
+        return _pack_rows(np.concatenate([rows == 1, rows == 2], axis=1))
     if eng == "prime":
-        return list(raw)
-    return [tuple(r) for r in raw.tolist()]
+        return list(rows.astype(np.int64, copy=False))
+    return [tuple(r) for r in rows.tolist()]
 
 
 def native_to_tuple(field: FieldSpec, n: int, native) -> tuple:

@@ -238,10 +238,6 @@ def _jsonable(obj):
 # ---- trial functions (top level so worker processes can import them) -----
 
 
-def _rng_for(res: dict, part_idx: int, trial: int):
-    return proc.process_rng(res["seed"], part_idx * _PART_STRIDE + trial)
-
-
 def _t_rank(res, rng):
     field = make_field(res["q"])
     st = proc.ProcessState(field, res["n"], rng)
@@ -797,15 +793,21 @@ def _run_chunk(preset: str, res: dict, part_idx: int, start: int, stop: int) -> 
     if spec.overrides:
         res = {**res, **dict(spec.overrides)}
     counters: dict = {}
+    if stop > start:  # a trial that raises fails the whole chunk, so all count
+        counters[f"{spec.name}.trials"] = Counter({1: stop - start})
+    hists: dict = {}  # observable -> its Counter in counters
+    # one generator, rekeyed to process_rng(seed, key)'s stream before each trial
+    rng = np.random.Generator(np.random.Philox(key=0))
     for t in range(start, stop):
-        rng = _rng_for(res, part_idx, t)
         try:
-            obs = spec.fn(res, rng)
+            obs = spec.fn(res, proc._rekey(rng, res["seed"], part_idx * _PART_STRIDE + t))
         except BudgetExceeded as e:
             raise BudgetExceeded(f"part {spec.name}, trial {t}: {e}") from None
-        counters.setdefault(f"{spec.name}.trials", Counter())[1] += 1
         for key, val in obs.items():
-            counters.setdefault(f"{spec.name}.{key}", Counter())[int(val)] += 1
+            hist = hists.get(key)
+            if hist is None:
+                hist = hists[key] = counters[f"{spec.name}.{key}"] = Counter()
+            hist[int(val)] += 1
     return counters
 
 

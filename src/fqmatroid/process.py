@@ -44,23 +44,40 @@ _DRAW_BLOCK = 64
 _LOOKAHEAD = 2
 
 
+def _rekey(rng: np.random.Generator, master_seed: int,
+           trial: int) -> np.random.Generator:
+    """Reset a Philox generator to the start of trial's stream: the state
+    Philox(key=[master_seed, trial]) starts in, with a zero counter and an
+    empty buffer."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([master_seed, trial], np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
 def process_rng(master_seed: int, trial: int) -> np.random.Generator:
     """Per-trial stream from a counter-based generator.
 
     Keying by (master_seed, trial) makes trial streams independent of
     execution order and of how trials are sharded across workers.
     """
-    return np.random.Generator(np.random.Philox(key=[master_seed, trial]))
+    return _rekey(np.random.Generator(np.random.Philox(key=0)), master_seed, trial)
 
 
 class ProcessState:
     """One trajectory of the uniform column process over F_q^n.
 
-    Keeps every drawn column twice, from the same draw: in engine-native
-    form for the elimination state, and as a row of field elements in one
-    (drawn, n) store of the narrowest unsigned dtype that holds q - 1, which
-    peek, rows, column_tuples and matrix slice.  Each step returns the
-    sparse dependency dict that push returned.
+    Keeps the element rows of every drawn column in one (drawn, n) store of
+    the narrowest unsigned dtype that holds q - 1, which peek, rows,
+    column_tuples and matrix slice.  Columns are eliminated on demand: advance
+    appends columns without pushing them, and they are pushed, in order, before
+    step pushes its own column or a caller reads rank, corank, corank_history,
+    native_cols or rref.  A block is packed into engine-native form the first
+    time one of its columns is pushed.  Each step returns the sparse
+    dependency dict that push returned.
     """
 
     def __init__(self, field: FieldSpec, n: int, rng):
@@ -69,12 +86,34 @@ class ProcessState:
         self.field = field
         self.n = n
         self.rng = rng
-        self._natives: list = []  # every drawn column; the first m are stepped
         self._rows = np.empty((0, n), dtype=np.uint8 if field.q <= 256 else np.uint16)
-        self.rref = RrefState(field, n)
-        self.native_cols: list = []
-        self.corank_history: list[int] = []
+        self._drawn = 0  # columns in the store
+        self._pushed = 0  # the first m columns are appended, the first _pushed pushed
+        self._block: list = []  # the natives of the block that holds the last push
+        self._rref = RrefState(field, n)
+        self._native_cols: list = []
+        self._corank_history: list[int] = []
         self.m = 0
+
+    def _sync(self) -> None:
+        """Push every column that was appended but not pushed yet."""
+        while self._pushed < self.m:
+            self._push()
+
+    @property
+    def rref(self) -> RrefState:
+        self._sync()
+        return self._rref
+
+    @property
+    def native_cols(self) -> list:
+        self._sync()
+        return self._native_cols
+
+    @property
+    def corank_history(self) -> list[int]:
+        self._sync()
+        return self._corank_history
 
     @property
     def rank(self) -> int:
@@ -82,23 +121,44 @@ class ProcessState:
 
     @property
     def corank(self) -> int:
-        return self.rref.corank
+        """The corank after the last step, as the corank check recorded it."""
+        history = self.corank_history
+        return history[-1] if history else 0
 
     @property
     def rows(self) -> np.ndarray:
-        """The (m, n) element rows of the stepped columns, a view of the store."""
+        """The (m, n) element rows of the appended columns, a view of the store."""
         return self._rows[:self.m]
 
     def _draw_block(self) -> None:
-        """Draw _DRAW_BLOCK columns; the store doubles when it is full."""
-        raw = self.rng.integers(0, self.field.q, size=(_DRAW_BLOCK, self.n))
-        drawn = len(self._natives)
-        self._natives += pack_native(self.field, self.n, raw)
+        """Draw _DRAW_BLOCK columns into the store, which doubles when it is full."""
+        drawn = self._drawn
         if drawn == len(self._rows):
             grown = np.empty((max(2 * drawn, _DRAW_BLOCK), self.n), self._rows.dtype)
             grown[:drawn] = self._rows
             self._rows = grown
-        self._rows[drawn:drawn + _DRAW_BLOCK] = raw
+        self._rows[drawn:drawn + _DRAW_BLOCK] = self.rng.integers(
+            0, self.field.q, size=(_DRAW_BLOCK, self.n))
+        self._drawn = drawn + _DRAW_BLOCK
+
+    def _push(self) -> dict | None:
+        """Push the first unpushed column, packing its block at the block's
+        first column; the corank must stay or grow by one."""
+        i = self._pushed
+        if i % _DRAW_BLOCK == 0:
+            self._block = pack_native(self.field, self.n, self._rows[i:i + _DRAW_BLOCK])
+        col = self._block[i % _DRAW_BLOCK]
+        history = self._corank_history
+        prev_corank = history[-1] if history else 0
+        dep = self._rref.push(col)
+        self._native_cols.append(col)
+        self._pushed = i + 1
+        c = self._rref.corank
+        if c not in (prev_corank, prev_corank + 1):
+            raise ConsistencyError(
+                f"corank jumped {prev_corank} -> {c} at step {i + 1}")
+        history.append(c)
+        return dep
 
     def step(self) -> dict | None:
         """Draw one uniform column and append it; returns what
@@ -106,32 +166,29 @@ class ProcessState:
         columns before it, else a kernel vector {column index: coefficient}
         whose support includes the new column.
 
-        Columns are drawn _DRAW_BLOCK at a time, and peek may draw further
-        blocks before they are stepped, so the state reads its rng ahead:
-        once it has stepped or peeked, nothing else may draw from that rng."""
-        if self.m == len(self._natives):
+        Columns are drawn _DRAW_BLOCK at a time, and peek and advance may draw
+        further blocks, so the state reads its rng ahead: once it has
+        stepped, peeked or advanced, nothing else may draw from that rng."""
+        self._sync()
+        if self.m == self._drawn:
             self._draw_block()
-        col = self._natives[self.m]
-        prev_corank = self.corank_history[-1] if self.corank_history else 0
-        dep = self.rref.push(col)
-        self.native_cols.append(col)
         self.m += 1
-        c = self.rref.corank
-        if c not in (prev_corank, prev_corank + 1):
-            raise ConsistencyError(
-                f"corank jumped {prev_corank} -> {c} at step {self.m}")
-        self.corank_history.append(c)
-        return dep
+        return self._push()
 
     def peek(self, count: int) -> np.ndarray:
         """The (count, n) element rows of the next `count` columns, a view of
         the store, without appending them: the next `count` steps append
         exactly these.  Blocks are drawn in the order steps would draw them."""
         if count < 0:
-            raise InvalidParam("cannot peek a negative number of columns")
-        while len(self._natives) < self.m + count:
+            raise InvalidParam("column count must be >= 0")
+        while self._drawn < self.m + count:
             self._draw_block()
         return self._rows[self.m:self.m + count]
+
+    def advance(self, count: int) -> None:
+        """Append the next `count` columns, the rows peek(count) returns,
+        without pushing them; they are pushed when a step or a read needs them."""
+        self.m += len(self.peek(count))
 
     def column_tuples(self) -> list[tuple]:
         return [tuple(r) for r in self.rows.tolist()]
@@ -187,6 +244,8 @@ def track_k_circuit(state: ProcessState, k: int,
     """
     if k < 1:
         raise InvalidParam("circuit length must be >= 1")
+    if max_steps is not None and max_steps < 0:
+        raise InvalidParam("max_steps must be >= 0")
     field, n = state.field, state.n
     if state.m:
         raise InvalidParam("k-circuit tracking must start from an empty state")
@@ -269,6 +328,8 @@ def kappa_trajectory(state: ProcessState, horizon: int,
     decrease the monitor records after full rank would be a genuine
     counterexample (or an implementation bug).
     """
+    if horizon < 0:
+        raise InvalidParam("kappa trajectory horizon must be >= 0")
     if state.m:
         raise InvalidParam("kappa trajectory must start from an empty state")
     if horizon > partition_budget:
@@ -326,8 +387,7 @@ def critical_trajectory(state: ProcessState, horizon: int) -> CriticalTrace:
         raise InvalidParam("critical trajectory horizon must be >= 0")
     if state.m:
         raise InvalidParam("critical trajectory must start from an empty state")
-    for _ in range(horizon):
-        state.step()
+    state.advance(horizon)
     rows = state.rows
     loop = _first_loop(rows)
     rows = rows[:loop]
@@ -346,7 +406,8 @@ def track_critical(state: ProcessState, k: int,
     window of the state's next columns (peek), cut at the first loop and at
     max_steps; while the window's last level survives, the window doubles
     and that level is evaluated again.  No level above k is ever built.
-    The state then steps exactly to the hit, the loop or max_steps.
+    The state then advances to the hit, the loop or max_steps, pushing none
+    of its columns (ProcessState.advance).
     """
     if k < 0:
         raise InvalidParam("critical target must be >= 0")
@@ -372,8 +433,7 @@ def track_critical(state: ProcessState, k: int,
             break
         deaths.pop()  # the surviving level, evaluated again over more columns
         size *= 2
-    while state.m < stop:
-        state.step()
+    state.advance(stop)
     return hit
 
 

@@ -72,6 +72,24 @@ def test_worker_count_does_not_change_results():
     assert par_rep.runtime["workers"] == 3
 
 
+@pytest.mark.parametrize("preset", sorted(MC.PRESETS))
+def test_chunk_rekeys_one_generator_to_each_trials_stream(preset):
+    # _run_chunk reuses one generator, rekeyed before each trial: the counters
+    # equal those of a fresh process_rng per trial, so no trial reads a draw
+    # an earlier one left buffered or drew ahead
+    res = MC.ExperimentConfig(preset=preset, seed=2026).resolved()
+    for idx, spec in enumerate(MC.PRESETS[preset].parts):
+        part_res = {**res, **dict(spec.overrides)}
+        want: dict = {}
+        for t in range(3, 8):
+            obs = spec.fn(part_res, process_rng(2026, idx * MC._PART_STRIDE + t))
+            want.setdefault(f"{spec.name}.trials", Counter())[1] += 1
+            for key, val in obs.items():
+                want.setdefault(f"{spec.name}.{key}", Counter())[int(val)] += 1
+        got = MC._run_chunk(preset, res, idx, 3, 8)
+        assert list(got.items()) == list(want.items())
+
+
 def test_part_override_streams_are_disjoint():
     # E5's two parts share trial indices but must draw distinct streams
     agg, _ = tiny("E5", 99, 2, n=12)

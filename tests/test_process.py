@@ -16,7 +16,7 @@ import pytest
 
 from fqmatroid import montecarlo as MC
 from fqmatroid import process as P
-from fqmatroid.errors import BudgetExceeded, InvalidParam
+from fqmatroid.errors import BudgetExceeded, ConsistencyError, InvalidParam
 from fqmatroid.fqlinalg import (
     FqMatrix,
     RrefState,
@@ -164,7 +164,11 @@ def test_store_holds_the_rows_of_the_pushed_natives(q, n, dtype, monkeypatch):
     lambda st: st.peek(-3),
     lambda st: P.critical_trajectory(st, -2),
     lambda st: P.track_critical(st, 1, max_steps=-3),
-], ids=["peek", "critical_trajectory", "track_critical"])
+    lambda st: P.track_k_circuit(st, 3, max_steps=-1),
+    lambda st: P.kappa_trajectory(st, -1),
+    lambda st: st.advance(-1),
+], ids=["peek", "critical_trajectory", "track_critical", "track_k_circuit",
+        "kappa_trajectory", "advance"])
 def test_negative_counts_are_refused(call):
     st = P.ProcessState(F2, 4, P.process_rng(5, 0))
     with pytest.raises(InvalidParam):
@@ -172,6 +176,65 @@ def test_negative_counts_are_refused(call):
     # nothing was stepped or drawn
     fresh = P.ProcessState(F2, 4, P.process_rng(5, 0))
     assert st.m == 0 and np.array_equal(st.peek(64), fresh.peek(64))
+
+
+def assert_same_natives(got, want):
+    """Engine-native columns equal in value and in type (dtype for arrays)."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        else:
+            assert a == b
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 24), (4, 4), (5, 24), (257, 3)],
+                         ids=["gf2", "gf3-packed", "generic-q4", "prime-q5", "generic-q257"])
+def test_advance_then_step_reads_as_a_stepped_twin(q, n):
+    # advancing appends columns unpushed; every later step and read pushes
+    # them first, in order, so nothing a caller reads differs from stepping
+    field = make_field(q)
+    st = P.ProcessState(field, n, P.process_rng(71, q))
+    deps = {}
+    for count in (10, 0, 60, 3, 70, 1, 65):  # across the 64-, 128- and 192-column blocks
+        st.advance(count)
+        for _ in range(2):
+            deps[st.m] = st.step()
+    assert st.m == 223
+    twin = P.ProcessState(field, n, P.process_rng(71, q))
+    twin_deps = [twin.step() for _ in range(223)]
+    assert deps == {m: twin_deps[m - 1] for m in deps}
+    assert st.corank_history == twin.corank_history
+    assert st.rank == twin.rank and st.corank == twin.corank
+    assert_same_natives(st.native_cols, twin.native_cols)
+    assert st.column_tuples() == twin.column_tuples()
+    assert st.matrix() == twin.matrix()
+    # columns advanced past the last step are pushed by the first read
+    st.advance(40)
+    for _ in range(40):
+        twin.step()
+    assert st.rref.rank == twin.rank and st.corank_history == twin.corank_history
+    assert_same_natives(st.native_cols, twin.native_cols)
+
+
+@pytest.mark.parametrize("read", [
+    lambda st: st.step(),
+    lambda st: st.rank,
+    lambda st: st.corank,
+    lambda st: st.corank_history,
+    lambda st: st.native_cols,
+    lambda st: st.rref,
+], ids=["step", "rank", "corank", "corank_history", "native_cols", "rref"])
+def test_advanced_columns_keep_the_corank_check(read, monkeypatch):
+    corank = RrefState.corank
+    # from the fifth column on, the engine reports a corank two too high
+    monkeypatch.setattr(RrefState, "corank",
+                        property(lambda self: corank.fget(self) + 2 * (self.ncols >= 5)))
+    st = P.ProcessState(F2, 6, P.process_rng(72, 0))
+    st.advance(10)  # nothing is pushed yet
+    with pytest.raises(ConsistencyError, match="at step 5"):
+        read(st)
 
 
 # ---- corank and first-circuit hitting times ---------------------------------
@@ -702,34 +765,67 @@ def test_track_critical_builds_no_level_above_its_target(field, n, k, monkeypatc
             assert list(dict.fromkeys(levels)) == list(range(1, k + 1))
 
 
-@pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])
-def test_critical_trackers_unpack_no_native_column(field, monkeypatch):
-    # both trackers read the state's element rows, never a native column
+def refuse_in_package(monkeypatch, *names):
+    """Rebind every fqmatroid module's binding of each name to a refusal."""
     def refuse(*args):
-        raise AssertionError("a native column was unpacked")
+        raise AssertionError(f"one of {names} was called")
 
     for name, module in list(sys.modules.items()):
         if name.startswith("fqmatroid"):
-            for attr in ("unpack_gf2", "native_to_tuple"):
+            for attr in names:
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
+    return refuse
+
+
+def check_critical_trackers(field, seeds):
+    """track_critical(k = 1) and critical_trajectory against the brute oracle
+    on (seed, 2) streams; returns (seed, state) for every state they left."""
     n, horizon = 4, 60
-    for seed in range(6):
+    states = []
+    for seed in seeds:
         cols = list(random_uniform_matrix(field, n, horizon,
                                           P.process_rng(seed, 2)).columns)
         loop = next((m for m, v in enumerate(cols, start=1) if not any(v)), None)
         loopless = horizon if loop is None else loop - 1
-        got = P.track_critical(P.ProcessState(field, n, P.process_rng(seed, 2)), 1,
-                               max_steps=horizon)
+        st = P.ProcessState(field, n, P.process_rng(seed, 2))
+        got = P.track_critical(st, 1, max_steps=horizon)
         if got is None:
             assert brute_critical_number(field, cols[:loopless]) <= 1
         else:
             assert brute_critical_number(field, cols[:got]) == 2
             assert brute_critical_number(field, cols[:got - 1]) <= 1
-        trace = P.critical_trajectory(P.ProcessState(field, n, P.process_rng(seed, 2)), 12)
+        traced = P.ProcessState(field, n, P.process_rng(seed, 2))
+        trace = P.critical_trajectory(traced, 12)
         assert trace.loop_at == (loop if loop is not None and loop <= 12 else None)
         for m, chi in enumerate(trace.chis, start=1):
             assert chi == (None if m > loopless else brute_critical_number(field, cols[:m]))
+        states += [(seed, st), (seed, traced)]
+    return states
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])
+def test_critical_trackers_unpack_no_native_column(field, monkeypatch):
+    # both trackers read the state's element rows, never a native column
+    refuse_in_package(monkeypatch, "unpack_gf2", "native_to_tuple")
+    check_critical_trackers(field, range(6))
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])
+def test_critical_trackers_push_and_pack_nothing(field, monkeypatch):
+    # both trackers advance the state without eliminating or packing a
+    # column; a later read pushes them, as if the state had stepped
+    refuse = refuse_in_package(monkeypatch, "pack_native")
+    monkeypatch.setattr(RrefState, "push", refuse)
+    states = check_critical_trackers(field, range(6))
+    monkeypatch.undo()
+    assert all(st.m for _, st in states)
+    for seed, st in states:
+        twin = P.ProcessState(field, st.n, P.process_rng(seed, 2))
+        for _ in range(st.m):
+            twin.step()
+        assert (st.m, st.rank, st.corank, st.corank_history) == \
+               (twin.m, twin.rank, twin.corank, twin.corank_history)
 
 
 @pytest.mark.parametrize("n", [12, 16])
