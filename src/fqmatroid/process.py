@@ -100,19 +100,25 @@ class ProcessState:
         while self._pushed < self.m:
             self._push()
 
+    # each reader tests before it calls _sync, since the stepping trackers
+    # read them at every step, when nothing is pending
+
     @property
     def rref(self) -> RrefState:
-        self._sync()
+        if self._pushed < self.m:
+            self._sync()
         return self._rref
 
     @property
     def native_cols(self) -> list:
-        self._sync()
+        if self._pushed < self.m:
+            self._sync()
         return self._native_cols
 
     @property
     def corank_history(self) -> list[int]:
-        self._sync()
+        if self._pushed < self.m:
+            self._sync()
         return self._corank_history
 
     @property
@@ -169,7 +175,8 @@ class ProcessState:
         Columns are drawn _DRAW_BLOCK at a time, and peek and advance may draw
         further blocks, so the state reads its rng ahead: once it has
         stepped, peeked or advanced, nothing else may draw from that rng."""
-        self._sync()
+        if self._pushed < self.m:
+            self._sync()
         if self.m == self._drawn:
             self._draw_block()
         self.m += 1
