@@ -95,10 +95,28 @@ class ProcessState:
         self._corank_history: list[int] = []
         self.m = 0
 
-    def _sync(self) -> None:
-        """Push every column that was appended but not pushed yet."""
+    def _sync(self) -> dict | None:
+        """Push, in order, every appended column not pushed yet, packing each
+        block at its first column; returns the last push's dependency.  At
+        each push the corank must stay or grow by one."""
+        dep = None
+        history = self._corank_history
         while self._pushed < self.m:
-            self._push()
+            i = self._pushed
+            j = i % _DRAW_BLOCK
+            if j == 0:
+                self._block = pack_native(self.field, self.n, self._rows[i:i + _DRAW_BLOCK])
+            col = self._block[j]
+            prev_corank = history[-1] if history else 0
+            dep = self._rref.push(col)
+            self._native_cols.append(col)
+            self._pushed = i + 1
+            c = self._rref.corank
+            if c not in (prev_corank, prev_corank + 1):
+                raise ConsistencyError(
+                    f"corank jumped {prev_corank} -> {c} at step {i + 1}")
+            history.append(c)
+        return dep
 
     # each reader tests before it calls _sync, since the stepping trackers
     # read them at every step, when nothing is pending
@@ -147,25 +165,6 @@ class ProcessState:
             0, self.field.q, size=(_DRAW_BLOCK, self.n))
         self._drawn = drawn + _DRAW_BLOCK
 
-    def _push(self) -> dict | None:
-        """Push the first unpushed column, packing its block at the block's
-        first column; the corank must stay or grow by one."""
-        i = self._pushed
-        if i % _DRAW_BLOCK == 0:
-            self._block = pack_native(self.field, self.n, self._rows[i:i + _DRAW_BLOCK])
-        col = self._block[i % _DRAW_BLOCK]
-        history = self._corank_history
-        prev_corank = history[-1] if history else 0
-        dep = self._rref.push(col)
-        self._native_cols.append(col)
-        self._pushed = i + 1
-        c = self._rref.corank
-        if c not in (prev_corank, prev_corank + 1):
-            raise ConsistencyError(
-                f"corank jumped {prev_corank} -> {c} at step {i + 1}")
-        history.append(c)
-        return dep
-
     def step(self) -> dict | None:
         """Draw one uniform column and append it; returns what
         RrefState.push returned for it: None when it is independent of the
@@ -175,12 +174,10 @@ class ProcessState:
         Columns are drawn _DRAW_BLOCK at a time, and peek and advance may draw
         further blocks, so the state reads its rng ahead: once it has
         stepped, peeked or advanced, nothing else may draw from that rng."""
-        if self._pushed < self.m:
-            self._sync()
         if self.m == self._drawn:
             self._draw_block()
         self.m += 1
-        return self._push()
+        return self._sync()
 
     def peek(self, count: int) -> np.ndarray:
         """The (count, n) element rows of the next `count` columns, a view of
