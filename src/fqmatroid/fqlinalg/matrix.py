@@ -388,7 +388,15 @@ class RrefState:
 
 
 class FqMatrix:
-    """Immutable n-row matrix over F_q, stored column-wise."""
+    """Immutable n-row matrix over F_q, stored column-wise.
+
+    FqMatrix(...) checks that the columns have n entries each, all in
+    [0, q).  Only code that made the entries itself skips that check, by
+    building through _trusted: random_uniform_matrix (entries from
+    rng.integers(0, q)), delete and contract (columns of a checked
+    matrix and their reductions), process.sample_pg_model (projective
+    points) and ProcessState.matrix (the drawn store).
+    """
 
     __slots__ = ("field", "n", "m", "columns", "_rank", "_native_cols")
 
@@ -405,12 +413,24 @@ class FqMatrix:
             for x in col:
                 if not 0 <= x < q:
                     raise InvalidParam(f"entry {x} outside [0, {q})")
+        self._fill(field, cols, n, None)
+
+    def _fill(self, field: FieldSpec, cols: tuple, n: int, native) -> None:
         self.field = field
         self.n = n
         self.m = len(cols)
         self.columns = cols
         self._rank = None
-        self._native_cols = None
+        self._native_cols = native
+
+    @classmethod
+    def _trusted(cls, field: FieldSpec, cols: tuple, n: int, native=None) -> "FqMatrix":
+        """A matrix of `cols`, a tuple of n-tuples of Python ints in [0, q),
+        unchecked; `native`, when given, is the list native_columns would
+        build (the engine form of every column)."""
+        self = object.__new__(cls)
+        self._fill(field, cols, n, native)
+        return self
 
     def native_columns(self) -> list:
         """Columns in the elimination engine's preferred representation."""
@@ -450,9 +470,11 @@ class FqMatrix:
         for i in drop:
             if not 0 <= i < self.m:
                 raise InvalidParam(f"column index {i} out of range")
-        return FqMatrix(
-            self.field, [c for i, c in enumerate(self.columns) if i not in drop], n=self.n
-        )
+        keep = [i for i in range(self.m) if i not in drop]
+        native = self._native_cols
+        return FqMatrix._trusted(
+            self.field, tuple(self.columns[i] for i in keep), self.n,
+            None if native is None else [native[i] for i in keep])
 
     def contract(self, indices) -> "FqMatrix":
         """Contract the columns in `indices` and drop them.
@@ -471,7 +493,8 @@ class FqMatrix:
             span.push(self.columns[x])
         keep = [r for r in range(self.n) if r not in span.rows]
         cols = [span.reduce(c) for j, c in enumerate(self.columns) if j not in X]
-        return FqMatrix(self.field, [[v[r] for r in keep] for v in cols], n=len(keep))
+        return FqMatrix._trusted(self.field, tuple(tuple(v[r] for r in keep) for v in cols),
+                                 len(keep))
 
     def __eq__(self, other):
         return (
@@ -522,4 +545,5 @@ def native_to_tuple(field: FieldSpec, n: int, native) -> tuple:
 def random_uniform_matrix(field: FieldSpec, n: int, m: int, rng) -> FqMatrix:
     """n x m matrix with i.i.d. uniform entries, drawn column by column: the
     stream draw_native_column(field, n, rng, m) reads."""
-    return FqMatrix(field, rng.integers(0, field.q, size=(m, n)).tolist(), n=n)
+    rows = rng.integers(0, field.q, size=(m, n)).tolist()
+    return FqMatrix._trusted(field, tuple(map(tuple, rows)), n)

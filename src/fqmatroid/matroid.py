@@ -22,9 +22,21 @@ part X of I to side 1 and the rest Y to side 2 raises d1 by at least
 |X| and d2 by at least |Y|, so its order is at least
 d1 + d2 + |I| - r(M) + 1, and the subtree is pruned when that reaches
 the best order so far.  Since |I| <= r(M) - max(d1, d2), the walk runs
-only when min(d1, d2) + 1 reaches it.  A pruned subtree holds no leaf
-below the best, so the first minimal leaf in depth-first order, and with
-it the order and the witness, is the same as without the bound.
+only when min(d1, d2) + 1 reaches it, and it stops as soon as |I| is
+large enough to prune or the columns left cannot make it so.  A child
+whose order already reaches the best is not entered.  A pruned subtree
+holds no leaf below the best, so the first minimal leaf in depth-first
+order, and with it the order and the witness, is the same as without
+the bound.
+
+basis_complement_bound walks the same way: it splits the columns, in
+index order, into a basis B and its complement X on two undoable spans,
+and drops a branch at the first dependent prefix of B or once r(X)
+rules out every completion.
+
+A RepMatroid caches what does not change with its matrix: the points,
+girth() and vertical_connectivity(budget) per budget.  A query that
+raises BudgetExceeded caches nothing, so it raises again.
 """
 
 from __future__ import annotations
@@ -160,6 +172,8 @@ class RepMatroid:
         self.field = matrix.field
         self.m = matrix.m
         self._points = None
+        self._girth = None
+        self._kappa: dict = {}  # partition budget -> vertical_connectivity's answer
 
     @property
     def rank(self) -> int:
@@ -200,6 +214,11 @@ class RepMatroid:
         girth, so one KernelSweep over the dependencies decides it; it
         refuses when q^corank exceeds DEFAULT_KERNEL_BUDGET.
         """
+        if self._girth is None:
+            self._girth = self._sweep_girth()
+        return self._girth
+
+    def _sweep_girth(self):
         if self.loops():
             return 1
         pts = [p for p in self.points() if p is not None]
@@ -263,10 +282,16 @@ class RepMatroid:
         best, parts = best_init, None
         rank = ranks[-1]
 
-        def common_rest(i):
-            """Size of a greedy set of cols[i:] independent over both sides."""
+        def common_rest(i, need):
+            """Whether a greedy set of cols[i:] independent over both sides
+            reaches size need; the walk stops once it does, or once the
+            columns left cannot bring it there."""
             kept = []
+            left = m - i
             for col in cols[i:]:
+                if len(kept) + left < need:
+                    break
+                left -= 1
                 p1 = push1(col)
                 if p1 is None:
                     continue
@@ -275,10 +300,12 @@ class RepMatroid:
                     pop1(p1)
                 else:
                     kept.append((p1, p2))
+                    if len(kept) == need:
+                        break
             for p1, p2 in reversed(kept):
                 pop2(p2)
                 pop1(p1)
-            return len(kept)
+            return len(kept) >= need
 
         def rec(i, n1, n2, d1, d2):
             """Search below depth i, sides of sizes n1, n2 and ranks d1, d2;
@@ -294,7 +321,7 @@ class RepMatroid:
                 return False
             # common-independent-set bound, see the module docstring
             if vertical and rem and min(d1, d2) + 1 >= best and \
-                    d1 + d2 + common_rest(i) - rank + 1 >= best:
+                    common_rest(i, best - 1 - d1 - d2 + rank):
                 return False
             if i == m:
                 # the two prunes above leave only the cyclic side
@@ -306,12 +333,16 @@ class RepMatroid:
                          tuple(j for j in range(m) if assign[j] == 2))
                 return order <= abort_at
             col = cols[i]
+            # a child's order is base, or base + 1 when its push is
+            # independent; the child would return at once when that
+            # reaches best, so it is not called
+            base = d1 + d2 - ranks[i + 1] + 1
             assign[i] = 1
             p = push1(col)
             if p is None:
                 stop = rec(i + 1, n1 + 1, n2, d1, d2)
             else:
-                stop = rec(i + 1, n1 + 1, n2, d1 + 1, d2)
+                stop = base + 1 < best and rec(i + 1, n1 + 1, n2, d1 + 1, d2)
                 pop1(p)
             if stop or i == 0:  # swapping sides at column 0 is a symmetry
                 return stop
@@ -319,7 +350,7 @@ class RepMatroid:
             p = push2(col)
             if p is None:
                 return rec(i + 1, n1, n2 + 1, d1, d2)
-            stop = rec(i + 1, n1, n2 + 1, d1, d2 + 1)
+            stop = base + 1 < best and rec(i + 1, n1, n2 + 1, d1, d2 + 1)
             pop2(p)
             return stop
 
@@ -330,7 +361,10 @@ class RepMatroid:
 
     def vertical_connectivity(self, budget: int = DEFAULT_PARTITION_BUDGET):
         """Smallest order of a vertical separation; math.inf when none exists."""
-        return self._bipartition_search("vertical", budget)
+        found = self._kappa.get(budget)
+        if found is None:
+            found = self._kappa[budget] = self._bipartition_search("vertical", budget)
+        return found
 
     def vertical_separation_below(self, bound, budget: int = DEFAULT_PARTITION_BUDGET):
         """Minimal-order vertical separation of order < bound, or (inf, None).
@@ -360,15 +394,37 @@ class RepMatroid:
         vertical nor cyclic, the one family the min(kappa, kappa*) identity
         misses; math.inf when no basis has a dependent complement.
         """
-        rk = self.rank
+        m, rk = self.m, self.rank
+        free = m - rk  # |X|
+        cap = min(rk, free)  # X is dependent and r(X) < r(M) iff r(X) < cap
+        cols, (tb, tx) = _spans(self.matrix, 2)
         best = INFINITY
-        for B in itertools.combinations(range(self.m), rk):
-            if self.matrix.rank_of(B) != rk:
-                continue
-            X = [j for j in range(self.m) if j not in set(B)]
-            rx = self.matrix.rank_of(X)
-            if rx < len(X) and rx < rk and rx + 1 < best:
+
+        def rec(i, nb, rx):
+            """Columns before i are split into an independent B of size nb
+            and an X of rank rx; r(X) only grows, so a branch ends once rx
+            reaches cap or rx + 1 reaches best."""
+            nonlocal best
+            if rx >= cap or rx + 1 >= best:
+                return
+            if i == m:
                 best = rx + 1
+                return
+            col = cols[i]
+            if nb < rk:
+                p = tb.push(col)
+                if p is not None:  # a dependent B prefix extends to no basis
+                    rec(i + 1, nb + 1, rx)
+                    tb.pop(p)
+            if i - nb < free:
+                p = tx.push(col)
+                if p is None:
+                    rec(i + 1, nb, rx)
+                else:
+                    rec(i + 1, nb, rx + 1)
+                    tx.pop(p)
+
+        rec(0, 0, 0)
         return best
 
     def tutte_connectivity(self, budget: int = DEFAULT_PARTITION_BUDGET):

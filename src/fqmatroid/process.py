@@ -198,7 +198,10 @@ class ProcessState:
         return [tuple(r) for r in self.rows.tolist()]
 
     def matrix(self) -> FqMatrix:
-        return FqMatrix(self.field, self.column_tuples(), n=self.n)
+        """The appended columns as an FqMatrix; when all of them are pushed,
+        it shares their engine-native forms, so it packs none again."""
+        native = None if self._pushed < self.m else self._native_cols[:]
+        return FqMatrix._trusted(self.field, tuple(self.column_tuples()), self.n, native)
 
     def matroid(self) -> RepMatroid:
         return RepMatroid(self.matrix())
@@ -470,4 +473,4 @@ def sample_pg_model(field: FieldSpec, n: int, rng,
             raise InvalidParam("p must lie in [0, 1]")
         mask = rng.random(total) < p
         sel = [pt for pt, keep in zip(pts, mask) if keep]
-    return FqMatrix(field, sel, n=n)
+    return FqMatrix._trusted(field, tuple(sel), n)

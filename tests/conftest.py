@@ -67,6 +67,40 @@ def brute_separations(field, cols):
     return best
 
 
+def brute_first_witness(field, cols, kind):
+    """(order, part1, part2) of the first bipartition of minimal order of
+    this kind in the bipartition search's depth-first order: column 0 on
+    side 1, and at every later column side 1 before side 2; (inf, None,
+    None) when no bipartition is a separation of the kind."""
+    m = len(cols)
+    best = (float("inf"), None, None)
+    if m < 2:
+        return best
+    for sides in itertools.product((1, 2), repeat=m - 1):
+        part1 = tuple([0] + [j for j, s in enumerate(sides, 1) if s == 1])
+        part2 = tuple(j for j, s in enumerate(sides, 1) if s == 2)
+        order, kinds = brute_separation_kinds(field, cols, part1, part2)
+        if kind in kinds and order < best[0]:
+            best = (order, part1, part2)
+    return best
+
+
+def brute_basis_complement_bound(field, cols):
+    """min r(X) + 1 over the complements X of the bases with X dependent
+    and r(X) < r(E), by every r(E)-subset and brute ranks; inf for none."""
+    m = len(cols)
+    rk = brute_rank(field, cols)
+    best = float("inf")
+    for basis in itertools.combinations(range(m), rk):
+        if brute_rank(field, [cols[j] for j in basis]) != rk:
+            continue
+        rest = [cols[j] for j in range(m) if j not in basis]
+        rx = brute_rank(field, rest)
+        if rx < len(rest) and rx < rk:
+            best = min(best, rx + 1)
+    return best
+
+
 def brute_critical_number(field, cols):
     """Smallest k such that some k-dimensional dual space U has, for every
     column v, a row u with <u, v> != 0, so that its (n-k)-dimensional

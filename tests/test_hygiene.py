@@ -3,7 +3,8 @@ every function, class and method is referenced somewhere in src/, no
 function imports from the package, no module reads an environment
 variable but FQMATROID_BUDGET, every entry point bench/tracing.py wraps
 still exists, each package's __all__ is exactly what its __init__
-imports, and the CLI starts without the process pool's machinery."""
+imports, the CLI starts without the process pool's machinery, and only
+the builders that make their own entries skip FqMatrix's entry check."""
 
 import ast
 import importlib
@@ -194,3 +195,39 @@ def test_cli_import_leaves_out_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+# the src/ functions that build an FqMatrix through the unchecked
+# FqMatrix._trusted, each from entries it made itself
+TRUSTED_BUILDERS = {
+    "fqlinalg/matrix.py:FqMatrix.delete",
+    "fqlinalg/matrix.py:FqMatrix.contract",
+    "fqlinalg/matrix.py:random_uniform_matrix",
+    "process.py:ProcessState.matrix",
+    "process.py:sample_pg_model",
+}
+
+
+def _trusted_callers(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    rel = path.relative_to(PACKAGE).as_posix()
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "_trusted":
+                found.add(f"{rel}:{'.'.join(scope) or '<module>'}")
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_only_the_trusted_builders_skip_the_entry_check():
+    # every other FqMatrix, one built through FqMatrix(...) included, has
+    # its columns checked for length and range
+    callers = set().union(*(_trusted_callers(p) for p in sorted(PACKAGE.rglob("*.py"))))
+    assert callers == TRUSTED_BUILDERS

@@ -343,6 +343,27 @@ def test_block_draw_is_the_per_column_stream(q, n):
         assert block_rng.integers(0, 1 << 40) == single_rng.integers(0, 1 << 40)
 
 
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (3, 30), (4, 3), (5, 30)])
+def test_trusted_builds_equal_checked_ones(q, n):
+    # random_uniform_matrix, delete and contract skip the entry check; what
+    # they build equals FqMatrix(...) of the same columns, natives included,
+    # whether or not the source matrix had built its natives first
+    F = make_field(q)
+    for warm in (False, True):
+        mat = random_uniform_matrix(F, n, 9, np.random.default_rng([q, n]))
+        if warm:
+            mat.native_columns()
+        built = [mat] + [op(drop) for drop in ([], [0], [2, 5, 8])
+                         for op in (mat.delete, mat.contract)]
+        for got in built:
+            checked = FqMatrix(F, got.columns, n=got.n)
+            assert got == checked and got.m == checked.m
+            assert all(type(x) is int for col in got.columns for x in col)
+            assert [native_to_tuple(F, got.n, c) for c in got.native_columns()] \
+                == list(got.columns)
+            assert got.rank == checked.rank
+
+
 def test_engine_selection():
     assert engine_name(make_field(2), 100) == "gf2"
     assert engine_name(make_field(4), 100) == "generic"

@@ -17,8 +17,10 @@ from fqmatroid.matroid import (
     uniform_matroid_matrix,
 )
 from conftest import (
+    brute_basis_complement_bound,
     brute_circuit_count,
     brute_critical_number,
+    brute_first_witness,
     brute_separation_kinds,
     brute_separations,
     random_cols,
@@ -249,6 +251,32 @@ def test_bipartition_searches_against_brute_oracle(q):
     assert all(finite[kind, order] for kind in found for order in (1, 2)), finite
 
 
+def _as_first_witness(order, sep):
+    return (order, None, None) if sep is None else (order, sep.part1, sep.part2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_witnesses_are_the_first_minimal_bipartition(q):
+    # the search's prunes and early stops change no witness: each is the
+    # first bipartition of minimal order in depth-first order, which the
+    # seeded kappa search relies on as well
+    F = make_field(q)
+    rng = np.random.default_rng(30 + q)
+    for n, cols in _brute_oracle_inputs(q, rng):
+        M = RepMatroid(FqMatrix(F, cols, n=n))
+        first = {kind: brute_first_witness(F, cols, kind)
+                 for kind in ("vertical", "cyclic", "tutte")}
+        found = {"vertical": M.vertical_connectivity(),
+                 "cyclic": M.cyclic_connectivity(),
+                 "tutte": M.tutte_connectivity()}
+        for kind, (order, sep) in found.items():
+            assert _as_first_witness(order, sep) == first[kind], (kind, cols)
+        kv = first["vertical"][0]
+        for bound in (1, 2, 3, 4):
+            got = _as_first_witness(*M.vertical_separation_below(bound))
+            assert got == (first["vertical"] if kv < bound else (INFINITY, None, None))
+
+
 def test_vertical_separation_below():
     M = matroid(2, [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     order, sep = M.vertical_separation_below(2)
@@ -271,6 +299,74 @@ def test_kappa_deletion_monotone_at_fixed_rank():
             D = RepMatroid(M.matrix.delete([e]))
             if D.rank == M.rank:
                 assert kM >= D.vertical_connectivity()[0]
+
+
+def _basis_complement_cases(q, rng):
+    F = make_field(q)
+    yield FqMatrix(F, [], n=2)  # m = 0
+    yield FqMatrix(F, [(1, 0)], n=2)  # m = 1
+    yield FqMatrix(F, [(0, 0)], n=2)
+    yield FqMatrix(F, [(0, 0, 0)] * 4, n=3)  # all loops, rank 0
+    yield FqMatrix(F, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], n=3)  # free
+    # rank m - 1: a basis and a column with full support
+    yield FqMatrix(F, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], n=3)
+    for _ in range(120):
+        n = int(rng.integers(1, 5))
+        yield FqMatrix(F, random_cols(q, n, int(rng.integers(0, 8)), rng), n=n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_basis_complement_bound_against_brute_oracle(q):
+    F = make_field(q)
+    seen = Counter()
+    for mat in _basis_complement_cases(q, np.random.default_rng(40 + q)):
+        got = RepMatroid(mat).basis_complement_bound()
+        assert got == brute_basis_complement_bound(F, list(mat.columns)), mat.columns
+        seen[got] += 1
+    assert seen[INFINITY] and seen[1] and seen[2], seen
+
+
+def test_connectivity_answers_are_cached(monkeypatch):
+    rng = np.random.default_rng(41)
+    searches = Counter()
+    search = RepMatroid._bipartition_search
+
+    def counted(self, kind, *args, **kwargs):
+        searches[kind] += 1
+        return search(self, kind, *args, **kwargs)
+
+    for q in (2, 3):
+        for _ in range(30):
+            n = int(rng.integers(1, 5))
+            cols = random_cols(q, n, int(rng.integers(2, 9)), rng)
+            fresh = matroid(q, cols)
+            expect = (fresh.girth(), fresh.vertical_connectivity(),
+                      fresh.vertical_connectivity(budget=9))
+            M = matroid(q, cols)
+            monkeypatch.setattr(RepMatroid, "_bipartition_search", counted)
+            searches.clear()
+            for _ in range(3):
+                assert (M.girth(), M.vertical_connectivity(),
+                        M.vertical_connectivity(budget=9)) == expect
+            # one search per budget, each answered once
+            assert searches == Counter(vertical=2)
+            monkeypatch.undo()
+
+
+def test_budget_refusals_are_not_cached():
+    M = RepMatroid(pg_matrix(F2, 5))  # corank 26: 2^26 kernel classes
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            M.girth()
+    cols = random_cols(2, 4, 12, np.random.default_rng(42))
+    M = matroid(2, cols)
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            M.vertical_connectivity(budget=10)
+    assert M.vertical_connectivity(budget=22) == \
+        matroid(2, cols).vertical_connectivity(budget=22)
+    with pytest.raises(BudgetExceeded):  # an answer at 22 is no answer at 10
+        M.vertical_connectivity(budget=10)
 
 
 def test_partition_budget():

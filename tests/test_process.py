@@ -218,6 +218,36 @@ def test_advance_then_step_reads_as_a_stepped_twin(q, n):
     assert_same_natives(st.native_cols, twin.native_cols)
 
 
+def assert_checked_equal(mat):
+    """mat, built without the entry check, equals FqMatrix(...) of its
+    columns: Python int entries, and the same engine-native columns."""
+    checked = FqMatrix(mat.field, mat.columns, n=mat.n)
+    assert mat == checked and mat.m == checked.m
+    assert all(type(x) is int for col in mat.columns for x in col)
+    assert_same_natives(mat.native_columns(), checked.native_columns())
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 24), (4, 4), (5, 24)],
+                         ids=["gf2", "gf3-packed", "generic-q4", "prime-q5"])
+def test_state_matrix_is_a_checked_matrix(q, n, monkeypatch):
+    # matrix() shares the natives of a fully pushed state, and pushes
+    # nothing for a state with columns advanced but not pushed yet
+    field = make_field(q)
+    st = P.ProcessState(field, n, P.process_rng(73, q))
+    for _ in range(5):
+        st.step()
+    stepped = st.matrix()
+    st.advance(70)
+    monkeypatch.setattr(RrefState, "push", lambda *args: pytest.fail("pushed"))
+    advanced = st.matrix()
+    monkeypatch.undo()
+    st.step()
+    assert (stepped.m, advanced.m) == (5, 75)
+    assert_checked_equal(stepped)  # later steps leave its natives alone
+    assert_checked_equal(advanced)
+    assert advanced.columns == tuple(st.column_tuples()[:75])
+
+
 @pytest.mark.parametrize("read", [
     lambda st: st.step(),
     lambda st: st.rank,
@@ -921,6 +951,12 @@ def test_sample_m2_is_a_sorted_simple_point_set():
     # same stream, same subset
     again = P.sample_pg_model(F2, 3, P.process_rng(62, 1), m=4)
     assert again == sample
+
+
+def test_sample_pg_models_are_checked_matrices():
+    for field, n in ((F2, 3), (F3, 2), (F4, 2)):
+        assert_checked_equal(P.sample_pg_model(field, n, P.process_rng(62, 5), m=3))
+        assert_checked_equal(P.sample_pg_model(field, n, P.process_rng(62, 6), p=0.5))
 
 
 def test_sample_m3_bernoulli_inclusion():
