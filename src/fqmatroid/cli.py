@@ -31,15 +31,6 @@ _BUDGET_ENV = "FQMATROID_BUDGET"
 
 # ---- predict ---------------------------------------------------------------
 
-# what -> (required flags, callable(args) -> {name: value})
-def _p_bofa(a):
-    return {"bofa": theory.b_of_a(a.q, a.a)}
-
-
-def _p_bprime(a):
-    return {"bprime": theory.b_prime(a.q, a.a)}
-
-
 # CPython's default limit on the digits of an int printed as text
 _MAX_DIGITS = 4300
 
@@ -51,77 +42,40 @@ def _check_digits(what: str, exponent: int, q: int, factor: int) -> None:
         raise TooLarge(f"{what} would pass {_MAX_DIGITS} decimal digits")
 
 
-def _p_gbinom(a):
+def _gbinom(n, k, q):
     # gbinom(n, k) < 4 * q^(k(n-k)): the product of 1/(1 - q^-i) is below 4
-    _check_digits("gbinom", a.k * (a.n - a.k), a.q, 4)
-    return {"gbinom": theory.gaussian_binomial(a.n, a.k, a.q)}
+    _check_digits("gbinom", k * (n - k), q, 4)
+    return theory.gaussian_binomial(n, k, q)
 
 
-def _p_qint(a):
+def _qint(n, q):
     # [n]_q = (q^n - 1)/(q - 1) < 2 * q^(n-1)
-    _check_digits("qint", a.n - 1, a.q, 2)
-    return {"qint": theory.q_int(a.n, a.q)}
+    _check_digits("qint", n - 1, q, 2)
+    return theory.q_int(n, q)
 
 
-def _p_cck(a):
-    return {"cck": theory.limit_Cck(a.q, a.c, a.k)}
+def _crt(q, k, n, m):
+    tau, ex, pi = theory.crt_predictors(q, k, n, m)
+    return {"crt_tau": tau, "crt_ex": ex, **{f"crt_pi_{h}": v for h, v in enumerate(pi)}}
 
 
-def _p_gamma(a):
-    return {"gamma": theory.gamma_qc(a.q, a.c)}
-
-
-def _p_rankfull(a):
-    return {"rankfull": float(theory.rank_full_prob(a.n, a.m, a.q))}
-
-
-def _p_mu(a):
-    return {"mu": theory.mu_k(a.m, a.k, a.q, a.n)}
-
-
-def _p_kcirc(a):
-    return {"kcirc": theory.expected_k_circuits(a.m, a.k, a.q, a.n)}
-
-
-def _p_nocirc(a):
-    return {"nocirc": theory.no_kcircuit_prob_approx(a.m, a.k, a.q, a.n)}
-
-
-def _p_tauconn(a):
-    return {"tauconn": theory.tau_conn_asymptotic(a.q, a.k, a.n)}
-
-
-def _p_koalpha(a):
-    return {"koalpha": theory.ko_alpha_bound(a.q)}
-
-
-def _p_connlimit(a):
-    return {"connlimit": theory.conn_limit_prob(a.q, a.k, a.a)}
-
-
-def _p_crt(a):
-    tau, ex, pi = theory.crt_predictors(a.q, a.k, a.n, a.m)
-    out = {"crt_tau": tau, "crt_ex": ex}
-    for h, v in enumerate(pi):
-        out[f"crt_pi_{h}"] = v
-    return out
-
-
+# what -> (its flags, in call order; the function they are passed to), whose
+# value is printed under the name `what`, or which returns {name: value}
 _PREDICTORS = {
-    "bofa": (("q", "a"), _p_bofa),
-    "bprime": (("q", "a"), _p_bprime),
-    "gbinom": (("n", "k", "q"), _p_gbinom),
-    "qint": (("n", "q"), _p_qint),
-    "cck": (("q", "c", "k"), _p_cck),
-    "gamma": (("q", "c"), _p_gamma),
-    "rankfull": (("n", "m", "q"), _p_rankfull),
-    "mu": (("m", "k", "q", "n"), _p_mu),
-    "kcirc": (("m", "k", "q", "n"), _p_kcirc),
-    "nocirc": (("m", "k", "q", "n"), _p_nocirc),
-    "tauconn": (("q", "k", "n"), _p_tauconn),
-    "koalpha": (("q",), _p_koalpha),
-    "connlimit": (("q", "k", "a"), _p_connlimit),
-    "crt": (("q", "k", "n", "m"), _p_crt),
+    "bofa": (("q", "a"), theory.b_of_a),
+    "bprime": (("q", "a"), theory.b_prime),
+    "gbinom": (("n", "k", "q"), _gbinom),
+    "qint": (("n", "q"), _qint),
+    "cck": (("q", "c", "k"), theory.limit_Cck),
+    "gamma": (("q", "c"), theory.gamma_qc),
+    "rankfull": (("n", "m", "q"), lambda n, m, q: float(theory.rank_full_prob(n, m, q))),
+    "mu": (("m", "k", "q", "n"), theory.mu_k),
+    "kcirc": (("m", "k", "q", "n"), theory.expected_k_circuits),
+    "nocirc": (("m", "k", "q", "n"), theory.no_kcircuit_prob_approx),
+    "tauconn": (("q", "k", "n"), theory.tau_conn_asymptotic),
+    "koalpha": (("q",), theory.ko_alpha_bound),
+    "connlimit": (("q", "k", "a"), theory.conn_limit_prob),
+    "crt": (("q", "k", "n", "m"), _crt),
 }
 
 
@@ -139,7 +93,9 @@ def _cmd_predict(args) -> int:
         print(f"predict --what {args.what} requires {' '.join(missing)}",
               file=sys.stderr)
         return 2
-    values = fn(args)
+    values = fn(*(getattr(args, f) for f in need))
+    if not isinstance(values, dict):
+        values = {args.what: values}
     if args.format == "json":
         payload = {"schema_version": montecarlo.SCHEMA_VERSION,
                    "flags": _flag_dict(args), "values": values}

@@ -9,11 +9,9 @@ from .matrix import (
     SpanQ,
     draw_native_column,
     engine_name,
-    native_to_tuple,
     pack_gf2,
     pack_native,
     random_uniform_matrix,
-    unpack_gf2,
 )
 from .subspaces import (
     DEFAULT_LEVEL_BUDGET,
@@ -22,7 +20,6 @@ from .subspaces import (
     canonical_point,
     enumerate_subspaces,
     level_deaths,
-    native_point,
     projective_points,
 )
 
@@ -37,17 +34,14 @@ __all__ = [
     "SpanQ",
     "draw_native_column",
     "engine_name",
-    "native_to_tuple",
     "pack_gf2",
     "pack_native",
     "random_uniform_matrix",
-    "unpack_gf2",
     "DEFAULT_LEVEL_BUDGET",
     "DEFAULT_SUBSPACE_BUDGET",
     "SubspaceHandle",
     "canonical_point",
     "enumerate_subspaces",
     "level_deaths",
-    "native_point",
     "projective_points",
 ]

@@ -43,10 +43,6 @@ def pack_gf2(column) -> int:
     return v
 
 
-def unpack_gf2(v: int, n: int) -> tuple:
-    return tuple((v >> i) & 1 for i in range(n))
-
-
 def _pack_gf3(column) -> int:
     """Tuple over F_3 -> P | M << n, where P has bit i set when entry i is
     1 and M when it is 2."""
@@ -529,17 +525,6 @@ def pack_native(field: FieldSpec, n: int, rows: np.ndarray) -> list:
     if eng == "prime":
         return list(rows.astype(np.int64, copy=False))
     return [tuple(r) for r in rows.tolist()]
-
-
-def native_to_tuple(field: FieldSpec, n: int, native) -> tuple:
-    if isinstance(native, int):
-        if field.q == 3:
-            ones, twos = unpack_gf2(native, n), unpack_gf2(native >> n, n)
-            return tuple(a + 2 * b for a, b in zip(ones, twos))
-        return unpack_gf2(native, n)
-    if isinstance(native, np.ndarray):
-        return tuple(int(x) for x in native)
-    return tuple(native)
 
 
 def random_uniform_matrix(field: FieldSpec, n: int, m: int, rng) -> FqMatrix:

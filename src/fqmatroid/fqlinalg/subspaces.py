@@ -14,7 +14,6 @@ import numpy as np
 from ..errors import BudgetExceeded, ConsistencyError, InvalidParam
 from ..theory import gaussian_binomial
 from .fields import FieldSpec, make_field
-from .matrix import native_to_tuple
 
 DEFAULT_SUBSPACE_BUDGET = 10**7
 # spaces per level of the death-index tables (and points sample_pg_model lists)
@@ -72,14 +71,6 @@ def canonical_point(field: FieldSpec, col) -> tuple | None:
         return tuple(col) if lead else None
     s = field.inv(lead)
     return tuple(field.mul(s, x) for x in col)
-
-
-def native_point(field: FieldSpec, n: int, native):
-    """canonical_point of an engine-native column.  A packed GF(2) column
-    is its own representative, so at q = 2 it comes back as the int."""
-    if field.q == 2:
-        return native or None
-    return canonical_point(field, native_to_tuple(field, n, native))
 
 
 def projective_points(field: FieldSpec, n: int) -> list[tuple]:

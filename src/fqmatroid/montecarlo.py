@@ -23,8 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, IoError
-from .fqlinalg import (Span2, draw_native_column, make_field, native_point,
-                       random_uniform_matrix)
+from .fqlinalg import Span2, canonical_point, make_field, random_uniform_matrix
 from .matroid import DEFAULT_PARTITION_BUDGET, INFINITY, RepMatroid, pg_matrix
 from . import process as proc
 from . import theory
@@ -97,12 +96,21 @@ def _fits_default(default, val) -> bool:
     return isinstance(val, type(default))
 
 
+# desk-scale caps of the sizes: (key suffixes, exact keys, cap) for trial
+# counts, row counts and column counts
+_SIZE_CAPS = ((("trials",), (), 10 ** 7), (("_n",), ("n", "r"), 512),
+              (("_m", "_horizon", "max_steps"), ("m", "b"), 10 ** 5))
+
+
 def _validate_resolved(res: dict) -> None:
     for key, val in res.items():
-        if key.endswith(("trials", "_n", "_m", "_horizon", "max_steps")) or \
-                key in ("n", "m", "q"):
+        cap = next((c for ends, keys, c in _SIZE_CAPS
+                    if key.endswith(ends) or key in keys), None)
+        if cap is not None or key == "q":
             if not isinstance(val, int) or isinstance(val, bool) or val < 1:
                 raise ConfigError(f"{key} must be a positive integer, got {val!r}")
+            if cap is not None and val > cap:
+                raise ConfigError(f"{key} beyond desk scale (max {cap})")
         if key.endswith("budget") and val <= 0:
             raise ConfigError(f"{key} must be positive")
     seed = res["seed"]
@@ -112,13 +120,8 @@ def _validate_resolved(res: dict) -> None:
         make_field(res["q"])
     except Exception as e:  # noqa: BLE001 - re-tag as a config problem
         raise ConfigError(f"q={res['q']}: {e}") from None
-    if res["n"] > 512:
-        raise ConfigError("n beyond desk scale (max 512)")
     if "k" in res and "prob_m" in res and not 1 <= res["k"] <= res["prob_m"]:
         raise ConfigError(f"need 1 <= k <= prob_m = {res['prob_m']}, got k={res['k']}")
-    for key in res:
-        if key.endswith("trials") and res[key] > 10 ** 7:
-            raise ConfigError(f"{key} beyond desk scale (max 1e7)")
 
 
 # ---- aggregation ----------------------------------------------------------
@@ -259,24 +262,22 @@ def _t_tau_u12(res, rng):
                 if v and span.push(v) is None:
                     return {"tau_u12_minus_n": m - n}
     st = proc.ProcessState(field, n, rng)
-    nonzero = 0
+    # rank < nonzero count first holds at a dependency of more than one
+    # column: a support of one column is a zero column
     while True:
         dep = st.step()
-        if dep is None or len(dep) > 1:
-            nonzero += 1
-        if st.rank < nonzero:
+        if dep is not None and len(dep) > 1:
             return {"tau_u12_minus_n": st.m - n}
 
 
 def _t_tau_u23(res, rng):
-    field = make_field(res["q"])
     n = res["n"]
-    st = proc.ProcessState(field, n, rng)
+    st = proc.ProcessState(make_field(res["q"]), n, rng)
     points: set = set()
     tau_crk1 = None
     while True:
         dep = st.step()
-        pt = native_point(field, n, st.native_cols[-1])
+        pt = st.newest_point()
         if pt is not None:
             points.add(pt)
         if tau_crk1 is None and dep is not None:
@@ -296,7 +297,7 @@ def _uniform_points(field, n, m, rng):
     """
     if field.q == 2 and n <= 62:
         return [v or None for v in rng.integers(0, 1 << n, size=m, dtype=np.int64).tolist()]
-    return [native_point(field, n, c) for c in draw_native_column(field, n, rng, count=m)]
+    return [canonical_point(field, c) for c in random_uniform_matrix(field, n, m, rng).columns]
 
 
 def _t_two_circuit_count(res, rng):

@@ -24,8 +24,8 @@ from .fqlinalg import (
     FieldSpec,
     FqMatrix,
     RrefState,
+    canonical_point,
     level_deaths,
-    native_point,
     pack_native,
     projective_points,
 )
@@ -194,6 +194,14 @@ class ProcessState:
         without pushing them; they are pushed when a step or a read needs them."""
         self.m += len(self.peek(count))
 
+    def newest_point(self):
+        """The projective point of the newest column, None for a zero column:
+        at q = 2 its packed native, which is its own representative, else
+        canonical_point of its element row."""
+        if self.field.q == 2:
+            return self.native_cols[-1] or None
+        return canonical_point(self.field, self._rows[self.m - 1].tolist())
+
     def column_tuples(self) -> list[tuple]:
         return [tuple(r) for r in self.rows.tolist()]
 
@@ -253,28 +261,27 @@ def track_k_circuit(state: ProcessState, k: int,
         raise InvalidParam("circuit length must be >= 1")
     if max_steps is not None and max_steps < 0:
         raise InvalidParam("max_steps must be >= 0")
-    field, n = state.field, state.n
     if state.m:
         raise InvalidParam("k-circuit tracking must start from an empty state")
-    if k > n + 1:
+    if k > state.n + 1:
         # every circuit spans at most rank+1 <= n+1 columns
         return None
     if k <= 2:
         seen: set = set()
         while max_steps is None or state.m < max_steps:
             state.step()
-            pt = native_point(field, n, state.native_cols[-1])
+            pt = state.newest_point()
             if k == 1 and pt is None or k == 2 and pt in seen:
                 return state.m
             if pt is not None:
                 seen.add(pt)
         return None
-    sweep = KernelSweep(field)
+    sweep = KernelSweep(state.field)
     while max_steps is None or state.m < max_steps:
         dep = state.step()
         if dep is None:
             continue
-        if field.q ** state.corank > kernel_budget:
+        if state.field.q ** state.corank > kernel_budget:
             raise BudgetExceeded(
                 f"kernel sweep q^{state.corank} exceeds budget {kernel_budget}"
                 f" at step {state.m}")

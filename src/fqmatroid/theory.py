@@ -414,5 +414,8 @@ def poisson_bounds(balls: int, bins: int) -> tuple[float, float]:
     exceed 1."""
     if bins < 1 or balls < 0:
         raise InvalidParam("need bins >= 1 and balls >= 0")
+    if bins > sys.float_info.max:
+        raise TooLarge("poisson_bounds: the bin count passes the float range")
     lam = balls / bins
-    return 2 * (-math.expm1(-lam)) ** bins, 2 * bins * math.exp(-lam)
+    # bins * exp(-lam) <= bins stays a float; 2 * bins could pass the range
+    return 2 * (-math.expm1(-lam)) ** bins, 2 * (bins * math.exp(-lam))

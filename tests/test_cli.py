@@ -176,6 +176,11 @@ def test_predict_and_table_refuse_bad_q_and_negative_sizes(capsys, argv):
     ("simulate", "--preset", "E10", "--param", "noskip_horizon=-2", "--seed", "1"),
     ("simulate", "--preset", "E10", "--param", "crt_max_steps=0", "--seed", "1"),
     ("simulate", "--preset", "E6", "--param", "max_steps=-4", "--seed", "1"),
+    # E9's row count r and column count b
+    ("simulate", "--preset", "E9", "--trials", "1", "--seed", "1", "--param", "b=1000000000000"),
+    ("simulate", "--preset", "E9", "--trials", "1", "--seed", "1", "--param", "b=-5"),
+    ("simulate", "--preset", "E9", "--trials", "1", "--seed", "1", "--param", "r=-2"),
+    ("simulate", "--preset", "E9", "--trials", "1", "--seed", "1", "--param", "r=100000"),
 ])
 def test_sizes_outside_their_domain_are_usage_errors(capsys, argv):
     # simulate refuses in configuration, before any trial runs
@@ -186,10 +191,61 @@ def test_sizes_outside_their_domain_are_usage_errors(capsys, argv):
     assert "usage error" in err and "Traceback" not in err
 
 
+def test_e9_bins_past_the_float_range_are_a_usage_error(capsys, tmp_path):
+    # [512]_5 passes the float range, so the reporter's Poisson bound refuses
+    rc, out, err = run(capsys, "simulate", "--preset", "E9", "--q", "5", "--trials", "1",
+                       "--seed", "1", "--param", "r=512", "--out", str(tmp_path / "e9.json"))
+    assert rc == 2 and out == ""
+    assert "usage error" in err and "float range" in err and "Traceback" not in err
+
+
 def test_predict_rejects_the_unread_r_option(capsys):
     rc, out, err = run(capsys, "predict", "--what", "qint", "--n", "3", "--q", "2", "--r", "5")
     assert rc == 2 and out == ""
     assert "unrecognized arguments: --r 5" in err and "Traceback" not in err
+
+
+# per --what: its flags, the keys it prints, and the direct theory values
+PREDICT_CASES = {
+    "bofa": ({"q": 3, "a": 0.5}, lambda: {"bofa": theory.b_of_a(3, 0.5)}),
+    "bprime": ({"q": 2, "a": 0.3}, lambda: {"bprime": theory.b_prime(2, 0.3)}),
+    "gbinom": ({"n": 6, "k": 3, "q": 4},
+               lambda: {"gbinom": theory.gaussian_binomial(6, 3, 4)}),
+    "qint": ({"n": 7, "q": 3}, lambda: {"qint": theory.q_int(7, 3)}),
+    "cck": ({"q": 2, "c": 1, "k": -2}, lambda: {"cck": theory.limit_Cck(2, 1, -2)}),
+    "gamma": ({"q": 3, "c": 2}, lambda: {"gamma": theory.gamma_qc(3, 2)}),
+    "rankfull": ({"n": 12, "m": 10, "q": 2},
+                 lambda: {"rankfull": float(theory.rank_full_prob(12, 10, 2))}),
+    "mu": ({"m": 40, "k": 3, "q": 2, "n": 20}, lambda: {"mu": theory.mu_k(40, 3, 2, 20)}),
+    "kcirc": ({"m": 40, "k": 3, "q": 2, "n": 20},
+              lambda: {"kcirc": theory.expected_k_circuits(40, 3, 2, 20)}),
+    "nocirc": ({"m": 40, "k": 2, "q": 3, "n": 10},
+               lambda: {"nocirc": theory.no_kcircuit_prob_approx(40, 2, 3, 10)}),
+    "tauconn": ({"q": 2, "k": 3, "n": 50},
+                lambda: {"tauconn": theory.tau_conn_asymptotic(2, 3, 50)}),
+    "koalpha": ({"q": 5}, lambda: {"koalpha": theory.ko_alpha_bound(5)}),
+    "connlimit": ({"q": 2, "k": 2, "a": 0.7},
+                  lambda: {"connlimit": theory.conn_limit_prob(2, 2, 0.7)}),
+    "crt": ({"q": 2, "k": 2, "n": 10, "m": 30}, lambda: _crt_values(2, 2, 10, 30)),
+}
+
+
+def _crt_values(q, k, n, m):
+    tau, ex, pi = theory.crt_predictors(q, k, n, m)
+    assert len(pi) == k + 1  # pi_h for h = 0..k
+    return {"crt_tau": tau, "crt_ex": ex, **{f"crt_pi_{h}": pi[h] for h in range(k + 1)}}
+
+
+@pytest.mark.parametrize("what", sorted(_PREDICTORS))
+def test_predict_prints_the_theory_values(capsys, what):
+    flags, direct = PREDICT_CASES[what]
+    want = direct()
+    argv = ["predict", "--what", what] + [x for f, v in flags.items() for x in (f"--{f}", str(v))]
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and list(values_of(out)) == list(want)
+    assert values_of(out) == {k: str(v) for k, v in want.items()}
+    rc, out, _ = run(capsys, *argv, "--format", "json")
+    assert rc == 0 and json.loads(out)["values"] == want
 
 
 def test_predict_cck_accepts_a_negative_offset(capsys):

@@ -3,8 +3,9 @@ every function, class and method is referenced somewhere in src/, no
 function imports from the package, no module reads an environment
 variable but FQMATROID_BUDGET, every entry point bench/tracing.py wraps
 still exists, each package's __all__ is exactly what its __init__
-imports, the CLI starts without the process pool's machinery, and only
-the builders that make their own entries skip FqMatrix's entry check."""
+imports, the CLI starts without the process pool's machinery, only
+the builders that make their own entries skip FqMatrix's entry check, and
+only the elimination modules know the engine-native column format."""
 
 import ast
 import importlib
@@ -57,6 +58,9 @@ DEAD_ALLOWED = {
     "subspace_count": "checked by E0 acceptance",
     "uniform_matroid_matrix": "bench/tracing.py wraps it, so deleting it needs "
                               "its own benchmark change",
+    "draw_native_column": "bench/tracing.py wraps it as the fqlinalg.draw layer, "
+                          "which reads 0 calls on every workload, so deleting it "
+                          "needs its own benchmark change",
 }
 
 
@@ -231,3 +235,30 @@ def test_only_the_trusted_builders_skip_the_entry_check():
     # its columns checked for length and range
     callers = set().union(*(_trusted_callers(p) for p in sorted(PACKAGE.rglob("*.py"))))
     assert callers == TRUSTED_BUILDERS
+
+
+# the modules that know the engine-native column format (the __init__
+# re-exports it); every other module reads element rows or column tuples
+NATIVE_FORMAT_MODULES = {"fqlinalg/matrix.py", "process.py", "matroid.py",
+                         "fqlinalg/__init__.py"}
+NATIVE_NAMES = {"native_cols", "native_columns", "pack_native",
+                "draw_native_column", "pack_gf2"}
+
+
+def _native_format_uses(path: Path) -> set[str]:
+    """The native-format names the module reads or imports, and "matrix"
+    when it imports from fqlinalg/matrix.py."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set(_references(tree))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+            if node.module and node.module.split(".")[-1] == "matrix":
+                names.add("matrix")
+    return names & (NATIVE_NAMES | {"matrix"})
+
+
+def test_only_the_elimination_modules_know_the_native_format():
+    uses = {p.relative_to(PACKAGE).as_posix(): _native_format_uses(p)
+            for p in sorted(PACKAGE.rglob("*.py"))}
+    assert {rel for rel, names in uses.items() if names} <= NATIVE_FORMAT_MODULES, uses

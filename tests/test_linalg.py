@@ -13,13 +13,16 @@ from fqmatroid.fqlinalg import (
     draw_native_column,
     engine_name,
     make_field,
-    native_to_tuple,
     pack_gf2,
     random_uniform_matrix,
-    unpack_gf2,
 )
 from fqmatroid.fqlinalg.matrix import _Gf2Rref, _Gf3Rref
 from conftest import all_matrices, brute_rank, handle_of_span, random_cols
+
+
+def unpack_gf2(v, n):
+    """The n entries of a packed GF(2) column, bit i as entry i."""
+    return tuple((v >> i) & 1 for i in range(n))
 
 
 # ---- rank against an independent oracle -----------------------------------
@@ -311,16 +314,15 @@ def test_pack_unpack_round_trip(bits):
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 40), (4, 3)] + [
     (3, n) for n in (24, 63, 64, 65, 100, 201)])
 def test_native_round_trip(q, n):
-    # native columns decode to the rows of the same-keyed integer draw,
-    # packing those rows as tuples gives the native columns back (the q = 3
-    # sizes straddle byte and word boundaries of its two bit planes), and
-    # random_uniform_matrix keeps those rows as its columns
+    # the drawn native columns are those FqMatrix packs from the rows of the
+    # same-keyed integer draw (the q = 3 sizes straddle byte and word
+    # boundaries of its two bit planes), and random_uniform_matrix keeps
+    # those rows as its columns
     F = make_field(q)
     for k in (1, 20):
         cols = draw_native_column(F, n, np.random.default_rng([n, k]), k)
         rows = [tuple(r) for r in
                 np.random.default_rng([n, k]).integers(0, q, size=(k, n)).tolist()]
-        assert [native_to_tuple(F, n, c) for c in cols] == rows
         assert FqMatrix(F, rows, n=n).native_columns() == cols
         assert random_uniform_matrix(F, n, k, np.random.default_rng([n, k])).columns \
             == tuple(rows)
@@ -335,9 +337,9 @@ def test_block_draw_is_the_per_column_stream(q, n):
         single_rng = np.random.Generator(np.random.Philox(key=[q, n]))
         block = draw_native_column(F, n, block_rng, k)
         singles = [draw_native_column(F, n, single_rng, 1)[0] for _ in range(k)]
-        assert len(block) == k
-        assert ([native_to_tuple(F, n, c) for c in block]
-                == [native_to_tuple(F, n, c) for c in singles])
+        rows = np.random.Generator(np.random.Philox(key=[q, n])).integers(0, q, size=(k, n))
+        assert len(block) == k and block == singles
+        assert block == FqMatrix(F, rows.tolist(), n=n).native_columns()
         assert type(block[0]) is type(singles[0])
         # the generator is left where k single draws leave it
         assert block_rng.integers(0, 1 << 40) == single_rng.integers(0, 1 << 40)
@@ -359,8 +361,8 @@ def test_trusted_builds_equal_checked_ones(q, n):
             checked = FqMatrix(F, got.columns, n=got.n)
             assert got == checked and got.m == checked.m
             assert all(type(x) is int for col in got.columns for x in col)
-            assert [native_to_tuple(F, got.n, c) for c in got.native_columns()] \
-                == list(got.columns)
+            natives = zip(got.native_columns(), checked.native_columns(), strict=True)
+            assert all(type(a) is type(b) and np.array_equal(a, b) for a, b in natives)
             assert got.rank == checked.rank
 
 

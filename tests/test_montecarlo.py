@@ -143,6 +143,30 @@ def test_config_rejects_bad_inputs():
         assert MC.ExperimentConfig(preset="E1", seed=ok).resolved()["seed"] == ok
 
 
+# every size parameter of a preset, by its desk-scale cap: row counts at
+# 512, column counts (columns, horizons, step caps) at 10^5, trials at 10^7
+SIZE_CAPS = {512: ("n", "r", "count_n", "prob_n", "monitor_n", "noskip_n"),
+             10 ** 5: ("m", "b", "count_m", "prob_m", "monitor_horizon",
+                       "noskip_horizon", "max_steps", "crt_max_steps"),
+             10 ** 7: ("trials", "identity_trials", "monitor_trials", "noskip_trials")}
+
+
+@pytest.mark.parametrize("preset", sorted(MC.PRESETS))
+def test_every_size_parameter_is_capped(preset):
+    caps = {key: cap for cap, keys in SIZE_CAPS.items() for key in keys}
+    defaults = MC.PRESETS[preset].defaults
+    sizes = [key for key, val in defaults.items() if type(val) is int
+             and key not in ("q", "k") and not key.endswith("budget")]
+    assert set(sizes) <= set(caps)  # a new size parameter needs its cap here
+    assert sizes and all(1 <= defaults[key] <= caps[key] for key in sizes)
+    for key in sizes:
+        for bad in (0, -2, caps[key] + 1):
+            with pytest.raises(ConfigError, match=f"^{key} "):
+                MC.ExperimentConfig(preset=preset, seed=1, params={key: bad}).resolved()
+        assert MC.ExperimentConfig(preset=preset, seed=1,
+                                   params={key: caps[key]}).resolved()[key] == caps[key]
+
+
 def test_resolved_layers_overrides():
     res = MC.ExperimentConfig(preset="E1", seed=9, trials=7, n=5).resolved()
     assert (res["trials"], res["n"], res["m"], res["q"]) == (7, 5, 16, 2)

@@ -21,16 +21,12 @@ from fqmatroid.fqlinalg import (
     FqMatrix,
     RrefState,
     canonical_point,
-    draw_native_column,
     enumerate_subspaces,
     level_deaths,
     make_field,
-    native_point,
-    native_to_tuple,
     pack_gf2,
     projective_points,
     random_uniform_matrix,
-    unpack_gf2,
 )
 from fqmatroid.fqlinalg import subspaces as S
 from fqmatroid.matroid import INFINITY as INF, RepMatroid
@@ -146,11 +142,10 @@ def test_store_holds_the_rows_of_the_pushed_natives(q, n, dtype, monkeypatch):
     replay = random_uniform_matrix(field, n, 180, P.process_rng(88, q))
     assert st.matrix() == replay
     assert list(replay.columns) == st.column_tuples()
-    # the natives the state pushed are draw_native_column's, in value and type
-    rng = P.process_rng(88, q)
-    drawn = [c for _ in range(3) for c in draw_native_column(field, n, rng, 64)]
+    # the natives the state pushed are FqMatrix's of the same columns, in
+    # value and type
     assert len(pushed) == 180 and pushed == st.native_cols
-    for got, want in zip(pushed, drawn):
+    for got, want in zip(pushed, FqMatrix(field, st.column_tuples(), n=n).native_columns()):
         assert type(got) is type(want)
         if isinstance(want, np.ndarray):
             assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -309,29 +304,39 @@ def test_step_returns_what_push_returns(q, n):
     deps = 0
     for _ in range(n + 8):
         dep = st.step()
-        col = native_to_tuple(field, n, st.native_cols[-1])
+        col = st.column_tuples()[-1]
         assert dep == fresh.push(FqMatrix(field, [col], n=n).native_columns()[0])
         deps += dep is not None
     assert deps == st.corank >= 8
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (2, 70), (3, 4), (3, 30), (4, 3),
-                                 (5, 3), (5, 30), (9, 2)])
-def test_native_point_is_canonical_point_of_the_native_column(q, n):
-    # every engine's native form: packed gf2 ints, packed GF(3) ints at
-    # n >= 24, numpy rows at p >= 5 and n >= 24, and tuples
+                                 (5, 3), (5, 30), (9, 2), (257, 3)])
+def test_newest_point_is_canonical_point_of_the_newest_column(q, n):
+    # every engine: packed gf2 ints, generic tuples, packed GF(3) ints at
+    # n >= 24, numpy rows at p >= 5 and n >= 24, and generic over a uint16
+    # store; read after steps and after advances, zero columns included
     field = make_field(q)
-    rng = np.random.default_rng(q * 100 + n)
-    tuples = [(0,) * n, (0,) * (n - 1) + (q - 1,), (q - 1,) * n]
-    tuples += [tuple(int(x) for x in rng.integers(0, q, size=n)) for _ in range(20)]
-    natives = (FqMatrix(field, tuples, n=n).native_columns()
-               + draw_native_column(field, n, rng, 20))
-    for native in natives:
-        want = canonical_point(field, native_to_tuple(field, n, native))
-        got = native_point(field, n, native)
+    st = P.ProcessState(field, n, P.process_rng(74, q))
+    # steps append columns 1, 2, 4, 5, 66, 70, 71 and 107, and advances end
+    # at 3, 65, 69 and 106; four of them are zero
+    st.peek(107)[[0, 3, 64, 65]] = 0
+
+    def check():
+        got, want = st.newest_point(), canonical_point(field, st.column_tuples()[-1])
         if q == 2 and got is not None:
-            got = unpack_gf2(got, n)  # gf2 points stay packed ints
+            got = tuple((got >> i) & 1 for i in range(n))  # a packed gf2 column
         assert got == want
+        return want is None
+
+    zeros = 0
+    for count in (0, 0, 1, 0, 60, 3, 0, 35):
+        if count:
+            st.advance(count)
+            zeros += check()
+        st.step()
+        zeros += check()
+    assert st.m == 107 and zeros >= 4
 
 
 # ---- k-circuit tracking ------------------------------------------------------
@@ -832,13 +837,6 @@ def check_critical_trackers(field, seeds):
             assert chi == (None if m > loopless else brute_critical_number(field, cols[:m]))
         states += [(seed, st), (seed, traced)]
     return states
-
-
-@pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])
-def test_critical_trackers_unpack_no_native_column(field, monkeypatch):
-    # both trackers read the state's element rows, never a native column
-    refuse_in_package(monkeypatch, "unpack_gf2", "native_to_tuple")
-    check_critical_trackers(field, range(6))
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=["q2", "q3"])
