@@ -5,14 +5,18 @@ A matrix is a tuple of columns, each column a tuple of field elements
 echelon spans: Span2 over packed GF(2) integers with XOR, and SpanQ over
 lists with table-driven field arithmetic.  Contraction, subspace handles
 and the matroid searches use them directly.  RrefState puts three
-engines behind one interface: gf2 and generic are those spans over rows
-that carry their combination of the pushed columns, and prime serves
-prime fields with many rows.  At p = 3 prime runs on two bit planes of
-Python ints (the GF(3) layout of Boothby and Bradshaw, arXiv:0901.1413);
-at p >= 5 it is a numpy [row | combo] block.  All engines produce
-identical ranks and kernel vectors.  The packed GF(2) and GF(3) rows sit
-in preallocated lists indexed by bit length, so a reduction step is one
-bit_length() and one list index.
+engines behind one interface, each over rows that carry their
+combination of the pushed columns: gf2 lays its packed rows out as
+Span2 does, generic is a SpanQ, and prime serves prime fields with many
+rows.  At p = 3 prime runs on two bit planes of Python ints (the GF(3)
+layout of Boothby and Bradshaw, arXiv:0901.1413); at p >= 5 it is a
+numpy [row | combo] block.  All engines produce identical ranks and
+kernel vectors.  The packed GF(2) and GF(3) rows sit in preallocated
+lists indexed by bit length, so a reduction step is one bit_length() and
+one list index.  Each engine has one push path, push_run, which pushes
+a run of columns up to the first dependent one in one call; at p = 2
+and 3 the reduction loop runs inside it, so a run pays the call
+overhead once, not once per column.
 """
 
 from __future__ import annotations
@@ -153,38 +157,53 @@ class SpanQ:
         return None
 
 
-class _Gf2Rref(Span2):
-    """Span2 over (column << (n + 1)) | combo.
+class _Gf2Rref:
+    """Echelon basis over GF(2) of packed (column << (n + 1)) | combo rows.
 
-    The low n + 1 bits of a row write it as a sum of independent
-    columns, one bit per slot, so a dependent push reads its kernel
-    vector off what is left of it.
+    As in Span2, rows[t] holds the row of bit length t, and rows are not
+    reduced against later pivots.  The low n + 1 bits of a row write it
+    as a sum of independent columns, one bit per slot, so a dependent
+    push reads its kernel vector off what is left of it.
     """
 
-    __slots__ = ("width", "slots", "ncols")
+    __slots__ = ("width", "rows", "slots", "ncols")
 
     def __init__(self, n: int):
-        super().__init__(2 * n + 1)
         self.width = n + 1  # one bit per slot, and one for the pushed column
+        self.rows = [None] * (2 * n + 2)  # bit length -> packed row or None
         self.slots = []  # slot -> original column index
         self.ncols = 0
 
-    def push(self, v: int):
-        idx = self.ncols
-        self.ncols = idx + 1
+    def push_run(self, cols):
+        rows = self.rows
+        w = self.width
         slots = self.slots
-        own = 1 << len(slots)
-        t = Span2.push(self, (v << self.width) | own)
-        if t >= self.width:
-            slots.append(idx)
-            return None
-        c = self.pop(t) ^ own
-        dep = {idx: 1}
-        while c:
-            b = c & -c
-            dep[slots[b.bit_length() - 1]] = 1
-            c ^= b
-        return dep
+        start = idx = self.ncols
+        for v in cols:
+            own = 1 << len(slots)
+            v = (v << w) | own
+            t = v.bit_length()
+            r = rows[t]
+            while r is not None:
+                v ^= r
+                t = v.bit_length()
+                r = rows[t]
+            idx += 1
+            if t > w:
+                rows[t] = v
+                slots.append(idx - 1)
+                continue
+            # the column part cleared: v is the combo, own bit on top
+            self.ncols = idx
+            c = v ^ own
+            dep = {idx - 1: 1}
+            while c:
+                b = c & -c
+                dep[slots[b.bit_length() - 1]] = 1
+                c ^= b
+            return idx - start, dep
+        self.ncols = idx
+        return idx - start, None
 
 
 class _Gf3Rref:
@@ -207,43 +226,65 @@ class _Gf3Rref:
         self.slots = []
         self.ncols = 0
 
-    def push(self, v: int):
-        idx = self.ncols
-        self.ncols = idx + 1
+    def push_run(self, cols):
         n = self.n
         w = self.width
+        low = (1 << n) - 1
         slots = self.slots
-        own = 1 << len(slots)
-        P = ((v & ((1 << n) - 1)) << w) | own
-        M = (v >> n) << w
         rows = self.rows
-        while True:
-            t = (P | M).bit_length()
-            if t <= w:
-                break
-            r = rows[t]
-            if r is None:
-                rows[t] = (P, M) if P > M else (M, P)
-                slots.append(idx)
-                return None
-            # clear the pivot: add the row negated where v has a 1 there
-            if P > M:
-                m2, p2 = r
-            else:
-                p2, m2 = r
-            x = (P | m2) ^ (M | p2)
-            P, M = (M | m2) ^ x, (P | p2) ^ x
-        P ^= own
-        dep = {idx: 1}
-        c = P | M
-        while c:
-            b = c & -c
-            dep[slots[b.bit_length() - 1]] = 1 if P & b else 2
-            c ^= b
-        return dep
+        start = idx = self.ncols
+        for v in cols:
+            own = 1 << len(slots)
+            P = ((v & low) << w) | own
+            M = (v >> n) << w
+            idx += 1
+            while True:
+                t = (P | M).bit_length()
+                if t <= w:
+                    break
+                r = rows[t]
+                if r is None:
+                    rows[t] = (P, M) if P > M else (M, P)
+                    slots.append(idx - 1)
+                    break
+                # clear the pivot: add the row negated where v has a 1 there
+                if P > M:
+                    m2, p2 = r
+                else:
+                    p2, m2 = r
+                x = (P | m2) ^ (M | p2)
+                P, M = (M | m2) ^ x, (P | p2) ^ x
+            if t > w:
+                continue
+            self.ncols = idx
+            P ^= own
+            dep = {idx - 1: 1}
+            c = P | M
+            while c:
+                b = c & -c
+                dep[slots[b.bit_length() - 1]] = 1 if P & b else 2
+                c ^= b
+            return idx - start, dep
+        self.ncols = idx
+        return idx - start, None
 
 
-class _PrimeRref:
+class _ByColumn:
+    """push_run for an engine whose reduction is one array or list
+    operation per column, _push(column) -> dependency or None."""
+
+    __slots__ = ()
+
+    def push_run(self, cols):
+        start = self.ncols
+        for v in cols:
+            dep = self._push(v)
+            if dep is not None:
+                return self.ncols - start, dep
+        return self.ncols - start, None
+
+
+class _PrimeRref(_ByColumn):
     """Reduced echelon basis over a prime field, vectorized with numpy.
 
     Basis rows and their expressions over original columns share one
@@ -262,7 +303,7 @@ class _PrimeRref:
         self.slots = []
         self.ncols = 0
 
-    def push(self, v: np.ndarray):
+    def _push(self, v: np.ndarray):
         idx = self.ncols
         self.ncols = idx + 1
         p = self.p
@@ -305,7 +346,7 @@ class _PrimeRref:
         return None
 
 
-class _GenericRref(SpanQ):
+class _GenericRref(_ByColumn, SpanQ):
     """SpanQ over [column | combo] rows with table-driven field arithmetic.
 
     As in _PrimeRref, the combo writes a row over the independent
@@ -320,7 +361,7 @@ class _GenericRref(SpanQ):
         self.slots = []
         self.ncols = 0
 
-    def push(self, column):
+    def _push(self, column):
         idx = self.ncols
         self.ncols = idx + 1
         slots = self.slots
@@ -347,13 +388,17 @@ def _to_native(field: FieldSpec, engine: str, column):
 class RrefState:
     """Incremental elimination state over the columns pushed so far.
 
-    push() takes a column in the engine's native form, as
-    FqMatrix.native_columns and draw_native_column give it.  It returns
-    None when the new column is independent of the span, or a kernel
-    vector of the matrix-so-far as a sparse {column index: coefficient}
-    dict whose support always includes the new column.  The incremental
-    rank matches batch elimination exactly.  The engine label "prime"
-    covers both prime-field engines, the bitsliced one at p = 3.
+    push_run(cols) takes columns in the engine's native form, as
+    FqMatrix.native_columns and pack_native give them, from a list or an
+    iterator.  It pushes them in order and stops after the first one that
+    depends on the columns before it, drawing no further column from an
+    iterator.  It returns (pushed, dep): how many columns it pushed, and
+    None when all of them were independent, or else a kernel vector of
+    the matrix-so-far as a sparse {column index: coefficient} dict whose
+    support includes the last pushed column.  push(column) is
+    push_run((column,))[1].  The incremental rank matches batch
+    elimination exactly.  The engine label "prime" covers both
+    prime-field engines, the bitsliced one at p = 3.
     """
 
     __slots__ = ("engine", "_core")
@@ -367,8 +412,11 @@ class RrefState:
         else:
             self._core = _GenericRref(field, n)
 
-    def push(self, column):
-        return self._core.push(column)
+    def push_run(self, cols) -> tuple[int, dict | None]:
+        return self._core.push_run(cols)
+
+    def push(self, column) -> dict | None:
+        return self._core.push_run((column,))[1]
 
     @property
     def rank(self) -> int:
@@ -381,6 +429,15 @@ class RrefState:
     @property
     def corank(self) -> int:
         return self._core.ncols - len(self._core.slots)
+
+
+def rank_of_natives(field: FieldSpec, n: int, cols) -> int:
+    """The rank of an iterator of n-row native columns, one push_run per
+    dependency."""
+    st = RrefState(field, n)
+    while st.push_run(cols)[1] is not None:
+        pass
+    return st.rank
 
 
 class FqMatrix:
@@ -438,18 +495,11 @@ class FqMatrix:
     @property
     def rank(self) -> int:
         if self._rank is None:
-            st = RrefState(self.field, self.n)
-            for col in self.native_columns():
-                st.push(col)
-            self._rank = st.rank
+            self._rank = rank_of_natives(self.field, self.n, iter(self.native_columns()))
         return self._rank
 
     def rank_of(self, indices) -> int:
-        st = RrefState(self.field, self.n)
-        native = self.native_columns()
-        for i in indices:
-            st.push(native[i])
-        return st.rank
+        return rank_of_natives(self.field, self.n, map(self.native_columns().__getitem__, indices))
 
     def kernel_basis(self) -> list[tuple]:
         """Kernel vectors indexed by dependent columns; len = m - rank."""

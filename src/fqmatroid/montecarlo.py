@@ -244,8 +244,7 @@ def _jsonable(obj):
 def _t_rank(res, rng):
     field = make_field(res["q"])
     st = proc.ProcessState(field, res["n"], rng)
-    for _ in range(res["m"]):
-        st.step()
+    st.advance(res["m"])
     return {"rank": st.rank}
 
 
@@ -264,25 +263,26 @@ def _t_tau_u12(res, rng):
     st = proc.ProcessState(field, n, rng)
     # rank < nonzero count first holds at a dependency of more than one
     # column: a support of one column is a zero column
-    while True:
-        dep = st.step()
-        if dep is not None and len(dep) > 1:
-            return {"tau_u12_minus_n": st.m - n}
+    while len(st.step_until_dependent()) == 1:
+        pass
+    return {"tau_u12_minus_n": st.m - n}
 
 
 def _t_tau_u23(res, rng):
     n = res["n"]
     st = proc.ProcessState(make_field(res["q"]), n, rng)
+    # rank < #points first holds at a dependent column whose point is new
+    # and nonzero: an independent column adds one to both
     points: set = set()
     tau_crk1 = None
     while True:
-        dep = st.step()
-        pt = st.newest_point()
-        if pt is not None:
-            points.add(pt)
-        if tau_crk1 is None and dep is not None:
+        start = st.m
+        st.step_until_dependent()
+        *independent, pt = st.points(start)
+        points.update(independent)
+        if tau_crk1 is None:
             tau_crk1 = st.m
-        if st.rank < len(points):
+        if pt is not None and pt not in points:
             return {"tau_u23_minus_n": st.m - n,
                     "agree": int(st.m == tau_crk1),
                     "le_n1": int(st.m <= n + 1),
@@ -302,11 +302,10 @@ def _uniform_points(field, n, m, rng):
 
 def _t_two_circuit_count(res, rng):
     field = make_field(res["q"])
-    pts = [p for p in _uniform_points(field, res["count_n"], res["count_m"], rng)
-           if p is not None]
-    count = sum(1 for i in range(len(pts)) for j in range(i + 1, len(pts))
-                if pts[i] == pts[j])
-    return {"two_circuits": count}
+    # a point drawn c times gives C(c, 2) parallel pairs
+    drawn = Counter(_uniform_points(field, res["count_n"], res["count_m"], rng))
+    drawn.pop(None, None)
+    return {"two_circuits": sum(c * (c - 1) // 2 for c in drawn.values())}
 
 
 def _t_no_two_circuit(res, rng):

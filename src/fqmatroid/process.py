@@ -4,6 +4,8 @@ Each column is drawn uniformly from F_q^n and appended; the represented
 matroid M[A_m] evolves as columns arrive.  ProcessState.step returns the
 new column's dependency as RrefState.push gave it: the first one that is
 not None is the first circuit, and a support of one column is a loop.
+Trackers that act only on dependencies step through
+ProcessState.step_until_dependent, one engine call per run of columns.
 Trackers observe a single trajectory and report the first step at which
 their property holds.
 Everything is deterministic given (master seed, trial index): trial i
@@ -28,6 +30,7 @@ from .fqlinalg import (
     level_deaths,
     pack_native,
     projective_points,
+    rank_of_natives,
 )
 from .matroid import (
     DEFAULT_KERNEL_BUDGET,
@@ -76,8 +79,15 @@ class ProcessState:
     appends columns without pushing them, and they are pushed, in order, before
     step pushes its own column or a caller reads rank, corank, corank_history,
     native_cols or rref.  A block is packed into engine-native form the first
-    time one of its columns is pushed.  Each step returns the sparse
-    dependency dict that push returned.
+    time one of its columns is pushed.
+
+    Columns are pushed in runs: one RrefState.push_run call takes the
+    columns up to the end of their block, or to the last one wanted, and
+    stops after the first dependent one.  step appends one column and
+    returns the sparse dependency dict that push returned for it;
+    step_until_dependent appends the rest of each block in one run, until
+    a column is dependent.  The corank check holds per run: the corank
+    grows by one exactly when the run ends at a dependent column.
     """
 
     def __init__(self, field: FieldSpec, n: int, rng):
@@ -95,27 +105,48 @@ class ProcessState:
         self._corank_history: list[int] = []
         self.m = 0
 
-    def _sync(self) -> dict | None:
-        """Push, in order, every appended column not pushed yet, packing each
-        block at its first column; returns the last push's dependency.  At
-        each push the corank must stay or grow by one."""
-        dep = None
+    def _run(self, end: int) -> dict | None:
+        """Push the appended columns from the first one not pushed yet, up to
+        `end` or the end of its block, in one push_run, which stops after the
+        first dependent column; returns its dependency, or None.  A block is
+        packed at its first column."""
+        i = self._pushed
+        j = i % _DRAW_BLOCK
+        if j == 0:
+            self._block = pack_native(self.field, self.n, self._rows[i:i + _DRAW_BLOCK])
         history = self._corank_history
+        prev = history[-1] if history else 0
+        count, dep = self._rref.push_run(self._block[j:j + min(end - i, _DRAW_BLOCK - j)])
+        self._native_cols += self._block[j:j + count]
+        self._pushed = i + count
+        c = self._rref.corank
+        if c != prev + (dep is not None):
+            raise self._corank_error()
+        history += [prev] * (count - 1)
+        history.append(c)
+        return dep
+
+    def _corank_error(self) -> ConsistencyError:
+        """The error for a run whose corank check failed, naming the first
+        step whose corank does not follow from its push, found by pushing
+        the pushed natives again one at a time."""
+        probe = RrefState(self.field, self.n)
+        prev = 0
+        for step, col in enumerate(self._native_cols, start=1):
+            dep = probe.push(col)
+            c = probe.corank
+            if c != prev + (dep is not None):
+                return ConsistencyError(f"corank jumped {prev} -> {c} at step {step}")
+            prev = c
+        return ConsistencyError(f"corank check failed by step {self._pushed}, "
+                                "and not again when the steps were pushed one at a time")
+
+    def _sync(self) -> dict | None:
+        """Push, in order, every appended column not pushed yet; returns the
+        last column's dependency."""
+        dep = None
         while self._pushed < self.m:
-            i = self._pushed
-            j = i % _DRAW_BLOCK
-            if j == 0:
-                self._block = pack_native(self.field, self.n, self._rows[i:i + _DRAW_BLOCK])
-            col = self._block[j]
-            prev_corank = history[-1] if history else 0
-            dep = self._rref.push(col)
-            self._native_cols.append(col)
-            self._pushed = i + 1
-            c = self._rref.corank
-            if c not in (prev_corank, prev_corank + 1):
-                raise ConsistencyError(
-                    f"corank jumped {prev_corank} -> {c} at step {i + 1}")
-            history.append(c)
+            dep = self._run(self.m)
         return dep
 
     # each reader tests before it calls _sync, since the stepping trackers
@@ -179,6 +210,25 @@ class ProcessState:
         self.m += 1
         return self._sync()
 
+    def step_until_dependent(self, limit: int | None = None) -> dict | None:
+        """Step until a column is dependent and return its dependency, as step
+        returns it; None once m reaches `limit` with no dependent column.
+
+        Columns are appended a run at a time, the rest of the current block
+        or up to `limit`, and each run is pushed in one RrefState.push_run
+        call; the state ends at the dependent column, and blocks are drawn
+        as steps would draw them."""
+        if self._pushed < self.m:
+            self._sync()
+        while limit is None or self.m < limit:
+            if self.m == self._drawn:
+                self._draw_block()
+            dep = self._run(self._drawn if limit is None else min(self._drawn, limit))
+            self.m = self._pushed
+            if dep is not None:
+                return dep
+        return None
+
     def peek(self, count: int) -> np.ndarray:
         """The (count, n) element rows of the next `count` columns, a view of
         the store, without appending them: the next `count` steps append
@@ -194,13 +244,17 @@ class ProcessState:
         without pushing them; they are pushed when a step or a read needs them."""
         self.m += len(self.peek(count))
 
-    def newest_point(self):
-        """The projective point of the newest column, None for a zero column:
-        at q = 2 its packed native, which is its own representative, else
-        canonical_point of its element row."""
+    def points(self, start: int) -> list:
+        """The projective points of the columns from index `start` on, None
+        for a zero column: at q = 2 their packed natives, each its own
+        representative, else canonical_point of their element rows."""
         if self.field.q == 2:
-            return self.native_cols[-1] or None
-        return canonical_point(self.field, self._rows[self.m - 1].tolist())
+            return [v or None for v in self.native_cols[start:]]
+        return [canonical_point(self.field, r) for r in self._rows[start:self.m].tolist()]
+
+    def newest_point(self):
+        """The projective point of the newest column, as points gives it."""
+        return self.points(self.m - 1)[0]
 
     def column_tuples(self) -> list[tuple]:
         return [tuple(r) for r in self.rows.tolist()]
@@ -226,8 +280,7 @@ def track_first_circuit(state: ProcessState) -> tuple[int, int]:
     """
     if state.corank:
         raise InvalidParam("the first circuit has already appeared")
-    while (dep := state.step()) is None:
-        pass
+    dep = state.step_until_dependent()
     return state.m, len(dep)
 
 
@@ -236,12 +289,15 @@ def track_first_circuit(state: ProcessState) -> tuple[int, int]:
 
 def _rank_of_mask(state: ProcessState, mask: int) -> int:
     """Rank of the columns whose bits are set in mask."""
-    probe = RrefState(state.field, state.n)
-    while mask:
-        low = mask & -mask
-        probe.push(state.native_cols[low.bit_length() - 1])
-        mask ^= low
-    return probe.rank
+    native = state.native_cols
+
+    def cols(mask):
+        while mask:
+            low = mask & -mask
+            yield native[low.bit_length() - 1]
+            mask ^= low
+
+    return rank_of_natives(state.field, state.n, cols(mask))
 
 
 def track_k_circuit(state: ProcessState, k: int,
@@ -277,10 +333,7 @@ def track_k_circuit(state: ProcessState, k: int,
                 seen.add(pt)
         return None
     sweep = KernelSweep(state.field)
-    while max_steps is None or state.m < max_steps:
-        dep = state.step()
-        if dep is None:
-            continue
+    while (dep := state.step_until_dependent(max_steps)) is not None:
         if state.field.q ** state.corank > kernel_budget:
             raise BudgetExceeded(
                 f"kernel sweep q^{state.corank} exceeds budget {kernel_budget}"

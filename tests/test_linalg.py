@@ -14,6 +14,7 @@ from fqmatroid.fqlinalg import (
     engine_name,
     make_field,
     pack_gf2,
+    pack_native,
     random_uniform_matrix,
 )
 from fqmatroid.fqlinalg.matrix import _Gf2Rref, _Gf3Rref
@@ -118,6 +119,44 @@ def test_prime_push_against_brute_oracles(p, n):
     # and at p in {5, 7} the numpy rank-one update runs with both fewer
     # and more than p hit rows
     _check_push_against_brute_oracles(p, n, np.random.default_rng(p + n))
+
+
+# gf2 (also past one 64-column block of independent columns), packed GF(3),
+# the numpy prime engine (q = 5, n = 24), generic q = 4, and generic q = 257
+# over uint16 rows
+@pytest.mark.parametrize("q,n", [(2, 6), (2, 100), (3, 24), (5, 24), (4, 4), (257, 3)],
+                         ids=["gf2", "gf2-n100", "gf3-packed", "prime-q5", "generic-q4",
+                              "generic-q257"])
+def test_push_run_equals_a_loop_of_push(q, n):
+    F = make_field(q)
+    rng = np.random.default_rng(500 + q + n)
+    rows = rng.integers(0, q, size=(2 * n + 70, n), dtype=np.uint16 if q > 256 else np.uint8)
+    rows[[0, 9, 10, 2 * n]] = 0  # zero columns, the first one among them
+    cols = pack_native(F, n, rows)
+    ref = RrefState(F, n)
+    want = [(ref.push(c), ref.rank, ref.corank) for c in cols]
+
+    def check(st, end, pushed, dep):
+        """A run that ended at column `end` pushed its columns as push would."""
+        assert end <= len(cols) and pushed >= 1
+        assert all(w[0] is None for w in want[end - pushed:end - 1])
+        assert (dep, st.rank, st.corank) == want[end - 1] and st.ncols == end
+
+    for feed in ("iterator", "slices"):
+        st = RrefState(F, n)
+        assert st.push_run([]) == st.push_run(iter(())) == (0, None)
+        it, end = iter(cols), 0
+        while end < len(cols):
+            if feed == "iterator":
+                pushed, dep = st.push_run(it)  # stops after a dependent column
+            else:  # up to the next multiple of 64, as ProcessState feeds it
+                pushed, dep = st.push_run(cols[end:(end // 64 + 1) * 64])
+            end += pushed
+            check(st, end, pushed, dep)
+            if dep is None:
+                assert end == len(cols) if feed == "iterator" else end % 64 == 0 or end == len(cols)
+        assert st.push_run(it if feed == "iterator" else []) == (0, None)
+        assert (st.rank, st.corank) == (ref.rank, ref.corank)
 
 
 # ---- the undoable spans -----------------------------------------------------

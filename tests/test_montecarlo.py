@@ -12,6 +12,7 @@ import pytest
 
 from fqmatroid import montecarlo as MC
 from fqmatroid.errors import BudgetExceeded, ConfigError, IoError
+from fqmatroid.fqlinalg import make_field
 from fqmatroid.matroid import RepMatroid
 from fqmatroid.process import process_rng
 
@@ -298,6 +299,24 @@ def test_emit_csv_roundtrip(tmp_path):
 def test_emit_unwritable_path_raises_io():
     with pytest.raises(IoError):
         MC.emit({"schema_version": "1"}, "json", "/no-such-dir/x.json")
+
+
+# ---- trial functions ----------------------------------------------------------
+
+
+# the packed gf2 draw, prime and extension fields; n = 1 and 2 draw zero
+# columns and many repeated points
+@pytest.mark.parametrize("q,n", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_two_circuit_count_equals_the_pair_loop(q, n):
+    zeros = 0
+    for trial in range(25):
+        res = {"q": q, "count_n": n, "count_m": 30}
+        drawn = MC._uniform_points(make_field(q), n, 30, process_rng(68, trial))
+        pts = [p for p in drawn if p is not None]
+        pairs = sum(pts[i] == pts[j] for i in range(len(pts)) for j in range(i + 1, len(pts)))
+        assert MC._t_two_circuit_count(res, process_rng(68, trial)) == {"two_circuits": pairs}
+        zeros += len(drawn) - len(pts)
+    assert zeros
 
 
 def test_jsonable_handles_exact_and_infinite_values():

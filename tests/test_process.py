@@ -119,13 +119,21 @@ def test_state_rejects_empty_row_space():
 def test_store_holds_the_rows_of_the_pushed_natives(q, n, dtype, monkeypatch):
     field = make_field(q)
     pushed = []
-    push = RrefState.push
+    push, push_run = RrefState.push, RrefState.push_run
 
     def record(self, column):
         pushed.append(column)
         return push(self, column)
 
+    def record_run(self, cols):
+        def taken():  # push_run draws exactly the columns it pushes
+            for col in cols:
+                pushed.append(col)
+                yield col
+        return push_run(self, taken())
+
     monkeypatch.setattr(RrefState, "push", record)
+    monkeypatch.setattr(RrefState, "push_run", record_run)
     st = P.ProcessState(field, n, P.process_rng(88, q))
     assert st.peek(0).shape == (0, n)
     first = st.peek(100).copy()  # past the first 64-column block
@@ -213,6 +221,70 @@ def test_advance_then_step_reads_as_a_stepped_twin(q, n):
     assert_same_natives(st.native_cols, twin.native_cols)
 
 
+@pytest.mark.parametrize("q,n", [(2, 6), (2, 70), (3, 24), (4, 4), (5, 24), (257, 3)],
+                         ids=["gf2", "gf2-n70", "gf3-packed", "generic-q4", "prime-q5",
+                              "generic-q257"])
+def test_step_until_dependent_reads_as_stepping(q, n):
+    # one run per block reads as steps one column at a time, to the same
+    # dependent column or limit; interleaved with peek, advance and step
+    field = make_field(q)
+    st = P.ProcessState(field, n, P.process_rng(76, q))
+    twin = P.ProcessState(field, n, P.process_rng(76, q))
+
+    def twin_until(limit):
+        while limit is None or twin.m < limit:
+            if (dep := twin.step()) is not None:
+                return dep
+        return None
+
+    ops = [("until", None), ("until", None), ("peek", 150), ("until", None),
+           ("advance", 7), ("until", None), ("step", 1), ("until", 3), ("until", 0),
+           ("advance", 64), ("until", 70), ("step", 1), ("until", None), ("until", 200)]
+    deps = 0
+    for op, arg in ops:
+        if op == "peek":
+            st.peek(arg)
+            continue
+        if op == "advance":  # unpushed until the next run
+            st.advance(arg)
+            for _ in range(arg):
+                twin.step()
+            continue
+        if op == "step":
+            assert st.step() == twin.step()
+        else:
+            limit = None if arg is None else st.m + arg
+            dep = st.step_until_dependent(limit)
+            assert dep == twin_until(limit)
+            assert dep is not None or st.m == limit
+            deps += dep is not None
+        assert st.m == twin.m
+        assert (st.rank, st.corank, st.corank_history) == \
+               (twin.rank, twin.corank, twin.corank_history)
+        assert_same_natives(st.native_cols, twin.native_cols)
+        assert st.matrix() == twin.matrix()
+    assert deps >= 4 and st.m > 64
+
+
+def test_first_circuit_trial_pushes_one_run_per_block(monkeypatch):
+    # E5's fc2 trial at n = 100 pushes a block's columns in one push_run,
+    # and none through the per-column push
+    runs, pushes = [], []
+    push_run = RrefState.push_run
+
+    def count_run(self, cols):
+        runs.append(1)
+        return push_run(self, cols)
+
+    monkeypatch.setattr(RrefState, "push_run", count_run)
+    monkeypatch.setattr(RrefState, "push", lambda self, col: pushes.append(col))
+    for trial in range(20):
+        runs.clear()
+        out = MC._t_first_circuit({"q": 2, "n": 100}, P.process_rng(20260814, trial))
+        assert len(runs) <= -(-out["tau"] // 64) + 1
+    assert not pushes
+
+
 def assert_checked_equal(mat):
     """mat, built without the entry check, equals FqMatrix(...) of its
     columns: Python int entries, and the same engine-native columns."""
@@ -234,6 +306,7 @@ def test_state_matrix_is_a_checked_matrix(q, n, monkeypatch):
     stepped = st.matrix()
     st.advance(70)
     monkeypatch.setattr(RrefState, "push", lambda *args: pytest.fail("pushed"))
+    monkeypatch.setattr(RrefState, "push_run", lambda *args: pytest.fail("pushed"))
     advanced = st.matrix()
     monkeypatch.undo()
     st.step()
@@ -337,6 +410,21 @@ def test_newest_point_is_canonical_point_of_the_newest_column(q, n):
         st.step()
         zeros += check()
     assert st.m == 107 and zeros >= 4
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (2, 70), (3, 4), (3, 30), (4, 3), (5, 30), (257, 3)])
+def test_points_are_the_canonical_points_of_the_columns(q, n):
+    field = make_field(q)
+    st = P.ProcessState(field, n, P.process_rng(79, q))
+    st.peek(100)[[0, 63, 64]] = 0
+    st.advance(100)
+    want = [canonical_point(field, c) for c in st.column_tuples()]
+    for start in (0, 1, 63, 64, 99, 100):
+        got = st.points(start)
+        if q == 2:  # packed gf2 columns
+            got = [v and tuple((v >> i) & 1 for i in range(n)) for v in got]
+        assert got == want[start:]
+    assert want.count(None) >= 3
 
 
 # ---- k-circuit tracking ------------------------------------------------------
@@ -845,6 +933,7 @@ def test_critical_trackers_push_and_pack_nothing(field, monkeypatch):
     # column; a later read pushes them, as if the state had stepped
     refuse = refuse_in_package(monkeypatch, "pack_native")
     monkeypatch.setattr(RrefState, "push", refuse)
+    monkeypatch.setattr(RrefState, "push_run", refuse)
     states = check_critical_trackers(field, range(6))
     monkeypatch.undo()
     assert all(st.m for _, st in states)
@@ -908,7 +997,8 @@ def test_tau_u12_process_fallback_against_per_prefix(n, trial):
 
 
 @pytest.mark.parametrize("field,n,trial", [(F2, 3, 0), (F2, 5, 1), (F2, 7, 2),
-                                           (F3, 2, 0), (F3, 3, 1), (F3, 4, 2)])
+                                           (F3, 2, 0), (F3, 3, 1), (F3, 4, 2),
+                                           (F4, 2, 0), (F4, 3, 1)])
 def test_tau_u23_against_per_prefix(field, n, trial):
     out = MC._t_tau_u23({"q": field.q, "n": n}, P.process_rng(65, trial))
     cols = replay_columns(field, n, 65, trial, 3 * n + 12)
@@ -920,6 +1010,31 @@ def test_tau_u23_against_per_prefix(field, n, trial):
     assert out["eq_n1"] == int(tau == n + 1)
     # a circuit among distinct points is a circuit among the columns
     assert tau >= tau_crk1
+
+
+def tau_u23_per_step(field, n, rng):
+    """E3's trial output from the rank and the point set after every step."""
+    st = P.ProcessState(field, n, rng)
+    points, tau_crk1 = set(), None
+    while True:
+        dep = st.step()
+        col = st.column_tuples()[-1]
+        if any(col):
+            points.add(canonical(field, col))
+        if tau_crk1 is None and dep is not None:
+            tau_crk1 = st.m
+        if st.rank < len(points):
+            return {"tau_u23_minus_n": st.m - n, "agree": int(st.m == tau_crk1),
+                    "le_n1": int(st.m <= n + 1), "eq_n1": int(st.m == n + 1)}
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (2, 4), (2, 70), (3, 2), (3, 30), (4, 2), (4, 3)])
+def test_tau_u23_equals_the_per_step_reference(q, n):
+    # the trial steps a run at a time and tests only dependent columns
+    field = make_field(q)
+    for trial in range(30):
+        got = MC._t_tau_u23({"q": field.q, "n": n}, P.process_rng(67, trial))
+        assert got == tau_u23_per_step(field, n, P.process_rng(67, trial))
 
 
 # ---- point-sample models -----------------------------------------------------------
