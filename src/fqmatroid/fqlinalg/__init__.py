@@ -12,7 +12,6 @@ from .matrix import (
     pack_gf2,
     pack_native,
     random_uniform_matrix,
-    rank_of_natives,
 )
 from .subspaces import (
     DEFAULT_LEVEL_BUDGET,
@@ -38,7 +37,6 @@ __all__ = [
     "pack_gf2",
     "pack_native",
     "random_uniform_matrix",
-    "rank_of_natives",
     "DEFAULT_LEVEL_BUDGET",
     "DEFAULT_SUBSPACE_BUDGET",
     "SubspaceHandle",

@@ -431,15 +431,6 @@ class RrefState:
         return self._core.ncols - len(self._core.slots)
 
 
-def rank_of_natives(field: FieldSpec, n: int, cols) -> int:
-    """The rank of an iterator of n-row native columns, one push_run per
-    dependency."""
-    st = RrefState(field, n)
-    while st.push_run(cols)[1] is not None:
-        pass
-    return st.rank
-
-
 class FqMatrix:
     """Immutable n-row matrix over F_q, stored column-wise.
 
@@ -495,11 +486,18 @@ class FqMatrix:
     @property
     def rank(self) -> int:
         if self._rank is None:
-            self._rank = rank_of_natives(self.field, self.n, iter(self.native_columns()))
+            st = RrefState(self.field, self.n)
+            for col in self.native_columns():
+                st.push(col)
+            self._rank = st.rank
         return self._rank
 
     def rank_of(self, indices) -> int:
-        return rank_of_natives(self.field, self.n, map(self.native_columns().__getitem__, indices))
+        st = RrefState(self.field, self.n)
+        native = self.native_columns()
+        for i in indices:
+            st.push(native[i])
+        return st.rank
 
     def kernel_basis(self) -> list[tuple]:
         """Kernel vectors indexed by dependent columns; len = m - rank."""

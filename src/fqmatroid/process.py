@@ -30,7 +30,6 @@ from .fqlinalg import (
     level_deaths,
     pack_native,
     projective_points,
-    rank_of_natives,
 )
 from .matroid import (
     DEFAULT_KERNEL_BUDGET,
@@ -289,15 +288,12 @@ def track_first_circuit(state: ProcessState) -> tuple[int, int]:
 
 def _rank_of_mask(state: ProcessState, mask: int) -> int:
     """Rank of the columns whose bits are set in mask."""
-    native = state.native_cols
-
-    def cols(mask):
-        while mask:
-            low = mask & -mask
-            yield native[low.bit_length() - 1]
-            mask ^= low
-
-    return rank_of_natives(state.field, state.n, cols(mask))
+    probe = RrefState(state.field, state.n)
+    while mask:
+        low = mask & -mask
+        probe.push(state.native_cols[low.bit_length() - 1])
+        mask ^= low
+    return probe.rank
 
 
 def track_k_circuit(state: ProcessState, k: int,
