@@ -185,11 +185,10 @@ def _cmd_compare(args) -> int:
     if missing:
         print(f"artifact config lacks {', '.join(missing)}", file=sys.stderr)
         return 2
-    for key, default in montecarlo.PRESETS[preset].defaults.items():
-        if not montecarlo._fits_default(default, res[key]):
-            raise ConfigError(f"artifact config {key!r} must be of type "
-                              f"{type(default).__name__}, got {res[key]!r}")
-    montecarlo._validate_resolved(res)
+    # the checks simulate makes of its own config, unknown keys included
+    res = montecarlo.ExperimentConfig(
+        preset=preset, seed=res["seed"],
+        params={k: v for k, v in res.items() if k not in ("preset", "seed")}).resolved()
     agg = montecarlo.Aggregate(preset=preset)
     try:
         agg.counters = {key: Counter({int(k): operator.index(v) for k, v in cnt.items()})

@@ -61,21 +61,25 @@ class ExperimentConfig:
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; have "
                               f"{sorted(PRESETS)}")
-        defaults = PRESETS[self.preset].defaults
+        preset = PRESETS[self.preset]
+        defaults = preset.defaults
         res = dict(defaults)
         res["preset"] = self.preset
         res["seed"] = self.seed
-        for key, val in (("trials", self.trials), ("n", self.n), ("q", self.q)):
-            if val is not None:
-                res[key] = val
-        for key, val in self.params.items():
+        flags = {key: val for key, val in (("trials", self.trials), ("n", self.n),
+                                           ("q", self.q)) if val is not None}
+        for key in [*flags, *self.params]:
             if key not in defaults:
                 raise ConfigError(f"preset {self.preset} has no parameter {key!r}")
+        res.update(flags)
+        for key, val in self.params.items():
             if not _fits_default(defaults[key], val):
                 raise ConfigError(f"parameter {key!r} must be of type "
                                   f"{type(defaults[key]).__name__}, got {val!r}")
             res[key] = val
         _validate_resolved(res)
+        if preset.check is not None:
+            preset.check(res)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.fmt not in ("json", "csv"):
@@ -120,8 +124,6 @@ def _validate_resolved(res: dict) -> None:
         make_field(res["q"])
     except Exception as e:  # noqa: BLE001 - re-tag as a config problem
         raise ConfigError(f"q={res['q']}: {e}") from None
-    if "k" in res and "prob_m" in res and not 1 <= res["k"] <= res["prob_m"]:
-        raise ConfigError(f"need 1 <= k <= prob_m = {res['prob_m']}, got k={res['k']}")
 
 
 # ---- aggregation ----------------------------------------------------------
@@ -435,6 +437,29 @@ class Preset:
     defaults: dict
     parts: tuple
     reporter: object
+    check: object = None  # raises ConfigError for sizes at which no trial could end
+
+
+# ---- preset checks ---------------------------------------------------------
+
+
+def _check_e3(res):
+    # one row gives rank and point count at most 1, so U_{2,3} never appears
+    if res["n"] < 2:
+        raise ConfigError(f"E3 needs n >= 2 for a U_{{2,3}} minor, got n={res['n']}")
+
+
+def _check_e4(res):
+    if not 1 <= res["k"] <= res["prob_m"]:
+        raise ConfigError(f"need 1 <= k <= prob_m = {res['prob_m']}, got k={res['k']}")
+
+
+def _check_e11(res):
+    # every part draws m distinct points of PG(n-1, q)
+    points = theory.q_int(res["n"], res["q"])
+    if res["m"] > points:
+        raise ConfigError(f"m = {res['m']} exceeds the {points} points of "
+                          f"PG({res['n'] - 1}, {res['q']})")
 
 
 # ---- report helpers --------------------------------------------------------
@@ -740,13 +765,13 @@ PRESETS = {
     "E3": Preset(
         defaults={"n": 200, "q": 2, "trials": 10 ** 4},
         parts=(PartSpec("tau23", "trials", _t_tau_u23),),
-        reporter=_report_e3),
+        reporter=_report_e3, check=_check_e3),
     "E4": Preset(
-        defaults={"n": 3, "q": 2, "k": 2, "count_n": 3, "count_m": 4,
+        defaults={"q": 2, "k": 2, "count_n": 3, "count_m": 4,
                   "prob_n": 10, "prob_m": 40, "trials": 10 ** 5},
         parts=(PartSpec("count2", "trials", _t_two_circuit_count),
                PartSpec("no2", "trials", _t_no_two_circuit)),
-        reporter=_report_e4),
+        reporter=_report_e4, check=_check_e4),
     "E5": Preset(
         defaults={"n": 100, "q": 2, "trials": 10 ** 4,
                   "band2": (0.45, 0.55), "band3": (0.61, 0.72)},
@@ -767,7 +792,7 @@ PRESETS = {
                PartSpec("monitor", "monitor_trials", _t_kappa_monitor)),
         reporter=_report_e8),
     "E9": Preset(
-        defaults={"n": 3, "q": 2, "r": 3, "b": 35, "trials": 10 ** 4},
+        defaults={"q": 2, "r": 3, "b": 35, "trials": 10 ** 4},
         parts=(PartSpec("cover", "trials", _t_pg_cover),),
         reporter=_report_e9),
     "E10": Preset(
@@ -781,7 +806,7 @@ PRESETS = {
         parts=(PartSpec("m2", "trials", _t_m2_rank),
                PartSpec("m1s", "trials", _t_m1_simple_rank),
                PartSpec("m3", "trials", _t_m3_conditioned_rank)),
-        reporter=_report_e11),
+        reporter=_report_e11, check=_check_e11),
 }
 
 

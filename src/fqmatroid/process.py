@@ -5,7 +5,8 @@ matroid M[A_m] evolves as columns arrive.  ProcessState.step returns the
 new column's dependency as RrefState.push gave it: the first one that is
 not None is the first circuit, and a support of one column is a loop.
 Trackers that act only on dependencies step through
-ProcessState.step_until_dependent, one engine call per run of columns.
+ProcessState.step_until_dependent, one engine call per run of columns;
+step is that call stopped after one column.
 Trackers observe a single trajectory and report the first step at which
 their property holds.
 Everything is deterministic given (master seed, trial index): trial i
@@ -76,17 +77,17 @@ class ProcessState:
     the narrowest unsigned dtype that holds q - 1, which peek, rows,
     column_tuples and matrix slice.  Columns are eliminated on demand: advance
     appends columns without pushing them, and they are pushed, in order, before
-    step pushes its own column or a caller reads rank, corank, corank_history,
-    native_cols or rref.  A block is packed into engine-native form the first
-    time one of its columns is pushed.
+    a step pushes its own columns or a caller reads rank, corank or
+    native_cols.  A block is packed into engine-native form the first time one
+    of its columns is pushed.
 
     Columns are pushed in runs: one RrefState.push_run call takes the
     columns up to the end of their block, or to the last one wanted, and
-    stops after the first dependent one.  step appends one column and
-    returns the sparse dependency dict that push returned for it;
-    step_until_dependent appends the rest of each block in one run, until
-    a column is dependent.  The corank check holds per run: the corank
-    grows by one exactly when the run ends at a dependent column.
+    stops after the first dependent one.  step_until_dependent appends the
+    rest of each block in one run, until a column is dependent; step is
+    step_until_dependent stopped after one column.  The corank check holds
+    per run: the corank grows by one exactly when the run ends at a
+    dependent column.
     """
 
     def __init__(self, field: FieldSpec, n: int, rng):
@@ -101,7 +102,6 @@ class ProcessState:
         self._block: list = []  # the natives of the block that holds the last push
         self._rref = RrefState(field, n)
         self._native_cols: list = []
-        self._corank_history: list[int] = []
         self.m = 0
 
     def _run(self, end: int) -> dict | None:
@@ -113,16 +113,12 @@ class ProcessState:
         j = i % _DRAW_BLOCK
         if j == 0:
             self._block = pack_native(self.field, self.n, self._rows[i:i + _DRAW_BLOCK])
-        history = self._corank_history
-        prev = history[-1] if history else 0
+        prev = self._rref.corank
         count, dep = self._rref.push_run(self._block[j:j + min(end - i, _DRAW_BLOCK - j)])
         self._native_cols += self._block[j:j + count]
         self._pushed = i + count
-        c = self._rref.corank
-        if c != prev + (dep is not None):
+        if self._rref.corank != prev + (dep is not None):
             raise self._corank_error()
-        history += [prev] * (count - 1)
-        history.append(c)
         return dep
 
     def _corank_error(self) -> ConsistencyError:
@@ -140,44 +136,24 @@ class ProcessState:
         return ConsistencyError(f"corank check failed by step {self._pushed}, "
                                 "and not again when the steps were pushed one at a time")
 
-    def _sync(self) -> dict | None:
-        """Push, in order, every appended column not pushed yet; returns the
-        last column's dependency."""
-        dep = None
+    def _synced(self) -> RrefState:
+        """The elimination state once every appended column is pushed, in order."""
         while self._pushed < self.m:
-            dep = self._run(self.m)
-        return dep
-
-    # each reader tests before it calls _sync, since the stepping trackers
-    # read them at every step, when nothing is pending
-
-    @property
-    def rref(self) -> RrefState:
-        if self._pushed < self.m:
-            self._sync()
+            self._run(self.m)
         return self._rref
 
     @property
     def native_cols(self) -> list:
-        if self._pushed < self.m:
-            self._sync()
+        self._synced()
         return self._native_cols
 
     @property
-    def corank_history(self) -> list[int]:
-        if self._pushed < self.m:
-            self._sync()
-        return self._corank_history
-
-    @property
     def rank(self) -> int:
-        return self.rref.rank
+        return self._synced().rank
 
     @property
     def corank(self) -> int:
-        """The corank after the last step, as the corank check recorded it."""
-        history = self.corank_history
-        return history[-1] if history else 0
+        return self._synced().corank
 
     @property
     def rows(self) -> np.ndarray:
@@ -204,10 +180,7 @@ class ProcessState:
         Columns are drawn _DRAW_BLOCK at a time, and peek and advance may draw
         further blocks, so the state reads its rng ahead: once it has
         stepped, peeked or advanced, nothing else may draw from that rng."""
-        if self.m == self._drawn:
-            self._draw_block()
-        self.m += 1
-        return self._sync()
+        return self.step_until_dependent(self.m + 1)
 
     def step_until_dependent(self, limit: int | None = None) -> dict | None:
         """Step until a column is dependent and return its dependency, as step
@@ -217,8 +190,7 @@ class ProcessState:
         or up to `limit`, and each run is pushed in one RrefState.push_run
         call; the state ends at the dependent column, and blocks are drawn
         as steps would draw them."""
-        if self._pushed < self.m:
-            self._sync()
+        self._synced()
         while limit is None or self.m < limit:
             if self.m == self._drawn:
                 self._draw_block()
@@ -251,10 +223,6 @@ class ProcessState:
             return [v or None for v in self.native_cols[start:]]
         return [canonical_point(self.field, r) for r in self._rows[start:self.m].tolist()]
 
-    def newest_point(self):
-        """The projective point of the newest column, as points gives it."""
-        return self.points(self.m - 1)[0]
-
     def column_tuples(self) -> list[tuple]:
         return [tuple(r) for r in self.rows.tolist()]
 
@@ -263,9 +231,6 @@ class ProcessState:
         it shares their engine-native forms, so it packs none again."""
         native = None if self._pushed < self.m else self._native_cols[:]
         return FqMatrix._trusted(self.field, tuple(self.column_tuples()), self.n, native)
-
-    def matroid(self) -> RepMatroid:
-        return RepMatroid(self.matrix())
 
 
 # ---- elementary hitting times -----------------------------------------
@@ -322,7 +287,7 @@ def track_k_circuit(state: ProcessState, k: int,
         seen: set = set()
         while max_steps is None or state.m < max_steps:
             state.step()
-            pt = state.newest_point()
+            pt = state.points(state.m - 1)[0]
             if k == 1 and pt is None or k == 2 and pt in seen:
                 return state.m
             if pt is not None:
@@ -414,7 +379,7 @@ def kappa_trajectory(state: ProcessState, horizon: int,
             cur = INFINITY  # still no separation after an equal-rank step
         else:
             cur, witness = _seeded_vertical_connectivity(
-                state.matroid(), witness, partition_budget)
+                RepMatroid(state.matrix()), witness, partition_budget)
         if prev is not None and cur < prev:
             decreases.append((state.m, prev, cur))
         kappas.append(cur)

@@ -4,13 +4,17 @@ import contextlib
 import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fqmatroid import cli, theory
+from fqmatroid import cli, montecarlo, theory
 from fqmatroid.cli import _PREDICTORS, main
 
 
@@ -181,11 +185,16 @@ def test_predict_and_table_refuse_bad_q_and_negative_sizes(capsys, argv):
     ("simulate", "--preset", "E9", "--trials", "1", "--seed", "1", "--param", "b=-5"),
     ("simulate", "--preset", "E9", "--trials", "1", "--seed", "1", "--param", "r=-2"),
     ("simulate", "--preset", "E9", "--trials", "1", "--seed", "1", "--param", "r=100000"),
+    # E4 and E9 have no n, and E11 draws m distinct points of PG(1, 2), which has 3
+    ("simulate", "--preset", "E4", "--n", "5", "--seed", "1"),
+    ("simulate", "--preset", "E9", "--n", "3", "--seed", "1"),
+    ("simulate", "--preset", "E11", "--n", "2", "--param", "m=4", "--seed", "1"),
 ])
 def test_sizes_outside_their_domain_are_usage_errors(capsys, argv):
     # simulate refuses in configuration, before any trial runs
     t0 = time.perf_counter()
-    rc, out, err = run(capsys, *argv)
+    with time_limit(2.0):
+        rc, out, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
     assert rc == 2 and out == ""
     assert "usage error" in err and "Traceback" not in err
@@ -432,6 +441,34 @@ def test_simulate_e11_past_the_point_budget_refuses_before_listing(capsys, tmp_p
     assert not (tmp_path / "e11.json").exists()
 
 
+def run_in_process_group(argv, timeout):
+    """(exit code, stderr) of the console tool in a process of its own,
+    whose whole group, pool workers included, is killed past `timeout`."""
+    code = "import sys; from fqmatroid.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    child = subprocess.Popen([sys.executable, "-c", code, *argv], env=env, text=True,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             start_new_session=True)
+    try:
+        _, err = child.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)
+        child.communicate()
+        pytest.fail(f"{argv} ran past {timeout} s")
+    return child.returncode, err
+
+
+def test_simulate_e11_past_its_points_refuses_with_workers(tmp_path):
+    # m = 4 distinct points of PG(1, 2), which has 3, is refused before the
+    # pool starts; a worker would look for them forever
+    out = tmp_path / "e11.json"
+    rc, err = run_in_process_group(
+        ["simulate", "--preset", "E11", "--n", "2", "--param", "m=4", "--trials", "2",
+         "--seed", "1", "--workers", "2", "--out", str(out)], timeout=60)
+    assert rc == 2 and "m = 4 exceeds the 3 points" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_simulate_unwritable_out_gives_exit_4(capsys):
     rc, _, err = run(capsys, "simulate", "--preset", "E9", "--trials", "5",
                      "--seed", "5", "--out", "/no-such-dir/a.json")
@@ -498,8 +535,11 @@ def test_compare_input_errors(capsys, tmp_path):
 def test_compare_malformed_artifact_is_usage_error(capsys, tmp_path):
     art = tmp_path / "partial.json"
     good = json.loads(make_artifact(capsys, tmp_path).read_text(encoding="utf-8"))
-    no_n = json.loads(json.dumps(good))
-    del no_n["config"]["n"]
+    no_b = json.loads(json.dumps(good))
+    del no_b["config"]["b"]
+    # a key the preset does not have
+    with_n = json.loads(json.dumps(good))
+    with_n["config"]["n"] = 3
     no_agg = {k: v for k, v in good.items() if k != "aggregate"}
     bad_count = json.loads(json.dumps(good))
     bad_count["aggregate"]["cover.covered"] = {"one": 3}
@@ -507,7 +547,8 @@ def test_compare_malformed_artifact_is_usage_error(capsys, tmp_path):
     bad_check["comparison"]["checks"] = [1]
     for obj, msg in (({"schema_version": "1", "preset": "E1"}, "config"),
                      ([1, 2], "schema_version"),
-                     (no_n, "lacks n"),
+                     (no_b, "lacks b"),
+                     (with_n, "no parameter 'n'"),
                      (no_agg, "aggregate"),
                      (bad_count, "aggregate"),
                      (bad_check, "checks")):
@@ -679,3 +720,29 @@ def test_predict_fuzz_ends_in_a_documented_exit_code(what, flags):
 @settings(max_examples=100, deadline=None)
 def test_table_fuzz_ends_in_a_documented_exit_code(what, flags):
     _run_bounded(["table", "--what", what, *flags])
+
+
+def smallest_sizes(preset, n=1):
+    """simulate argv for a preset at n rows (--n where the preset has n),
+    every other row count at 1 and every *trials key at 2."""
+    argv = ["simulate", "--preset", preset, "--seed", "1"]
+    for key in montecarlo.PRESETS[preset].defaults:
+        if key == "n":
+            argv += ["--n", str(n)]
+        elif key.endswith("trials"):
+            argv += ["--param", f"{key}=2"]
+        elif key.endswith("_n") or key == "r":
+            argv += ["--param", f"{key}=1"]
+    return argv
+
+
+# exit 2 where a size is refused: E3 needs n >= 2, E11's m = 3 points do not
+# fit in PG(0, q), and E1's reporter has no full-rank law for m = 16 > n
+_SMALLEST_REFUSED = {("E1", 1), ("E3", 1), ("E11", 1)}
+
+
+@pytest.mark.parametrize("preset,n", [(p, 1) for p in sorted(montecarlo.PRESETS)]
+                         + [("E3", 2)])
+def test_simulate_fuzz_at_the_smallest_sizes(tmp_path, preset, n):
+    rc = _run_bounded(smallest_sizes(preset, n) + ["--out", str(tmp_path / "x.json")])
+    assert rc == (2 if (preset, n) in _SMALLEST_REFUSED else 0)

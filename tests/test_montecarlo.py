@@ -164,8 +164,78 @@ def test_every_size_parameter_is_capped(preset):
         for bad in (0, -2, caps[key] + 1):
             with pytest.raises(ConfigError, match=f"^{key} "):
                 MC.ExperimentConfig(preset=preset, seed=1, params={key: bad}).resolved()
-        assert MC.ExperimentConfig(preset=preset, seed=1,
-                                   params={key: caps[key]}).resolved()[key] == caps[key]
+    # every size at its cap at once, since a cap alone may break a preset's
+    # own check (E11's m = 10^5 distinct points need n >= 17 at q = 2)
+    top = MC.ExperimentConfig(preset=preset, seed=1,
+                              params={key: caps[key] for key in sizes}).resolved()
+    assert all(top[key] == caps[key] for key in sizes)
+
+
+@pytest.mark.parametrize("kw,match", [
+    ({"preset": "E3", "n": 1}, "n >= 2"),
+    ({"preset": "E11", "n": 2, "params": {"m": 4}}, "m = 4 exceeds the 3 points"),
+    ({"preset": "E11", "n": 1, "q": 3}, "m = 3 exceeds the 1 points"),
+    ({"preset": "E4", "n": 5}, "no parameter 'n'"),
+    ({"preset": "E9", "n": 5}, "no parameter 'n'"),
+    ({"preset": "E9", "params": {"n": 5}}, "no parameter 'n'"),
+], ids=["E3-n1", "E11-m4", "E11-n1", "E4-n", "E9-n", "E9-param-n"])
+def test_config_refuses_sizes_no_trial_can_run(kw, match, monkeypatch):
+    # E3's U_{2,3} minor needs two rows and E11 draws m distinct points of
+    # PG(n-1, q); E4 and E9 read no n.  Each is refused before any trial.
+    monkeypatch.setattr(MC, "_run_chunk", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(ConfigError, match=match):
+        MC.run_experiment(MC.ExperimentConfig(seed=1, trials=2, **kw))
+
+
+def test_config_takes_the_smallest_sizes_a_trial_can_run():
+    assert MC.ExperimentConfig(preset="E3", seed=1, n=2).resolved()["n"] == 2
+    res = MC.ExperimentConfig(preset="E11", seed=1, n=2, params={"m": 3}).resolved()
+    assert (res["n"], res["m"]) == (2, 3)
+
+
+class ReadKeys(dict):
+    """A config that records the keys read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+# (preset, key) of the defaults that nothing reads, each with its reason
+UNREAD_DEFAULTS = {
+    # both of E5's parts override q; bench/digests.json pins E5's report
+    # config, so dropping it needs a benchmark change of its own
+    ("E5", "q"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(MC.PRESETS))
+def test_every_preset_default_is_read(preset):
+    # read by the reporter, by _plan_chunks as a part's trials_key, or by a
+    # part that does not override it; a default that nothing reads is a
+    # setting that --param and --n accept and ignore
+    spec = MC.PRESETS[preset]
+    trials = {part.trials_key: 2 for part in spec.parts}
+    config = MC.ExperimentConfig(preset=preset, seed=5, params=trials)
+    res = config.resolved()
+    read = set(trials)
+    for idx, part in enumerate(spec.parts):
+        view = ReadKeys({**res, **dict(part.overrides)})
+        part.fn(view, process_rng(5, idx))
+        read |= view.read - {key for key, _ in part.overrides}
+    agg, _ = MC.run_experiment(config)
+    view = ReadKeys(res)
+    spec.reporter(view, agg)
+    read |= view.read
+    assert set(spec.defaults) - read == {key for p, key in UNREAD_DEFAULTS if p == preset}
 
 
 def test_resolved_layers_overrides():

@@ -67,7 +67,7 @@ def test_same_stream_same_trajectory():
     for _ in range(30):
         a.step()
         b.step()
-    assert a.corank_history == b.corank_history
+        assert a.corank == b.corank
     assert a.column_tuples() == b.column_tuples()
     c = P.ProcessState(F2, 8, P.process_rng(123, 6))
     for _ in range(30):
@@ -86,22 +86,22 @@ def test_block_refills_keep_the_per_column_stream():
 
 
 def assert_consistent(st):
-    """The incremental rank equals batch elimination from scratch, and the
-    corank history ascends by unit steps."""
+    """The incremental rank equals batch elimination from scratch."""
     scratch = RrefState(st.field, st.n)
     for col in st.native_cols:
         scratch.push(col)
     assert scratch.rank == st.rank
-    hist = st.corank_history
-    assert all(b - a in (0, 1) for a, b in zip(hist, hist[1:]))
 
 
 def test_corank_ascends_by_unit_steps():
     st = P.ProcessState(F3, 4, P.process_rng(7, 0))
+    coranks = [0]
     for _ in range(40):
         st.step()
+        coranks.append(st.corank)
         if st.m % 7 == 0:
             assert_consistent(st)
+    assert all(b - a in (0, 1) for a, b in zip(coranks, coranks[1:]))
     assert st.rank + st.corank == st.m == 40
     assert_consistent(st)
 
@@ -199,16 +199,20 @@ def test_advance_then_step_reads_as_a_stepped_twin(q, n):
     # them first, in order, so nothing a caller reads differs from stepping
     field = make_field(q)
     st = P.ProcessState(field, n, P.process_rng(71, q))
-    deps = {}
+    deps, coranks = {}, {}
     for count in (10, 0, 60, 3, 70, 1, 65):  # across the 64-, 128- and 192-column blocks
         st.advance(count)
         for _ in range(2):
             deps[st.m] = st.step()
+            coranks[st.m] = st.corank
     assert st.m == 223
     twin = P.ProcessState(field, n, P.process_rng(71, q))
-    twin_deps = [twin.step() for _ in range(223)]
+    twin_deps, twin_coranks = [], []
+    for _ in range(223):
+        twin_deps.append(twin.step())
+        twin_coranks.append(twin.corank)
     assert deps == {m: twin_deps[m - 1] for m in deps}
-    assert st.corank_history == twin.corank_history
+    assert coranks == {m: twin_coranks[m - 1] for m in coranks}
     assert st.rank == twin.rank and st.corank == twin.corank
     assert_same_natives(st.native_cols, twin.native_cols)
     assert st.column_tuples() == twin.column_tuples()
@@ -217,7 +221,7 @@ def test_advance_then_step_reads_as_a_stepped_twin(q, n):
     st.advance(40)
     for _ in range(40):
         twin.step()
-    assert st.rref.rank == twin.rank and st.corank_history == twin.corank_history
+    assert st.rank == twin.rank and st.corank == twin.corank
     assert_same_natives(st.native_cols, twin.native_cols)
 
 
@@ -259,8 +263,7 @@ def test_step_until_dependent_reads_as_stepping(q, n):
             assert dep is not None or st.m == limit
             deps += dep is not None
         assert st.m == twin.m
-        assert (st.rank, st.corank, st.corank_history) == \
-               (twin.rank, twin.corank, twin.corank_history)
+        assert (st.rank, st.corank) == (twin.rank, twin.corank)
         assert_same_natives(st.native_cols, twin.native_cols)
         assert st.matrix() == twin.matrix()
     assert deps >= 4 and st.m > 64
@@ -320,10 +323,8 @@ def test_state_matrix_is_a_checked_matrix(q, n, monkeypatch):
     lambda st: st.step(),
     lambda st: st.rank,
     lambda st: st.corank,
-    lambda st: st.corank_history,
     lambda st: st.native_cols,
-    lambda st: st.rref,
-], ids=["step", "rank", "corank", "corank_history", "native_cols", "rref"])
+], ids=["step", "rank", "corank", "native_cols"])
 def test_advanced_columns_keep_the_corank_check(read, monkeypatch):
     corank = RrefState.corank
     # from the fifth column on, the engine reports a corank two too high
@@ -361,7 +362,13 @@ def test_first_circuit_matches_tau_crk_1():
     assert tau_fc == st.m and st.corank == 1
     while st.corank < 3:
         st.step()
-    tau1, tau2, tau3 = (st.corank_history.index(c) + 1 for c in (1, 2, 3))
+    # a twin stepped one column at a time to the same corank
+    twin = P.ProcessState(F3, 5, P.process_rng(32, 9))
+    coranks = []
+    while not coranks or coranks[-1] < 3:
+        twin.step()
+        coranks.append(twin.corank)
+    tau1, tau2, tau3 = (coranks.index(c) + 1 for c in (1, 2, 3))
     assert tau_fc == tau1 < tau2 < tau3 == st.m
     with pytest.raises(InvalidParam):
         P.track_first_circuit(st)
@@ -396,7 +403,7 @@ def test_newest_point_is_canonical_point_of_the_newest_column(q, n):
     st.peek(107)[[0, 3, 64, 65]] = 0
 
     def check():
-        got, want = st.newest_point(), canonical_point(field, st.column_tuples()[-1])
+        got, want = st.points(st.m - 1)[0], canonical_point(field, st.column_tuples()[-1])
         if q == 2 and got is not None:
             got = tuple((got >> i) & 1 for i in range(n))  # a packed gf2 column
         assert got == want
@@ -941,8 +948,8 @@ def test_critical_trackers_push_and_pack_nothing(field, monkeypatch):
         twin = P.ProcessState(field, st.n, P.process_rng(seed, 2))
         for _ in range(st.m):
             twin.step()
-        assert (st.m, st.rank, st.corank, st.corank_history) == \
-               (twin.m, twin.rank, twin.corank, twin.corank_history)
+        assert (st.m, st.rank, st.corank) == (twin.m, twin.rank, twin.corank)
+        assert_same_natives(st.native_cols, twin.native_cols)
 
 
 @pytest.mark.parametrize("n", [12, 16])
