@@ -440,9 +440,11 @@ class FqMatrix:
     rng.integers(0, q)), delete and contract (columns of a checked
     matrix and their reductions), process.sample_pg_model (projective
     points) and ProcessState.matrix (the drawn store).
+    random_uniform_matrix also keeps its (m, n) draw, so the first
+    native_columns() packs it in one pack_native call.
     """
 
-    __slots__ = ("field", "n", "m", "columns", "_rank", "_native_cols")
+    __slots__ = ("field", "n", "m", "columns", "_rank", "_native_cols", "_drawn")
 
     def __init__(self, field: FieldSpec, columns, n: int | None = None):
         cols = tuple(tuple(int(x) for x in col) for col in columns)
@@ -457,30 +459,37 @@ class FqMatrix:
             for x in col:
                 if not 0 <= x < q:
                     raise InvalidParam(f"entry {x} outside [0, {q})")
-        self._fill(field, cols, n, None)
+        self._fill(field, cols, n, None, None)
 
-    def _fill(self, field: FieldSpec, cols: tuple, n: int, native) -> None:
+    def _fill(self, field: FieldSpec, cols: tuple, n: int, native, drawn) -> None:
         self.field = field
         self.n = n
         self.m = len(cols)
         self.columns = cols
         self._rank = None
         self._native_cols = native
+        self._drawn = drawn
 
     @classmethod
-    def _trusted(cls, field: FieldSpec, cols: tuple, n: int, native=None) -> "FqMatrix":
+    def _trusted(cls, field: FieldSpec, cols: tuple, n: int, native=None,
+                 drawn=None) -> "FqMatrix":
         """A matrix of `cols`, a tuple of n-tuples of Python ints in [0, q),
         unchecked; `native`, when given, is the list native_columns would
-        build (the engine form of every column)."""
+        build (the engine form of every column), and `drawn`, when given,
+        the same columns as the rows of an (m, n) integer array."""
         self = object.__new__(cls)
-        self._fill(field, cols, n, native)
+        self._fill(field, cols, n, native, drawn)
         return self
 
     def native_columns(self) -> list:
         """Columns in the elimination engine's preferred representation."""
         if self._native_cols is None:
-            eng = engine_name(self.field, self.n)
-            self._native_cols = [_to_native(self.field, eng, c) for c in self.columns]
+            if self._drawn is not None:
+                self._native_cols = pack_native(self.field, self.n, self._drawn)
+                self._drawn = None
+            else:
+                eng = engine_name(self.field, self.n)
+                self._native_cols = [_to_native(self.field, eng, c) for c in self.columns]
         return self._native_cols
 
     @property
@@ -577,6 +586,7 @@ def pack_native(field: FieldSpec, n: int, rows: np.ndarray) -> list:
 
 def random_uniform_matrix(field: FieldSpec, n: int, m: int, rng) -> FqMatrix:
     """n x m matrix with i.i.d. uniform entries, drawn column by column: the
-    stream draw_native_column(field, n, rng, m) reads."""
-    rows = rng.integers(0, field.q, size=(m, n)).tolist()
-    return FqMatrix._trusted(field, tuple(map(tuple, rows)), n)
+    stream draw_native_column(field, n, rng, m) reads.  The draw is kept
+    and packed on the first native_columns()."""
+    drawn = rng.integers(0, field.q, size=(m, n))
+    return FqMatrix._trusted(field, tuple(map(tuple, drawn.tolist())), n, drawn=drawn)

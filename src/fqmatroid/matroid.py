@@ -15,6 +15,12 @@ intersection dimension d1 + d2 - rank(cols[:i]) can only grow as more
 columns are assigned, which gives a sound lower bound for
 branch-and-bound pruning.
 
+A bipartition A, B is a vertical separation exactly when neither side
+spans M: with order r(A) + r(B) - r(M) + 1, r(A) >= order is the same
+as r(B) <= r(M) - 1.  Side ranks only grow, so the vertical search ends
+a branch as soon as one side's rank reaches r(M).  That prunes no
+vertical leaf.
+
 The vertical search has a second bound.  At an inner node with sides
 A, B of ranks d1, d2, a greedy walk over the unassigned columns keeps a
 set I independent in both M/A and M/B.  A completion that sends the
@@ -314,9 +320,10 @@ class RepMatroid:
             order = d1 + d2 - ranks[i] + 1  # can only grow deeper down
             if order >= best:
                 return False
-            rem = m - i
-            if vertical and min(d1, d2) + rem < order:
+            # a side that spans M stays spanning, so no leaf below is vertical
+            if vertical and max(d1, d2) == rank:
                 return False
+            rem = m - i
             if tutte and min(n1, n2) + rem < order:
                 return False
             # common-independent-set bound, see the module docstring

@@ -443,6 +443,13 @@ class Preset:
 # ---- preset checks ---------------------------------------------------------
 
 
+def _check_e1(res):
+    # the full-rank law is the chance of rank m, which needs m <= n
+    if res["m"] > res["n"]:
+        raise ConfigError(f"E1 needs m <= n for full column rank, got "
+                          f"m={res['m']} > n={res['n']}")
+
+
 def _check_e3(res):
     # one row gives rank and point count at most 1, so U_{2,3} never appears
     if res["n"] < 2:
@@ -454,12 +461,31 @@ def _check_e4(res):
         raise ConfigError(f"need 1 <= k <= prob_m = {res['prob_m']}, got k={res['k']}")
 
 
+# the most draws per trial, in expectation, that E11's m1s part may need
+_E11_MAX_DRAWS = 1000
+
+
 def _check_e11(res):
-    # every part draws m distinct points of PG(n-1, q)
-    points = theory.q_int(res["n"], res["q"])
-    if res["m"] > points:
-        raise ConfigError(f"m = {res['m']} exceeds the {points} points of "
-                          f"PG({res['n'] - 1}, {res['q']})")
+    """Refuse the sizes at which some part of E11 could not end.
+
+    Every part draws m distinct points of PG(n-1, q), so m <= [n]_q.  The
+    m1s part redraws m uniform columns until they are nonzero and pairwise
+    non-parallel, which they are with chance
+    P = prod_{i<m} (q^n - 1 - i(q-1)) / q^n, so a trial takes 1/P draws
+    in expectation; sizes where 1/P passes _E11_MAX_DRAWS = 1000 are
+    refused.
+    """
+    n, m, q = res["n"], res["m"], res["q"]
+    points = theory.q_int(n, q)
+    if m > points:
+        raise ConfigError(f"m = {m} exceeds the {points} points of PG({n - 1}, {q})")
+    size, chance = q ** n, 1.0
+    for i in range(m):
+        chance *= (size - 1 - i * (q - 1)) / size
+        if chance * _E11_MAX_DRAWS < 1:
+            raise ConfigError(
+                f"m = {m} distinct points of PG({n - 1}, {q}) need more than "
+                f"{_E11_MAX_DRAWS} draws per m1s trial in expectation")
 
 
 # ---- report helpers --------------------------------------------------------
@@ -514,7 +540,7 @@ def _report_e1(res, agg):
     n, m, q = res["n"], res["m"], res["q"]
     trials = res["trials"]
     p = float(theory.rank_full_prob(n, m, q))
-    phat = agg.freq("rank.rank", n)
+    phat = agg.freq("rank.rank", m)
     sigma = math.sqrt(p * (1 - p) / trials) if trials else math.nan
     checks = [
         _freq_check("full_rank_within_3_binomial_sigma", phat, p,
@@ -757,7 +783,7 @@ PRESETS = {
     "E1": Preset(
         defaults={"n": 16, "q": 2, "m": 16, "trials": 10 ** 5},
         parts=(PartSpec("rank", "trials", _t_rank),),
-        reporter=_report_e1),
+        reporter=_report_e1, check=_check_e1),
     "E2": Preset(
         defaults={"n": 60, "q": 2, "trials": 10 ** 5},
         parts=(PartSpec("tau12", "trials", _t_tau_u12),),

@@ -327,7 +327,8 @@ def _seeded_vertical_connectivity(M: RepMatroid, sep, budget: int):
     for the columns before M's newest one, or None.
 
     Putting the newest column on either side of sep gives two
-    bipartitions.  When one is vertical, of order k, kappa <= k and the
+    bipartitions.  A placement A, B that leaves neither side spanning M is
+    vertical, of order k = r(A) + r(B) - r(M) + 1, so kappa <= k and the
     search only looks below k + 1.  The first minimal leaf in the search's
     order is never pruned by that bound, so the order and the witness
     equal the unseeded search's.
@@ -337,9 +338,8 @@ def _seeded_vertical_connectivity(M: RepMatroid, sep, budget: int):
         r1, r2 = rank_of(sep.part1), rank_of(sep.part2)
         seed = INFINITY
         for a, b in ((rank_of(sep.part1 + (e,)), r2), (r1, rank_of(sep.part2 + (e,)))):
-            order = a + b - M.rank + 1
-            if min(a, b) >= order:
-                seed = min(seed, order)
+            if max(a, b) < M.rank:
+                seed = min(seed, a + b - M.rank + 1)
         if seed is not INFINITY:
             return M.vertical_separation_below(seed + 1, budget)
     return M.vertical_connectivity(budget)
@@ -351,7 +351,9 @@ def kappa_trajectory(state: ProcessState, horizon: int,
 
     Each step runs one exact bipartition search, seeded from the previous
     step's witness (_seeded_vertical_connectivity); kappa and its witness
-    equal those of an unseeded search.  Once the rank is stable, deleting
+    equal those of an unseeded search.  The search ends a branch once one
+    side spans the prefix matroid, which prunes most at the late steps,
+    where the search costs most.  Once the rank is stable, deleting
     the newest column at equal rank preserves k-connectedness, so any
     decrease the monitor records after full rank would be a genuine
     counterexample (or an implementation bug).

@@ -189,6 +189,10 @@ def test_predict_and_table_refuse_bad_q_and_negative_sizes(capsys, argv):
     ("simulate", "--preset", "E4", "--n", "5", "--seed", "1"),
     ("simulate", "--preset", "E9", "--n", "3", "--seed", "1"),
     ("simulate", "--preset", "E11", "--n", "2", "--param", "m=4", "--seed", "1"),
+    # E11's m1s part would redraw about 880,000 times per trial, and E1's
+    # full-rank law needs m <= n
+    ("simulate", "--preset", "E11", "--n", "4", "--param", "m=15", "--seed", "1"),
+    ("simulate", "--preset", "E1", "--n", "5", "--seed", "1"),
 ])
 def test_sizes_outside_their_domain_are_usage_errors(capsys, argv):
     # simulate refuses in configuration, before any trial runs
@@ -737,7 +741,7 @@ def smallest_sizes(preset, n=1):
 
 
 # exit 2 where a size is refused: E3 needs n >= 2, E11's m = 3 points do not
-# fit in PG(0, q), and E1's reporter has no full-rank law for m = 16 > n
+# fit in PG(0, q), and E1's full-rank law needs m = 16 <= n
 _SMALLEST_REFUSED = {("E1", 1), ("E3", 1), ("E11", 1)}
 
 

@@ -363,8 +363,26 @@ def test_native_round_trip(q, n):
         rows = [tuple(r) for r in
                 np.random.default_rng([n, k]).integers(0, q, size=(k, n)).tolist()]
         assert FqMatrix(F, rows, n=n).native_columns() == cols
-        assert random_uniform_matrix(F, n, k, np.random.default_rng([n, k])).columns \
-            == tuple(rows)
+        mat = random_uniform_matrix(F, n, k, np.random.default_rng([n, k]))
+        assert mat.columns == tuple(rows) and mat.native_columns() == cols
+
+
+@pytest.mark.parametrize("q,n", [(2, 12), (3, 30), (4, 3), (5, 30)])
+def test_random_uniform_matrix_packs_its_draw_once_on_first_use(q, n, monkeypatch):
+    # no pack at the draw; the first native_columns() packs the whole draw
+    # in one pack_native call, and later calls reuse the list
+    from fqmatroid.fqlinalg import matrix as fqm
+    calls = []
+    pack = fqm.pack_native
+    monkeypatch.setattr(fqm, "pack_native", lambda *args: calls.append(1) or pack(*args))
+    F = make_field(q)
+    mat = random_uniform_matrix(F, n, 24, np.random.default_rng([q, n]))
+    assert not calls
+    natives = mat.native_columns()
+    assert calls == [1] and mat.native_columns() is natives
+    checked = FqMatrix(F, mat.columns, n=n).native_columns()
+    assert all(type(a) is type(b) and np.array_equal(a, b) for a, b in zip(natives, checked))
+    assert len(natives) == 24
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])

@@ -21,6 +21,7 @@ from conftest import (
     brute_circuit_count,
     brute_critical_number,
     brute_first_witness,
+    brute_rank,
     brute_separation_kinds,
     brute_separations,
     random_cols,
@@ -275,6 +276,32 @@ def test_witnesses_are_the_first_minimal_bipartition(q):
         for bound in (1, 2, 3, 4):
             got = _as_first_witness(*M.vertical_separation_below(bound))
             assert got == (first["vertical"] if kv < bound else (INFINITY, None, None))
+
+
+@pytest.mark.parametrize("q,sizes", [
+    (2, [(n, m) for n in (4, 5) for m in (2 * n, 2 * n + 1, 2 * n + 2)]),
+    (3, [(3, m) for m in (6, 7, 8)]),
+], ids=["q2", "q3"])
+def test_vertical_search_at_full_rank_against_brute_oracle(q, sizes):
+    # at full rank with m >= 2n many placements make a side span M early,
+    # where the vertical search ends the branch; order and witness are still
+    # the first minimal bipartition's
+    F = make_field(q)
+    rng = np.random.default_rng(70 + q)
+    orders = Counter()
+    for n, m in sizes:
+        for _ in range(3):
+            cols = random_cols(q, n, m, rng)
+            while brute_rank(F, cols) < n:
+                cols = random_cols(q, n, m, rng)
+            M = RepMatroid(FqMatrix(F, cols, n=n))
+            first = brute_first_witness(F, cols, "vertical")
+            assert _as_first_witness(*M.vertical_connectivity()) == first, cols
+            for bound in (1, 2, 3, 4):
+                got = _as_first_witness(*M.vertical_separation_below(bound))
+                assert got == (first if first[0] < bound else (INFINITY, None, None))
+            orders[first[0]] += 1
+    assert orders[1] and orders[2], orders  # not only parallel pairs and loops
 
 
 def test_vertical_separation_below():

@@ -6,11 +6,13 @@ import io
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fqmatroid import montecarlo as MC
+from fqmatroid import theory as T
 from fqmatroid.errors import BudgetExceeded, ConfigError, IoError
 from fqmatroid.fqlinalg import make_field
 from fqmatroid.matroid import RepMatroid
@@ -165,10 +167,13 @@ def test_every_size_parameter_is_capped(preset):
             with pytest.raises(ConfigError, match=f"^{key} "):
                 MC.ExperimentConfig(preset=preset, seed=1, params={key: bad}).resolved()
     # every size at its cap at once, since a cap alone may break a preset's
-    # own check (E11's m = 10^5 distinct points need n >= 17 at q = 2)
-    top = MC.ExperimentConfig(preset=preset, seed=1,
-                              params={key: caps[key] for key in sizes}).resolved()
-    assert all(top[key] == caps[key] for key in sizes)
+    # own check (E11's m = 10^5 distinct points need n >= 17 at q = 2); E1's
+    # m <= n holds its columns to the row cap
+    top = {key: caps[key] for key in sizes}
+    if preset == "E1":
+        top["m"] = caps["n"]
+    res = MC.ExperimentConfig(preset=preset, seed=1, params=top).resolved()
+    assert all(res[key] == top[key] for key in sizes)
 
 
 @pytest.mark.parametrize("kw,match", [
@@ -178,10 +183,15 @@ def test_every_size_parameter_is_capped(preset):
     ({"preset": "E4", "n": 5}, "no parameter 'n'"),
     ({"preset": "E9", "n": 5}, "no parameter 'n'"),
     ({"preset": "E9", "params": {"n": 5}}, "no parameter 'n'"),
-], ids=["E3-n1", "E11-m4", "E11-n1", "E4-n", "E9-n", "E9-param-n"])
+    ({"preset": "E11", "n": 4, "params": {"m": 15}}, "more than 1000 draws"),
+    ({"preset": "E11", "n": 5, "params": {"m": 31}}, "more than 1000 draws"),
+    ({"preset": "E1", "n": 5}, "m <= n"),
+], ids=["E3-n1", "E11-m4", "E11-n1", "E4-n", "E9-n", "E9-param-n",
+        "E11-redraws-n4", "E11-redraws-n5", "E1-m-above-n"])
 def test_config_refuses_sizes_no_trial_can_run(kw, match, monkeypatch):
-    # E3's U_{2,3} minor needs two rows and E11 draws m distinct points of
-    # PG(n-1, q); E4 and E9 read no n.  Each is refused before any trial.
+    # E3's U_{2,3} minor needs two rows, E11 draws m distinct points of
+    # PG(n-1, q) and its m1s part redraws until they are, and E1's full-rank
+    # law needs m <= n; E4 and E9 read no n.  Each is refused before any trial.
     monkeypatch.setattr(MC, "_run_chunk", lambda *args: pytest.fail("a trial ran"))
     with pytest.raises(ConfigError, match=match):
         MC.run_experiment(MC.ExperimentConfig(seed=1, trials=2, **kw))
@@ -191,6 +201,33 @@ def test_config_takes_the_smallest_sizes_a_trial_can_run():
     assert MC.ExperimentConfig(preset="E3", seed=1, n=2).resolved()["n"] == 2
     res = MC.ExperimentConfig(preset="E11", seed=1, n=2, params={"m": 3}).resolved()
     assert (res["n"], res["m"]) == (2, 3)
+    assert MC.ExperimentConfig(preset="E1", seed=1, n=16).resolved()["m"] == 16
+
+
+def test_e11_redraw_rule_sits_at_its_bound():
+    # 1/P, P = prod_{i<m} (q^n - 1 - i(q-1)) / q^n, the expected draws of an
+    # m1s trial, computed exactly: the largest m it allows has 1/P <= 1000
+    def draws(n, m, q):
+        chance = Fraction(1)
+        for i in range(m):
+            chance *= Fraction(q ** n - 1 - i * (q - 1), q ** n)
+        return 1 / chance
+
+    for n, q in ((3, 2), (4, 2), (5, 2), (3, 3), (2, 5)):
+        allowed = [m for m in range(1, T.q_int(n, q) + 1) if draws(n, m, q) <= 1000]
+        top = max(allowed)
+        MC.ExperimentConfig(preset="E11", seed=1, n=n, q=q, params={"m": top}).resolved()
+        if top < T.q_int(n, q):
+            with pytest.raises(ConfigError, match="more than 1000 draws"):
+                MC.ExperimentConfig(preset="E11", seed=1, n=n, q=q,
+                                    params={"m": top + 1}).resolved()
+
+
+def test_e1_reports_the_frequency_of_rank_m():
+    # at m < n the full-rank clause compares the frequency of rank m with
+    # rank_full_prob(n, m, q), the chance of rank m
+    agg, report = tiny("E1", 31, 200, n=6, params={"m": 4})
+    assert report.empirical["full_rank_freq"] == agg.freq("rank.rank", 4) > 0
 
 
 class ReadKeys(dict):
@@ -239,8 +276,8 @@ def test_every_preset_default_is_read(preset):
 
 
 def test_resolved_layers_overrides():
-    res = MC.ExperimentConfig(preset="E1", seed=9, trials=7, n=5).resolved()
-    assert (res["trials"], res["n"], res["m"], res["q"]) == (7, 5, 16, 2)
+    res = MC.ExperimentConfig(preset="E1", seed=9, trials=7, n=20).resolved()
+    assert (res["trials"], res["n"], res["m"], res["q"]) == (7, 20, 16, 2)
     assert res["preset"] == "E1" and res["seed"] == 9
 
 

@@ -20,6 +20,7 @@ from fqmatroid.errors import BudgetExceeded, ConsistencyError, InvalidParam
 from fqmatroid.fqlinalg import (
     FqMatrix,
     RrefState,
+    Span2,
     canonical_point,
     enumerate_subspaces,
     level_deaths,
@@ -578,6 +579,27 @@ def test_kappa_trajectory_pinned(seed, trial):
         else:
             assert sum(1 << j for j in sep.part1) == masks[m - 1]
             assert sep.part2 == tuple(j for j in range(m) if j not in sep.part1)
+
+
+# Span2.push calls of the bipartition searches in kappa_trajectory at E8's
+# monitor size (q = 2, n = 12, horizon 24), seed 20260814, trials 0-2, with
+# a branch ended once a side spans (without it: 41072, 30879 and 41002)
+KAPPA_SPAN_PUSHES = {0: 22722, 1: 22491, 2: 20376}
+
+
+@pytest.mark.parametrize("trial", sorted(KAPPA_SPAN_PUSHES))
+def test_kappa_trajectory_span_pushes_stay_at_their_count(trial, monkeypatch):
+    pushes = []
+    push = Span2.push
+
+    def count_push(self, v):
+        pushes.append(1)
+        return push(self, v)
+
+    monkeypatch.setattr(Span2, "push", count_push)
+    st = P.ProcessState(F2, 12, P.process_rng(20260814, trial))
+    P.kappa_trajectory(st, 24, partition_budget=24)
+    assert len(pushes) <= KAPPA_SPAN_PUSHES[trial]
 
 
 @pytest.mark.parametrize("field,n,horizon", [
