@@ -214,13 +214,9 @@ def _cmd_compare(args) -> int:
 # ---- table -----------------------------------------------------------------
 
 
-def _meta_lines(args, seed=None) -> str:
-    flags = _flag_dict(args)
-    parts = [f"# schema_version={montecarlo.SCHEMA_VERSION}"]
-    if seed is not None:
-        parts.append(f"# seed={seed}")
-    parts.append("# flags=" + json.dumps(flags, sort_keys=True))
-    return "\n".join(parts) + "\n"
+def _meta_lines(args) -> str:
+    return (f"# schema_version={montecarlo.SCHEMA_VERSION}\n"
+            f"# flags={json.dumps(_flag_dict(args), sort_keys=True)}\n")
 
 
 def _cmd_table(args) -> int:

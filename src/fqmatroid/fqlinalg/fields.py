@@ -195,9 +195,6 @@ class FieldSpec:
             return pow(a, self.p - 2, self.p)
         return self._exp[(-self._log[a]) % (self.q - 1)]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def elements(self) -> range:
         return range(self.q)
 

@@ -3,8 +3,8 @@
 A matrix is a tuple of columns, each column a tuple of field elements
 (integers in [0, q)).  Elimination outside numpy runs on two undoable
 echelon spans: Span2 over packed GF(2) integers with XOR, and SpanQ over
-lists with table-driven field arithmetic.  Contraction, subspace handles
-and the matroid searches use them directly.  RrefState puts three
+lists with table-driven field arithmetic.  Contraction, E2's packed
+sampler and the matroid searches use them directly.  RrefState puts three
 engines behind one interface, each over rows that carry their
 combination of the pushed columns: gf2 lays its packed rows out as
 Span2 does, generic is a SpanQ, and prime serves prime fields with many
@@ -68,11 +68,10 @@ class Span2:
     against later pivots.  pop() undoes a push.
     """
 
-    __slots__ = ("rows", "dim")
+    __slots__ = ("rows",)
 
     def __init__(self, bits: int):
         self.rows = [None] * (bits + 1)  # bit length -> packed row or None
-        self.dim = 0
 
     def push(self, v: int):
         """Add v; return its pivot, or None when v lies in the span."""
@@ -82,7 +81,6 @@ class Span2:
             r = rows[t]
             if r is None:
                 rows[t] = v
-                self.dim += 1
                 return t - 1
             v ^= r
         return None
@@ -91,17 +89,7 @@ class Span2:
         rows = self.rows
         r = rows[pivot + 1]
         rows[pivot + 1] = None
-        self.dim -= 1
         return r
-
-    def reduce(self, v: int) -> int:
-        """v plus the rows that clear it at every pivot."""
-        rows = self.rows
-        for t in range(len(rows) - 1, 0, -1):
-            r = rows[t]
-            if r is not None and (v >> (t - 1)) & 1:
-                v ^= r
-        return v
 
 
 class SpanQ:
@@ -120,10 +108,6 @@ class SpanQ:
         self.field = field
         self.n = n
         self.rows = {}  # pivot position -> row list
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
     def push(self, v):
         """Add v; return its pivot, or None when v lies in the span."""
@@ -423,10 +407,6 @@ class RrefState:
         return len(self._core.slots)
 
     @property
-    def ncols(self) -> int:
-        return self._core.ncols
-
-    @property
     def corank(self) -> int:
         return self._core.ncols - len(self._core.slots)
 
@@ -502,9 +482,12 @@ class FqMatrix:
         return self._rank
 
     def rank_of(self, indices) -> int:
+        """Rank of the columns in `indices`."""
         st = RrefState(self.field, self.n)
         native = self.native_columns()
         for i in indices:
+            if not 0 <= i < self.m:
+                raise InvalidParam(f"column index {i} out of range")
             st.push(native[i])
         return st.rank
 

@@ -191,13 +191,6 @@ class RepMatroid:
 
     # ---- basic queries -------------------------------------------------
 
-    def rank_of_subset(self, subset) -> int:
-        subset = list(subset)
-        for i in subset:
-            if not 0 <= i < self.m:
-                raise InvalidParam(f"element {i} outside the ground set")
-        return self.matrix.rank_of(subset)
-
     def loops(self) -> list[int]:
         return [i for i, col in enumerate(self.matrix.columns) if not any(col)]
 

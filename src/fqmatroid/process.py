@@ -370,18 +370,12 @@ def kappa_trajectory(state: ProcessState, horizon: int,
     full_rank_at = None
     prev = None
     witness = None
-    prev_rank = 0
     for _ in range(horizon):
         state.step()
-        grew = state.rank > prev_rank
-        prev_rank = state.rank
         if full_rank_at is None and state.rank == state.n:
             full_rank_at = state.m
-        if prev is INFINITY and not grew:
-            cur = INFINITY  # still no separation after an equal-rank step
-        else:
-            cur, witness = _seeded_vertical_connectivity(
-                RepMatroid(state.matrix()), witness, partition_budget)
+        cur, witness = _seeded_vertical_connectivity(
+            RepMatroid(state.matrix()), witness, partition_budget)
         if prev is not None and cur < prev:
             decreases.append((state.m, prev, cur))
         kappas.append(cur)

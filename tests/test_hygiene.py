@@ -1,11 +1,12 @@
 """Source hygiene: every name a module imports is used in that module,
-every function, class and method is referenced somewhere in src/, no
-function imports from the package, no module reads an environment
-variable but FQMATROID_BUDGET, every entry point bench/tracing.py wraps
-still exists, each package's __all__ is exactly what its __init__
-imports, the CLI starts without the process pool's machinery, only
-the builders that make their own entries skip FqMatrix's entry check, and
-only the elimination modules know the engine-native column format."""
+every function and class is referenced somewhere in src/ and every
+method is read as an attribute there, no function imports from the
+package, no module reads an environment variable but FQMATROID_BUDGET,
+every entry point bench/tracing.py wraps still exists, each package's
+__all__ is exactly what its __init__ imports, the CLI starts without the
+process pool's machinery, only the builders that make their own entries
+skip FqMatrix's entry check, and only the elimination modules know the
+engine-native column format."""
 
 import ast
 import importlib
@@ -54,7 +55,6 @@ DEAD_ALLOWED = {
     "contract": "checked by E0 acceptance; bench/tracing.py wraps it",
     "delete": "checked by E0 acceptance",
     "kernel_basis": "bench/tracing.py wraps it; checked by E0",
-    "rank_of_subset": "RepMatroid's checked rank query",
     "subspace_count": "checked by E0 acceptance",
     "uniform_matroid_matrix": "bench/tracing.py wraps it, so deleting it needs "
                               "its own benchmark change",
@@ -77,12 +77,22 @@ def _references(node) -> Counter:
     return out
 
 
+def _attribute_reads(node) -> Counter:
+    """Attribute names (x.name) under node, the one way to reach a method."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def _dead_definitions() -> set[str]:
     paths = sorted(PACKAGE.rglob("*.py"))
     trees = [ast.parse(p.read_text(encoding="utf-8")) for p in paths]
     # a re-export (an __init__.py import or __all__ entry) is no use
-    total = sum((_references(t) for p, t in zip(paths, trees)
-                 if p.name != "__init__.py"), Counter())
+    used = [t for p, t in zip(paths, trees) if p.name != "__init__.py"]
+    total = sum((_references(t) for t in used), Counter())
+    attrs = sum((_attribute_reads(t) for t in used), Counter())
+    # a class member is reached only as x.name: a local variable or a
+    # string of its name does not count
+    members = {id(item) for tree in trees for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for item in cls.body}
     dead = set()
     for tree in trees:
         for node in ast.walk(tree):
@@ -90,8 +100,10 @@ def _dead_definitions() -> set[str]:
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue  # called by the interpreter
+            refs, count = ((_attribute_reads, attrs) if id(node) in members
+                           else (_references, total))
             # a recursive call is no reference from outside
-            if total[node.name] == _references(node)[node.name]:
+            if count[node.name] == refs(node)[node.name]:
                 dead.add(node.name)
     return dead
 

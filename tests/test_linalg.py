@@ -140,7 +140,7 @@ def test_push_run_equals_a_loop_of_push(q, n):
         """A run that ended at column `end` pushed its columns as push would."""
         assert end <= len(cols) and pushed >= 1
         assert all(w[0] is None for w in want[end - pushed:end - 1])
-        assert (dep, st.rank, st.corank) == want[end - 1] and st.ncols == end
+        assert (dep, st.rank, st.corank) == want[end - 1] and st.rank + st.corank == end
 
     for feed in ("iterator", "slices"):
         st = RrefState(F, n)
@@ -161,35 +161,52 @@ def test_push_run_equals_a_loop_of_push(q, n):
 
 # ---- the undoable spans -----------------------------------------------------
 
+def span_rank(span) -> int:
+    """Rows held: SpanQ keys them by pivot, Span2 fills a slot per pivot."""
+    if isinstance(span, SpanQ):
+        return len(span.rows)
+    return sum(r is not None for r in span.rows)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_spans_against_brute_rank(q):
-    # dim after each push is the rank of the prefix, reduce(v) is zero at
-    # the pivots push returned and zero exactly for v in the span, and
-    # popping in reverse empties the span
+    # the rows held after each push are the rank of the prefix; push(v)
+    # returns None exactly for v in the span, and otherwise a new pivot
+    # that pop takes back out; SpanQ.reduce(v) is zero at the pivots push
+    # returned and zero exactly for v in the span; popping in reverse
+    # empties the span
     F = make_field(q)
     rng = np.random.default_rng(40 + q)
     for _ in range(150):
         n = int(rng.integers(1, 7))
         cols = random_cols(q, n, int(rng.integers(1, 9)), rng)
         probe = random_cols(q, n, 3, rng)
-        # (span, column -> span form, span form -> entries)
-        spans = [(SpanQ(F, n), tuple, list)]
+        # (span, column -> span form)
+        spans = [(SpanQ(F, n), tuple)]
         if q == 2:
-            spans.append((Span2(n), pack_gf2, lambda v: unpack_gf2(v, n)))
-        for span, native, entries in spans:
+            spans.append((Span2(n), pack_gf2))
+        for span, native in spans:
             pivots = []
             for j, c in enumerate(cols):
                 pivots.append(span.push(native(c)))
-                assert span.dim == brute_rank(F, cols[:j + 1])
+                rank = brute_rank(F, cols[:j + 1])
+                assert span_rank(span) == rank
                 for v in probe:
-                    red = entries(span.reduce(native(v)))
-                    assert not any(red[p] for p in pivots if p is not None)
-                    assert (not any(red)) == (brute_rank(F, cols[:j + 1] + [v]) == span.dim)
+                    inside = brute_rank(F, cols[:j + 1] + [v]) == rank
+                    p = span.push(native(v))
+                    assert (p is None) == inside
+                    if p is not None:
+                        assert p not in pivots and span_rank(span) == rank + 1
+                        span.pop(p)
+                    assert span_rank(span) == rank
+                    if isinstance(span, SpanQ):
+                        red = span.reduce(v)
+                        assert not any(red[p] for p in pivots if p is not None)
+                        assert (not any(red)) == inside
             for p in reversed(pivots):
                 if p is not None:
                     span.pop(p)
-            rows = span.rows.values() if isinstance(span.rows, dict) else span.rows
-            assert span.dim == 0 and all(r is None for r in rows)
+            assert span_rank(span) == 0
 
 
 @pytest.mark.parametrize("q, n", [(2, 1), (2, 2), (2, 62), (2, 63), (2, 64), (2, 65),
@@ -216,9 +233,9 @@ def test_packed_engines_at_their_widest_rows(q, n):
 def test_span2_holds_its_widest_vector(bits):
     ones = (1 << bits) - 1
     span = Span2(bits)
-    assert span.push(ones) == bits - 1 and span.dim == 1
-    assert span.push(ones) is None and span.reduce(ones) == 0
-    assert span.pop(bits - 1) == ones and span.dim == 0
+    assert span.push(ones) == bits - 1 and span_rank(span) == 1
+    assert span.push(ones) is None and span_rank(span) == 1
+    assert span.pop(bits - 1) == ones and span_rank(span) == 0
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -328,6 +345,17 @@ def test_delete_bad_index():
         mat.delete([5])
     with pytest.raises(InvalidParam):
         mat.contract([-1])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_rank_of_bad_index(q):
+    # a negative index would read a column from the end, and one past m
+    # would end in an IndexError; both are refused like delete's
+    mat = FqMatrix(make_field(q), [(1, 0), (0, 1), (1, 1)])
+    assert mat.rank_of([0, 2]) == 2
+    for bad in ([-1], [0, -3], [3], [1, 7]):
+        with pytest.raises(InvalidParam):
+            mat.rank_of(bad)
 
 
 # ---- construction and representation ---------------------------------------

@@ -54,9 +54,9 @@ def test_basic_queries():
     assert M.loops() == [3]
     assert M.points()[3] is None
     assert not M.is_simple()
-    assert M.rank_of_subset([0, 1]) == 2
+    assert M.matrix.rank_of([0, 1]) == 2
     with pytest.raises(InvalidParam):
-        M.rank_of_subset([9])
+        M.matrix.rank_of([9])
 
 
 def test_points_are_projective_representatives():
@@ -308,8 +308,8 @@ def test_vertical_separation_below():
     M = matroid(2, [(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
     order, sep = M.vertical_separation_below(2)
     assert order == 1 and sep is not None
-    r1 = M.rank_of_subset(sep.part1)
-    r2 = M.rank_of_subset(sep.part2)
+    r1 = M.matrix.rank_of(sep.part1)
+    r2 = M.matrix.rank_of(sep.part2)
     assert r1 + r2 - M.rank <= order - 1 and min(r1, r2) >= order
 
 

@@ -308,7 +308,8 @@ def test_e8_two_connectivity_probe_is_live(monkeypatch):
 def test_single_trial_marks_insufficient():
     _, report = tiny("E9", 6, 1)
     assert report.insufficient
-    assert report.passed() is True  # None verdicts are not failures
+    # None verdicts are not failures
+    assert all(c["passed"] is not False for c in report.checks)
 
 
 # ---- aggregation arithmetic ------------------------------------------------------
@@ -351,14 +352,6 @@ def test_check_helpers():
     assert MC._bound_check("b", 1.2, lo=1.0, hi=1.3)["passed"]
     assert MC._exact_check("e", 3, 3)["passed"]
     assert not MC._exact_check("e", 3, 4)["passed"]
-
-
-def test_report_passed_ignores_none():
-    _, report = tiny("E9", 12, 50)
-    report.checks = [{"passed": True}, {"passed": None}]
-    assert report.passed()
-    report.checks.append({"passed": False})
-    assert not report.passed()
 
 
 def test_chi2_pooling():

@@ -330,7 +330,7 @@ def test_advanced_columns_keep_the_corank_check(read, monkeypatch):
     corank = RrefState.corank
     # from the fifth column on, the engine reports a corank two too high
     monkeypatch.setattr(RrefState, "corank",
-                        property(lambda self: corank.fget(self) + 2 * (self.ncols >= 5)))
+                        property(lambda self: corank.fget(self) + 2 * (self._core.ncols >= 5)))
     st = P.ProcessState(F2, 6, P.process_rng(72, 0))
     st.advance(10)  # nothing is pushed yet
     with pytest.raises(ConsistencyError, match="at step 5"):
