@@ -54,7 +54,11 @@ def _pack_gf3(column) -> int:
 
 
 def _pack_rows(bits: np.ndarray) -> list[int]:
-    """Each row of a 0/1 array as an integer with bit j = entry j."""
+    """Each row of a 0/1 array as an integer with bit j = entry j: one
+    integer matmul up to 64 columns, else packbits and int.from_bytes."""
+    if bits.shape[1] <= 64:
+        return (bits.astype(np.uint64) @ (np.uint64(1) << np.arange(
+            bits.shape[1], dtype=np.uint64))).tolist()
     w = (bits.shape[1] + 7) // 8
     buf = np.packbits(bits, axis=1, bitorder="little").tobytes()
     return [int.from_bytes(buf[i * w:(i + 1) * w], "little") for i in range(len(bits))]
@@ -91,6 +95,39 @@ class Span2:
         rows[pivot + 1] = None
         return r
 
+    def common_reaches(self, other: "Span2", cols, need: int) -> bool:
+        """Whether a greedy set of cols independent over both this span and
+        other reaches size need; the walk stops once it does, or once the
+        columns left cannot bring it there.  It reduces each column inline
+        against copies of both row tables, so neither span changes."""
+        rows1, rows2 = self.rows[:], other.rows[:]
+        kept, left = 0, len(cols)
+        for v in cols:
+            if kept + left < need:
+                break
+            left -= 1
+            # rows[0] is always None, so a reduction ends at t = 0 on zero
+            t = v.bit_length()
+            a, t1, r = v, t, rows1[t]
+            while r is not None:
+                a ^= r
+                t1 = a.bit_length()
+                r = rows1[t1]
+            if not t1:
+                continue
+            b, t2, r = v, t, rows2[t]
+            while r is not None:
+                b ^= r
+                t2 = b.bit_length()
+                r = rows2[t2]
+            if not t2:
+                continue
+            rows1[t1], rows2[t2] = a, b
+            kept += 1
+            if kept == need:
+                break
+        return kept >= need
+
 
 class SpanQ:
     """Undoable echelon span of lists over F_q.
@@ -115,6 +152,30 @@ class SpanQ:
 
     def pop(self, pivot: int) -> list:
         return self.rows.pop(pivot)
+
+    def common_reaches(self, other: "SpanQ", cols, need: int) -> bool:
+        """As Span2.common_reaches, by pushing each column on both spans
+        and popping every push before it returns."""
+        kept = []
+        left = len(cols)
+        for col in cols:
+            if len(kept) + left < need:
+                break
+            left -= 1
+            p1 = self.push(col)
+            if p1 is None:
+                continue
+            p2 = other.push(col)
+            if p2 is None:
+                self.pop(p1)
+            else:
+                kept.append((p1, p2))
+                if len(kept) == need:
+                    break
+        for p1, p2 in kept:
+            other.pop(p2)
+            self.pop(p1)
+        return len(kept) >= need
 
     def reduce(self, v) -> list:
         """v minus the rows that clear it at every pivot, as a new list."""
@@ -441,24 +502,26 @@ class FqMatrix:
                     raise InvalidParam(f"entry {x} outside [0, {q})")
         self._fill(field, cols, n, None, None)
 
-    def _fill(self, field: FieldSpec, cols: tuple, n: int, native, drawn) -> None:
+    def _fill(self, field: FieldSpec, cols: tuple, n: int, native, drawn,
+              rank=None) -> None:
         self.field = field
         self.n = n
         self.m = len(cols)
         self.columns = cols
-        self._rank = None
+        self._rank = rank
         self._native_cols = native
         self._drawn = drawn
 
     @classmethod
     def _trusted(cls, field: FieldSpec, cols: tuple, n: int, native=None,
-                 drawn=None) -> "FqMatrix":
+                 drawn=None, rank=None) -> "FqMatrix":
         """A matrix of `cols`, a tuple of n-tuples of Python ints in [0, q),
         unchecked; `native`, when given, is the list native_columns would
-        build (the engine form of every column), and `drawn`, when given,
-        the same columns as the rows of an (m, n) integer array."""
+        build (the engine form of every column), `drawn`, when given, the
+        same columns as the rows of an (m, n) integer array, and `rank`,
+        when given, their rank."""
         self = object.__new__(cls)
-        self._fill(field, cols, n, native, drawn)
+        self._fill(field, cols, n, native, drawn, rank)
         return self
 
     def native_columns(self) -> list:
@@ -475,10 +538,7 @@ class FqMatrix:
     @property
     def rank(self) -> int:
         if self._rank is None:
-            st = RrefState(self.field, self.n)
-            for col in self.native_columns():
-                st.push(col)
-            self._rank = st.rank
+            self._rank = self.rank_of(range(self.m))
         return self._rank
 
     def rank_of(self, indices) -> int:

@@ -29,16 +29,22 @@ part X of I to side 1 and the rest Y to side 2 raises d1 by at least
 d1 + d2 + |I| - r(M) + 1, and the subtree is pruned when that reaches
 the best order so far.  Since |I| <= r(M) - max(d1, d2), the walk runs
 only when min(d1, d2) + 1 reaches it, and it stops as soon as |I| is
-large enough to prune or the columns left cannot make it so.  A child
-whose order already reaches the best is not entered.  A pruned subtree
-holds no leaf below the best, so the first minimal leaf in depth-first
-order, and with it the order and the witness, is the same as without
-the bound.
+large enough to prune or the columns left cannot make it so; each span
+class walks it in common_reaches, at q = 2 on copies of the two sides' row
+tables, with no push or pop.  A child whose order already reaches the best
+is not entered.  A pruned subtree holds no leaf below the best, so the
+first minimal leaf in depth-first order, and with it the order and the
+witness, is the same as without the bound.
 
 basis_complement_bound walks the same way: it splits the columns, in
 index order, into a basis B and its complement X on two undoable spans,
 and drops a branch at the first dependent prefix of B or once r(X)
 rules out every completion.
+
+The direct-sum components need no search: the supports of the
+fundamental circuits of one greedy basis, merged as column masks where
+they meet, are the components with a circuit, and the columns that no
+support covers are the coloops.
 
 A RepMatroid caches what does not change with its matrix: the points,
 girth() and vertical_connectivity(budget) per budget.  A query that
@@ -76,46 +82,6 @@ class Separation:
     order: int
     part1: tuple
     part2: tuple
-
-
-class ComponentTracker:
-    """Direct-sum components of the columns pushed so far, by union-find.
-
-    add() takes what RrefState.push returned for the next column.  A
-    dependency's support is a fundamental circuit of the greedy basis,
-    and these circuits join exactly the components.  A loop (a dependency
-    on itself alone) is never a basis column, so it stays a singleton and
-    every union joins two of the nonloop_roots components that hold a
-    non-loop.
-    """
-
-    def __init__(self):
-        self.parent: list[int] = []
-        self.nonloop_roots = 0
-
-    def _find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def add(self, dep: dict | None) -> None:
-        idx = len(self.parent)
-        self.parent.append(idx)
-        if dep is None or len(dep) > 1:
-            self.nonloop_roots += 1
-        for j in dep or ():
-            ra, rb = self._find(idx), self._find(j)
-            if ra != rb:
-                self.parent[ra] = rb
-                self.nonloop_roots -= 1
-
-    def groups(self) -> list[frozenset]:
-        """The components, ordered by their smallest member."""
-        groups: dict = {}
-        for i in range(len(self.parent)):
-            groups.setdefault(self._find(i), []).append(i)
-        return [frozenset(g) for g in groups.values()]
 
 
 class KernelSweep:
@@ -276,35 +242,11 @@ class RepMatroid:
         for col in cols:
             ranks.append(ranks[-1] + (tu.push(col) is not None))
         push1, pop1, push2, pop2 = t1.push, t1.pop, t2.push, t2.pop
+        common = t1.common_reaches
         vertical, cyclic, tutte = kind == "vertical", kind == "cyclic", kind == "tutte"
         assign = [0] * m
         best, parts = best_init, None
         rank = ranks[-1]
-
-        def common_rest(i, need):
-            """Whether a greedy set of cols[i:] independent over both sides
-            reaches size need; the walk stops once it does, or once the
-            columns left cannot bring it there."""
-            kept = []
-            left = m - i
-            for col in cols[i:]:
-                if len(kept) + left < need:
-                    break
-                left -= 1
-                p1 = push1(col)
-                if p1 is None:
-                    continue
-                p2 = push2(col)
-                if p2 is None:
-                    pop1(p1)
-                else:
-                    kept.append((p1, p2))
-                    if len(kept) == need:
-                        break
-            for p1, p2 in reversed(kept):
-                pop2(p2)
-                pop1(p1)
-            return len(kept) >= need
 
         def rec(i, n1, n2, d1, d2):
             """Search below depth i, sides of sizes n1, n2 and ranks d1, d2;
@@ -321,7 +263,7 @@ class RepMatroid:
                 return False
             # common-independent-set bound, see the module docstring
             if vertical and rem and min(d1, d2) + 1 >= best and \
-                    common_rest(i, best - 1 - d1 - d2 + rank):
+                    common(t2, cols[i:], best - 1 - d1 - d2 + rank):
                 return False
             if i == m:
                 # the two prunes above leave only the cyclic side
@@ -446,20 +388,37 @@ class RepMatroid:
                     f"cyclic={kc}, basis-complement={kb})")
         return direct
 
-    def _component_tracker(self) -> ComponentTracker:
-        comps = ComponentTracker()
+    def _circuit_components(self) -> tuple[list[int], int]:
+        """(groups, coloops) as column masks: the supports of the
+        fundamental circuits of one greedy basis, merged where they meet,
+        and the columns no circuit holds.  These circuits join exactly the
+        components, and a loop is a one-bit group."""
         st = RrefState(self.field, self.matrix.n)
-        for col in self.matrix.native_columns():
-            comps.add(st.push(col))
-        return comps
+        cols = iter(self.matrix.native_columns())
+        groups, covered = [], 0
+        while (dep := st.push_run(cols)[1]) is not None:
+            mask = 0
+            for j in dep:
+                mask |= 1 << j
+            covered |= mask
+            for g in groups:
+                if g & mask:
+                    mask |= g
+            groups = [g for g in groups if not g & mask] + [mask]
+        return groups, ((1 << self.m) - 1) & ~covered
 
     def components(self) -> list[frozenset]:
-        """Direct-sum components, from fundamental circuits of one basis."""
-        return self._component_tracker().groups()
+        """Direct-sum components, ordered by their smallest member."""
+        groups, coloops = self._circuit_components()
+        groups += [1 << j for j in range(self.m) if coloops >> j & 1]
+        return [frozenset(j for j in range(self.m) if g >> j & 1)
+                for g in sorted(groups, key=lambda g: g & -g)]
 
     def is_vertically_2_connected(self) -> bool:
-        """No vertical 1-separation, i.e. at most one component spans rank."""
-        return self._component_tracker().nonloop_roots <= 1
+        """No vertical 1-separation, i.e. at most one component holds a
+        non-loop."""
+        groups, coloops = self._circuit_components()
+        return sum(g & (g - 1) != 0 for g in groups) + coloops.bit_count() <= 1
 
     # ---- critical number ---------------------------------------------------
 

@@ -355,7 +355,7 @@ def _t_two_connected(res, rng):
             f"m = {res['m']} exceeds partition budget {DEFAULT_PARTITION_BUDGET}")
     field = make_field(res["q"])
     M = RepMatroid(random_uniform_matrix(field, res["n"], res["m"], rng))
-    ok = M.is_vertically_2_connected()  # union-find over the components
+    ok = M.is_vertically_2_connected()  # fundamental circuits merged into components
     # occasional agreement probe against the exact bipartition search
     if rng.integers(0, 64) == 0 and ok != M.is_vertically_k_connected(2):
         raise AssertionError("bipartition search disagrees with components")

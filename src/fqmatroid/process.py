@@ -38,6 +38,7 @@ from .matroid import (
     INFINITY,
     KernelSweep,
     RepMatroid,
+    _spans,
 )
 from .theory import q_int
 
@@ -228,9 +229,13 @@ class ProcessState:
 
     def matrix(self) -> FqMatrix:
         """The appended columns as an FqMatrix; when all of them are pushed,
-        it shares their engine-native forms, so it packs none again."""
-        native = None if self._pushed < self.m else self._native_cols[:]
-        return FqMatrix._trusted(self.field, tuple(self.column_tuples()), self.n, native)
+        it shares their engine-native forms and their rank, so it packs and
+        eliminates none again."""
+        cols = tuple(self.column_tuples())
+        if self._pushed < self.m:
+            return FqMatrix._trusted(self.field, cols, self.n)
+        return FqMatrix._trusted(self.field, cols, self.n, self._native_cols[:],
+                                 rank=self._rref.rank)
 
 
 # ---- elementary hitting times -----------------------------------------
@@ -334,13 +339,18 @@ def _seeded_vertical_connectivity(M: RepMatroid, sep, budget: int):
     equal the unseeded search's.
     """
     if sep is not None:
-        rank_of, e = M.matrix.rank_of, M.m - 1
-        r1, r2 = rank_of(sep.part1), rank_of(sep.part2)
+        # each side's rank, then with the newest column: one span per side
+        cols, spans = _spans(M.matrix, 2)
+        rank, ranks = M.rank, []
+        for part, span in zip((sep.part1, sep.part2), spans):
+            r = sum(span.push(cols[j]) is not None for j in part)
+            ranks.append((r, r + (span.push(cols[-1]) is not None)))
+        (r1, r1e), (r2, r2e) = ranks
         seed = INFINITY
-        for a, b in ((rank_of(sep.part1 + (e,)), r2), (r1, rank_of(sep.part2 + (e,)))):
-            if max(a, b) < M.rank:
-                seed = min(seed, a + b - M.rank + 1)
-        if seed is not INFINITY:
+        for a, b in ((r1e, r2), (r1, r2e)):
+            if max(a, b) < rank:
+                seed = min(seed, a + b - rank + 1)
+        if seed < INFINITY:
             return M.vertical_separation_below(seed + 1, budget)
     return M.vertical_connectivity(budget)
 

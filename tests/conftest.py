@@ -85,6 +85,55 @@ def brute_first_witness(field, cols, kind):
     return best
 
 
+def push_pop_common_walk(span1, span2, cols, need):
+    """Whether a greedy set of cols independent over both spans reaches
+    size need, by push and pop alone: each column is pushed on span1, then
+    on span2, and kept when both pushes return a pivot; a column that only
+    span1 takes is popped from it.  The walk stops once the set reaches
+    need or the columns left cannot bring it there, and every kept push is
+    popped before it returns."""
+    kept = []
+    for j, col in enumerate(cols):
+        if len(kept) == need or len(kept) + len(cols) - j < need:
+            break
+        p1 = span1.push(col)
+        if p1 is None:
+            continue
+        p2 = span2.push(col)
+        if p2 is None:
+            span1.pop(p1)
+        else:
+            kept.append((p1, p2))
+    for p1, p2 in reversed(kept):
+        span2.pop(p2)
+        span1.pop(p1)
+    return len(kept) >= need
+
+
+def brute_components(field, cols):
+    """Direct-sum components by exhaustive search over every subset:
+    columns i and j share a component exactly when some circuit (a set S
+    with brute_rank(S) = |S| - 1 whose (|S|-1)-subsets are all
+    independent) holds both.  Ordered by smallest member."""
+    m = len(cols)
+    share = [{i} for i in range(m)]
+    for k in range(1, m + 1):
+        for sub in itertools.combinations(range(m), k):
+            vecs = [cols[j] for j in sub]
+            if brute_rank(field, vecs) == k - 1 and all(
+                    brute_rank(field, part) == k - 1
+                    for part in itertools.combinations(vecs, k - 1)):
+                for j in sub:
+                    share[j].update(sub)
+    comps = []
+    for i in range(m):
+        if min(share[i]) == i:
+            comps.append(frozenset(share[i]))
+    # sharing a circuit is an equivalence relation on a matroid's elements
+    assert all(share[j] == share[i] for c in comps for i in c for j in c)
+    return comps
+
+
 def brute_basis_complement_bound(field, cols):
     """min r(X) + 1 over the complements X of the bases with X dependent
     and r(X) < r(E), by every r(E)-subset and brute ranks; inf for none."""

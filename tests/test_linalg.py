@@ -1,5 +1,7 @@
 """Elimination engines and matrix queries."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +20,13 @@ from fqmatroid.fqlinalg import (
     random_uniform_matrix,
 )
 from fqmatroid.fqlinalg.matrix import _Gf2Rref, _Gf3Rref
-from conftest import all_matrices, brute_rank, handle_of_span, random_cols
+from conftest import (
+    all_matrices,
+    brute_rank,
+    handle_of_span,
+    push_pop_common_walk,
+    random_cols,
+)
 
 
 def unpack_gf2(v, n):
@@ -229,6 +237,37 @@ def test_packed_engines_at_their_widest_rows(q, n):
         assert st_.rank == brute_rank(F, cols)
 
 
+def test_common_reaches_against_push_pop_walk():
+    # the GF(2) walk on copied row tables gives the push/pop walk's answer
+    # and leaves both spans as they were; SpanQ over the same columns
+    # agrees, and every answer is compared at every need from 1 to one past
+    # the number of rest columns
+    F = make_field(2)
+    rng = np.random.default_rng(29)
+    seen = Counter()
+    for _ in range(300):
+        n = int(rng.integers(1, 13))
+        sides = [random_cols(2, n, int(rng.integers(0, n + 1)), rng) for _ in range(2)]
+        rest = random_cols(2, n, int(rng.integers(0, 13)), rng)
+        if rest and rng.integers(0, 4) == 0:
+            rest[int(rng.integers(0, len(rest)))] = (0,) * n
+        spans2, spansq = [Span2(n), Span2(n)], [SpanQ(F, n), SpanQ(F, n)]
+        for side, s2, sq in zip(sides, spans2, spansq):
+            for c in side:
+                s2.push(pack_gf2(c))
+                sq.push(c)
+        tables = [s.rows[:] for s in spans2]
+        packed = [pack_gf2(c) for c in rest]
+        for need in range(1, len(rest) + 2):
+            want = push_pop_common_walk(*spans2, packed, need)
+            assert spans2[0].common_reaches(spans2[1], packed, need) == want
+            assert [s.rows for s in spans2] == tables
+            assert spansq[0].common_reaches(spansq[1], rest, need) == want
+            assert all(span_rank(sq) == span_rank(s2) for sq, s2 in zip(spansq, spans2))
+            seen[want] += 1
+    assert seen[True] >= 100 and seen[False] >= 100, seen
+
+
 @pytest.mark.parametrize("bits", range(1, 9))
 def test_span2_holds_its_widest_vector(bits):
     ones = (1 << bits) - 1
@@ -379,13 +418,16 @@ def test_pack_unpack_round_trip(bits):
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 40), (4, 3)] + [
-    (3, n) for n in (24, 63, 64, 65, 100, 201)])
+    (3, n) for n in (24, 63, 64, 65, 100, 201)] + [(2, n) for n in (1, 63, 64, 65, 200)])
 def test_native_round_trip(q, n):
     # the drawn native columns are those FqMatrix packs from the rows of the
     # same-keyed integer draw (the q = 3 sizes straddle byte and word
-    # boundaries of its two bit planes), and random_uniform_matrix keeps
-    # those rows as its columns
+    # boundaries of its two bit planes, the q = 2 sizes the 64-bit limit of
+    # the one-matmul pack, whose top bit the all-ones rows set), and
+    # random_uniform_matrix keeps those rows as its columns
     F = make_field(q)
+    if q == 2:
+        assert pack_native(F, n, np.ones((2, n), np.uint8)) == [(1 << n) - 1] * 2
     for k in (1, 20):
         cols = draw_native_column(F, n, np.random.default_rng([n, k]), k)
         rows = [tuple(r) for r in

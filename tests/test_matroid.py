@@ -19,6 +19,7 @@ from fqmatroid.matroid import (
 from conftest import (
     brute_basis_complement_bound,
     brute_circuit_count,
+    brute_components,
     brute_critical_number,
     brute_first_witness,
     brute_rank,
@@ -411,8 +412,44 @@ def test_components_and_two_connectivity():
     assert u23.is_vertically_2_connected()
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_components_match_exhaustive_circuit_search(q):
+    # components() against the circuits found over every subset, with
+    # loops, coloops and parallel pairs put in, ordered by smallest member
+    F = make_field(q)
+    rng = np.random.default_rng(290 + q)
+    kinds = Counter()
+    for _ in range(120):
+        n = int(rng.integers(1, 5))
+        m = int(rng.integers(1, 8))
+        cols = random_cols(q, n, m, rng)
+        i, j = (int(x) for x in rng.choice(m + 1, size=2, replace=False))
+        kind = int(rng.integers(0, 4))
+        if kind == 1 and i < m:
+            cols[i] = (0,) * n
+        elif kind == 2 and max(i, j) < m:  # a nonzero multiple of column i
+            c = int(rng.integers(1, q))
+            cols[j] = tuple(F.mul(c, x) for x in cols[i])
+        elif kind == 3 and i < m:  # column i alone reaches the last row
+            cols = [c[:-1] + (0,) for c in cols]
+            cols[i] = (0,) * (n - 1) + (1,)
+        want = brute_components(F, cols)
+        M = RepMatroid(FqMatrix(F, cols, n=n))
+        got = M.components()
+        assert got == want, (q, cols)
+        assert [min(c) for c in got] == sorted(min(c) for c in got)
+        loops = set(M.loops())
+        nonloop = sum(1 for c in got if not c <= loops)
+        assert M.is_vertically_2_connected() == (nonloop <= 1), (q, cols)
+        coloops = [c for c in got if len(c) == 1 and M.matrix.rank_of(
+            [k for k in range(m) if k not in c]) < M.rank]
+        kinds.update(loop=bool(loops), coloop=bool(coloops),
+                     parallel=any(len(c) >= 2 for c in got), split=len(got) > 1)
+    assert min(kinds.values()) >= 15, kinds
+
+
 def test_two_connectivity_matches_exhaustive_search():
-    # E8 takes two-connectivity from the union-find: a vertical
+    # E8 takes two-connectivity from the merged circuit masks: a vertical
     # 1-separation exists exactly when more than one component holds a non-loop
     rng = np.random.default_rng(17)
     for q in (2, 3, 4):
