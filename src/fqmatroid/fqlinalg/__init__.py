@@ -12,6 +12,7 @@ from .matrix import (
     pack_gf2,
     pack_native,
     random_uniform_matrix,
+    uniform_rows,
 )
 from .subspaces import (
     DEFAULT_LEVEL_BUDGET,
@@ -37,6 +38,7 @@ __all__ = [
     "pack_gf2",
     "pack_native",
     "random_uniform_matrix",
+    "uniform_rows",
     "DEFAULT_LEVEL_BUDGET",
     "DEFAULT_SUBSPACE_BUDGET",
     "SubspaceHandle",

@@ -478,9 +478,9 @@ class FqMatrix:
     FqMatrix(...) checks that the columns have n entries each, all in
     [0, q).  Only code that made the entries itself skips that check, by
     building through _trusted: random_uniform_matrix (entries from
-    rng.integers(0, q)), delete and contract (columns of a checked
-    matrix and their reductions), process.sample_pg_model (projective
-    points) and ProcessState.matrix (the drawn store).
+    uniform_rows), delete and contract (columns of a checked matrix and
+    their reductions), process.sample_pg_model (projective points) and
+    ProcessState.matrix (the drawn store).
     random_uniform_matrix also keeps its (m, n) draw, so the first
     native_columns() packs it in one pack_native call.
     """
@@ -607,10 +607,32 @@ class FqMatrix:
         return f"FqMatrix(q={self.field.q}, n={self.n}, m={self.m})"
 
 
+def uniform_rows(field: FieldSpec, n: int, count: int, rng) -> np.ndarray:
+    """The (count, n) int64 array rng.integers(0, q, size=(count, n))
+    returns, leaving rng to draw on as that call would: the one uniform
+    column draw of the package, one row per column.
+
+    At q = 2 numpy's bounded draw (Lemire's multiply-shift, which never
+    rejects at range 2) takes each value as bit 31 of a 32-bit half of a
+    raw word, low half first.  So when rng is a Philox with no half word
+    buffered and count * n is even, the values are read from count * n / 2
+    random_raw words; otherwise rng.integers draws them."""
+    bits = rng.bit_generator
+    # an odd count * n leaves rng.integers a half word buffered, and a
+    # buffered half would be its first value; viewing little-endian words
+    # as little-endian halves puts each low half first on either byte order
+    if (field.q == 2 and count * n % 2 == 0 and isinstance(bits, np.random.Philox)
+            and bits.state["has_uint32"] == 0):
+        halves = bits.random_raw(count * n // 2).astype("<u8", copy=False).view("<u4")
+        return (halves >> 31).astype(np.int64).reshape(count, n)
+    return rng.integers(0, field.q, size=(count, n))
+
+
 def draw_native_column(field: FieldSpec, n: int, rng, count: int) -> list:
-    """`count` uniform columns in engine-native form, from one (count, n)
-    draw: for Philox, the same stream as `count` single-column draws."""
-    return pack_native(field, n, rng.integers(0, field.q, size=(count, n)))
+    """`count` uniform columns in engine-native form, the rows of one
+    uniform_rows draw: for Philox, the same stream as `count` single-column
+    draws."""
+    return pack_native(field, n, uniform_rows(field, n, count, rng))
 
 
 def pack_native(field: FieldSpec, n: int, rows: np.ndarray) -> list:
@@ -629,7 +651,7 @@ def pack_native(field: FieldSpec, n: int, rows: np.ndarray) -> list:
 
 def random_uniform_matrix(field: FieldSpec, n: int, m: int, rng) -> FqMatrix:
     """n x m matrix with i.i.d. uniform entries, drawn column by column: the
-    stream draw_native_column(field, n, rng, m) reads.  The draw is kept
-    and packed on the first native_columns()."""
-    drawn = rng.integers(0, field.q, size=(m, n))
+    uniform_rows draw draw_native_column(field, n, rng, m) reads.  The draw
+    is kept and packed on the first native_columns()."""
+    drawn = uniform_rows(field, n, m, rng)
     return FqMatrix._trusted(field, tuple(map(tuple, drawn.tolist())), n, drawn=drawn)

@@ -12,6 +12,7 @@ raise and never change exit status.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -269,23 +270,11 @@ def _t_tau_u12(res, rng):
 
 def _t_tau_u23(res, rng):
     n = res["n"]
-    st = proc.ProcessState(make_field(res["q"]), n, rng)
-    # rank < #points first holds at a dependent column whose point is new
-    # and nonzero: an independent column adds one to both
-    points: set = set()
-    tau_crk1 = None
-    while True:
-        start = st.m
-        st.step_until_dependent()
-        *independent, pt = st.points(start)
-        points.update(independent)
-        if tau_crk1 is None:
-            tau_crk1 = st.m
-        if pt is not None and pt not in points:
-            return {"tau_u23_minus_n": st.m - n,
-                    "agree": int(st.m == tau_crk1),
-                    "le_n1": int(st.m <= n + 1),
-                    "eq_n1": int(st.m == n + 1)}
+    tau, tau_crk1 = proc.track_u23_minor(make_field(res["q"]), n, rng)
+    return {"tau_u23_minus_n": tau - n,
+            "agree": int(tau == tau_crk1),
+            "le_n1": int(tau <= n + 1),
+            "eq_n1": int(tau == n + 1)}
 
 
 def _uniform_points(field, n, m, rng):
@@ -705,7 +694,11 @@ def _report_e9(res, agg):
             "checks": checks}
 
 
-def _report_e10(res, agg):
+@functools.cache
+def _e10_fixed_values() -> tuple[dict, bool, bool]:
+    """E10's checks that read no trial, computed once per process: chi of
+    PG(n - 1, q) for q in (2, 3) and n <= 4, whether each equals n, and
+    whether the inequality table holds everywhere but at (q, k) = (2, 1)."""
     pg_ok = True
     pg_values = {}
     for qq in (2, 3):
@@ -716,6 +709,11 @@ def _report_e10(res, agg):
             pg_ok = pg_ok and chi == nn
     table_ok = all(theory.check_inequality(qq, k) == ((qq, k) != (2, 1))
                    for qq in range(2, 6) for k in range(1, 11))
+    return pg_values, pg_ok, table_ok
+
+
+def _report_e10(res, agg):
+    pg_values, pg_ok, table_ok = _e10_fixed_values()
     skips = agg.counters.get("noskip.skip", Counter()).get(1, 0)
     mean_ratio = agg.mean("tau1.tau1crt") / res["n"]
     checks = [

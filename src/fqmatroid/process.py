@@ -6,7 +6,9 @@ new column's dependency as RrefState.push gave it: the first one that is
 not None is the first circuit, and a support of one column is a loop.
 Trackers that act only on dependencies step through
 ProcessState.step_until_dependent, one engine call per run of columns;
-step is that call stopped after one column.
+step is that call stopped after one column.  The U_{2,3} tracker at q = 2
+reads no dependency, so it draws the state's blocks itself and reduces
+them on a rank-only echelon.
 Trackers observe a single trajectory and report the first step at which
 their property holds.
 Everything is deterministic given (master seed, trial index): trial i
@@ -28,9 +30,11 @@ from .fqlinalg import (
     FqMatrix,
     RrefState,
     canonical_point,
+    draw_native_column,
     level_deaths,
     pack_native,
     projective_points,
+    uniform_rows,
 )
 from .matroid import (
     DEFAULT_KERNEL_BUDGET,
@@ -74,13 +78,14 @@ def process_rng(master_seed: int, trial: int) -> np.random.Generator:
 class ProcessState:
     """One trajectory of the uniform column process over F_q^n.
 
-    Keeps the element rows of every drawn column in one (drawn, n) store of
-    the narrowest unsigned dtype that holds q - 1, which peek, rows,
-    column_tuples and matrix slice.  Columns are eliminated on demand: advance
-    appends columns without pushing them, and they are pushed, in order, before
-    a step pushes its own columns or a caller reads rank, corank or
-    native_cols.  A block is packed into engine-native form the first time one
-    of its columns is pushed.
+    Draws its columns _DRAW_BLOCK at a time, each block one uniform_rows
+    call, and keeps the element rows of every drawn column in one
+    (drawn, n) store of the narrowest unsigned dtype that holds q - 1,
+    which peek, rows, column_tuples and matrix slice.  Columns are
+    eliminated on demand: advance appends columns without pushing them, and
+    they are pushed, in order, before a step pushes its own columns or a
+    caller reads rank, corank or native_cols.  A block is packed into
+    engine-native form the first time one of its columns is pushed.
 
     Columns are pushed in runs: one RrefState.push_run call takes the
     columns up to the end of their block, or to the last one wanted, and
@@ -168,8 +173,8 @@ class ProcessState:
             grown = np.empty((max(2 * drawn, _DRAW_BLOCK), self.n), self._rows.dtype)
             grown[:drawn] = self._rows
             self._rows = grown
-        self._rows[drawn:drawn + _DRAW_BLOCK] = self.rng.integers(
-            0, self.field.q, size=(_DRAW_BLOCK, self.n))
+        self._rows[drawn:drawn + _DRAW_BLOCK] = uniform_rows(
+            self.field, self.n, _DRAW_BLOCK, self.rng)
         self._drawn = drawn + _DRAW_BLOCK
 
     def step(self) -> dict | None:
@@ -251,6 +256,76 @@ def track_first_circuit(state: ProcessState) -> tuple[int, int]:
         raise InvalidParam("the first circuit has already appeared")
     dep = state.step_until_dependent()
     return state.m, len(dep)
+
+
+def track_u23_minor(field: FieldSpec, n: int, rng) -> tuple[int, int]:
+    """First step with a U_{2,3} minor, and the first step of corank 1, in
+    the process ProcessState(field, n, rng) steps through.
+
+    rank < #points (distinct nonzero projective points) first holds at a
+    dependent column whose point is new and nonzero: an independent column
+    adds one to both.  At q = 2 a column's packed form is its point, and
+    _track_u23_gf2 reduces the packed blocks on a rank-only echelon; at
+    other q a ProcessState steps from one dependent column to the next.
+    """
+    if n < 2:
+        raise InvalidParam("a U_{2,3} minor needs n >= 2")
+    if field.q == 2:
+        return _track_u23_gf2(field, n, rng, [None] * (n + 1))
+    state = ProcessState(field, n, rng)
+    points: set = set()
+    tau_crk1 = None
+    while True:
+        start = state.m
+        state.step_until_dependent()
+        *independent, pt = state.points(start)
+        points.update(independent)
+        if tau_crk1 is None:
+            tau_crk1 = state.m
+        if pt is not None and pt not in points:
+            return state.m, tau_crk1
+
+
+def _track_u23_gf2(field: FieldSpec, n: int, rng, rows: list) -> tuple[int, int]:
+    """track_u23_minor at q = 2, on the row table `rows` of n + 1 entries:
+    rows[t] holds the reduced column of bit length t, as in Span2, and
+    rows[0] stays None, so a reduction ends at t = 0 on a zero remainder.
+
+    The columns come _DRAW_BLOCK at a time from draw_native_column, the
+    blocks ProcessState draws, and one inline loop reduces each block; no
+    row carries the combination of its columns.  The corank check holds per
+    block: the rows the table holds, the rank, and the dependent columns,
+    the corank, add up to the columns drawn so far.
+    """
+    points: set = set()
+    m = corank = 0
+    tau_crk1 = None
+    while True:
+        hit = False
+        for v in draw_native_column(field, n, rng, _DRAW_BLOCK):
+            m += 1
+            a, t = v, v.bit_length()
+            r = rows[t]
+            while r is not None:
+                a ^= r
+                t = a.bit_length()
+                r = rows[t]
+            if t:
+                rows[t] = a
+                points.add(v)
+                continue
+            corank += 1
+            if tau_crk1 is None:
+                tau_crk1 = m
+            if v and v not in points:
+                hit = True
+                break
+        rank = len(rows) - rows.count(None)
+        if rank + corank != m:
+            raise ConsistencyError(f"rank {rank} + corank {corank} != {m} columns "
+                                   f"at step {m}")
+        if hit:
+            return m, tau_crk1
 
 
 # ---- k-circuit tracking -------------------------------------------------

@@ -1,10 +1,12 @@
 """Exit codes, output formats, and artifact round-trips of the console tool."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -750,3 +752,35 @@ _SMALLEST_REFUSED = {("E1", 1), ("E3", 1), ("E11", 1)}
 def test_simulate_fuzz_at_the_smallest_sizes(tmp_path, preset, n):
     rc = _run_bounded(smallest_sizes(preset, n) + ["--out", str(tmp_path / "x.json")])
     assert rc == (2 if (preset, n) in _SMALLEST_REFUSED else 0)
+
+
+def random_sizes(preset, seed):
+    """simulate argv for a preset at sizes drawn from a stream keyed by
+    (preset, seed): q from {2, 3, 4, 5}, each row count from [1, 6] (E8's
+    monitor included: at q = 4 and n = 12 one monitor trial takes
+    seconds), each column count, horizon, step cap and k from [1, 16], and
+    every *trials key at 2; budgets and bands keep their defaults."""
+    draw = random.Random(f"{preset}:{seed}")
+    argv = ["simulate", "--preset", preset, "--seed", str(seed)]
+    for key in montecarlo.PRESETS[preset].defaults:
+        if key == "q":
+            argv += ["--q", str(draw.choice((2, 3, 4, 5)))]
+        elif key.endswith("trials"):
+            argv += ["--param", f"{key}=2"]
+        elif key in ("n", "r") or key.endswith("_n"):
+            argv += ["--param", f"{key}={draw.randint(1, 6)}"]
+        elif key in ("m", "b", "k") or key.endswith(("_m", "_horizon", "max_steps")):
+            argv += ["--param", f"{key}={draw.randint(1, 16)}"]
+    return argv
+
+
+@pytest.mark.parametrize("preset", sorted(montecarlo.PRESETS))
+def test_simulate_fuzz_at_random_small_sizes(tmp_path, preset):
+    # E11's reporter imports scipy.stats on first use; the alarm bounds
+    # the run, not that one-time import
+    importlib.import_module("scipy.stats")
+    for seed in range(3):
+        argv = random_sizes(preset, seed)
+        # exit 2 is a size the preset refuses (E1 m > n, E3 n = 1, E4
+        # k > prob_m, E11 m past what PG(n - 1, q) allows)
+        assert _run_bounded(argv + ["--out", str(tmp_path / "x.json")]) in (0, 1, 2), argv

@@ -5,8 +5,8 @@ package, no module reads an environment variable but FQMATROID_BUDGET,
 every entry point bench/tracing.py wraps still exists, each package's
 __all__ is exactly what its __init__ imports, the CLI starts without the
 process pool's machinery, only the builders that make their own entries
-skip FqMatrix's entry check, and only the elimination modules know the
-engine-native column format."""
+skip FqMatrix's entry check, only the elimination modules know the
+engine-native column format, and one function draws uniform columns."""
 
 import ast
 import importlib
@@ -58,9 +58,6 @@ DEAD_ALLOWED = {
     "subspace_count": "checked by E0 acceptance",
     "uniform_matroid_matrix": "bench/tracing.py wraps it, so deleting it needs "
                               "its own benchmark change",
-    "draw_native_column": "bench/tracing.py wraps it as the fqlinalg.draw layer, "
-                          "which reads 0 calls on every workload, so deleting it "
-                          "needs its own benchmark change",
 }
 
 
@@ -224,7 +221,9 @@ TRUSTED_BUILDERS = {
 }
 
 
-def _trusted_callers(path: Path) -> set[str]:
+def _scopes_where(path: Path, match) -> set[str]:
+    """path:scope (the enclosing function or class names, or <module>) of
+    every node of the module for which match(node) holds."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     rel = path.relative_to(PACKAGE).as_posix()
     found = set()
@@ -234,7 +233,7 @@ def _trusted_callers(path: Path) -> set[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "_trusted":
+            if match(child):
                 found.add(f"{rel}:{'.'.join(scope) or '<module>'}")
             visit(child, scope)
 
@@ -245,7 +244,9 @@ def _trusted_callers(path: Path) -> set[str]:
 def test_only_the_trusted_builders_skip_the_entry_check():
     # every other FqMatrix, one built through FqMatrix(...) included, has
     # its columns checked for length and range
-    callers = set().union(*(_trusted_callers(p) for p in sorted(PACKAGE.rglob("*.py"))))
+    callers = set().union(*(_scopes_where(p, lambda node: isinstance(node, ast.Attribute)
+                                          and node.attr == "_trusted")
+                            for p in sorted(PACKAGE.rglob("*.py"))))
     assert callers == TRUSTED_BUILDERS
 
 
@@ -274,3 +275,23 @@ def test_only_the_elimination_modules_know_the_native_format():
     uses = {p.relative_to(PACKAGE).as_posix(): _native_format_uses(p)
             for p in sorted(PACKAGE.rglob("*.py"))}
     assert {rel for rel, names in uses.items() if names} <= NATIVE_FORMAT_MODULES, uses
+
+
+def _is_column_draw(node) -> bool:
+    """A call x.integers(0, <...>.q or q, size=...): a draw of uniform
+    field elements, the draw uniform_rows makes."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "integers" and len(node.args) >= 2):
+        return False
+    high = node.args[1]
+    return ((isinstance(high, ast.Attribute) and high.attr == "q"
+             or isinstance(high, ast.Name) and high.id == "q")
+            and (len(node.args) >= 3 or any(k.arg == "size" for k in node.keywords)))
+
+
+def test_the_uniform_column_draw_has_one_home():
+    # every uniform column of F_q^n comes from fqlinalg.uniform_rows, the
+    # one place that knows numpy's bounded draw well enough to read it raw
+    draws = set().union(*(_scopes_where(p, _is_column_draw)
+                          for p in sorted(PACKAGE.rglob("*.py"))))
+    assert draws == {"fqlinalg/matrix.py:uniform_rows"}

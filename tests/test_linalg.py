@@ -18,6 +18,7 @@ from fqmatroid.fqlinalg import (
     pack_gf2,
     pack_native,
     random_uniform_matrix,
+    uniform_rows,
 )
 from fqmatroid.fqlinalg.matrix import _Gf2Rref, _Gf3Rref
 from conftest import (
@@ -470,6 +471,46 @@ def test_block_draw_is_the_per_column_stream(q, n):
         assert type(block[0]) is type(singles[0])
         # the generator is left where k single draws leave it
         assert block_rng.integers(0, 1 << 40) == single_rng.integers(0, 1 << 40)
+
+
+class _CountedIntegers:
+    """A generator's bit generator and its integers, counting integers calls."""
+
+    def __init__(self, rng):
+        self.rng, self.bit_generator, self.calls = rng, rng.bit_generator, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("count,n", [(64, 200), (14, 10), (64, 7), (3, 5), (1, 1),
+                                     (0, 4)])
+@pytest.mark.parametrize("start", ["fresh", "half buffered", "pcg64"])
+def test_uniform_rows_is_rng_integers(q, count, n, start):
+    # the raw-word read (q = 2, a Philox with no half word buffered, an even
+    # count * n) and the rng.integers fallback give the values and leave the
+    # generator as rng.integers(0, q, size=(count, n)) does
+    def generator():
+        key = [q * 1000 + count, n]
+        rng = np.random.Generator(np.random.PCG64(key) if start == "pcg64"
+                                  else np.random.Philox(key=key))
+        if start == "half buffered":
+            rng.integers(0, 2)  # one 32-bit half drawn, the other buffered
+        return rng
+
+    F = make_field(q)
+    got_rng, want_rng = _CountedIntegers(generator()), generator()
+    got = uniform_rows(F, n, count, got_rng)
+    want = want_rng.integers(0, q, size=(count, n))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
+    raw = q == 2 and start == "fresh" and count * n % 2 == 0
+    assert got_rng.calls == (0 if raw else 1)
+    assert np.array_equal(got_rng.bit_generator.random_raw(8),
+                          want_rng.bit_generator.random_raw(8))
+    assert np.array_equal(got_rng.rng.integers(0, 7, 5), want_rng.integers(0, 7, 5))
 
 
 @pytest.mark.parametrize("q,n", [(2, 5), (3, 4), (3, 30), (4, 3), (5, 30)])

@@ -1067,6 +1067,49 @@ def test_tau_u23_equals_the_per_step_reference(q, n):
         assert got == tau_u23_per_step(field, n, P.process_rng(67, trial))
 
 
+def u23_by_stepping(field, n, rng):
+    """E3's hitting times stepped through a ProcessState: the first step at
+    a dependent column whose point is new and nonzero, and the first step
+    of corank 1."""
+    st = P.ProcessState(field, n, rng)
+    points, tau_crk1 = set(), None
+    while True:
+        start = st.m
+        st.step_until_dependent()
+        *independent, pt = st.points(start)
+        points.update(independent)
+        if tau_crk1 is None:
+            tau_crk1 = st.m
+        if pt is not None and pt not in points:
+            return st.m, tau_crk1
+
+
+@pytest.mark.parametrize("n", [2, 5, 64, 200])
+def test_u23_tracker_matches_stepping(n):
+    # the q = 2 loop draws the blocks a ProcessState draws and reduces them
+    # on a rank-only echelon; it must stop where stepping stops
+    for seed in range(300):
+        assert (P.track_u23_minor(F2, n, P.process_rng(seed, n))
+                == u23_by_stepping(F2, n, P.process_rng(seed, n))), seed
+
+
+@pytest.mark.parametrize("n", [6, 200])
+def test_u23_gf2_loop_checks_rank_plus_corank(n):
+    # a row no column put there: the table's rank runs one past what the
+    # columns account for, so the first block's check fails
+    rows = [None] * (n + 1)
+    rows[2] = 0b10
+    with pytest.raises(ConsistencyError, match="rank .* corank"):
+        P._track_u23_gf2(F2, n, P.process_rng(5, 1), rows)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_u23_tracker_refuses_one_row(q):
+    # one row holds one projective point, so U_{2,3} never appears
+    with pytest.raises(InvalidParam):
+        P.track_u23_minor(make_field(q), 1, P.process_rng(5, 1))
+
+
 # ---- point-sample models -----------------------------------------------------------
 
 
