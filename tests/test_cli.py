@@ -1,7 +1,6 @@
 """Exit codes, output formats, and artifact round-trips of the console tool."""
 
 import contextlib
-import importlib
 import io
 import json
 import math
@@ -776,9 +775,6 @@ def random_sizes(preset, seed):
 
 @pytest.mark.parametrize("preset", sorted(montecarlo.PRESETS))
 def test_simulate_fuzz_at_random_small_sizes(tmp_path, preset):
-    # E11's reporter imports scipy.stats on first use; the alarm bounds
-    # the run, not that one-time import
-    importlib.import_module("scipy.stats")
     for seed in range(3):
         argv = random_sizes(preset, seed)
         # exit 2 is a size the preset refuses (E1 m > n, E3 n = 1, E4

@@ -6,7 +6,9 @@ every entry point bench/tracing.py wraps still exists, each package's
 __all__ is exactly what its __init__ imports, the CLI starts without the
 process pool's machinery, only the builders that make their own entries
 skip FqMatrix's entry check, only the elimination modules know the
-engine-native column format, and one function draws uniform columns."""
+engine-native column format, one function draws uniform columns, no
+module imports beyond the standard library and numpy, and an E11 run
+leaves scipy unimported."""
 
 import ast
 import importlib
@@ -208,6 +210,41 @@ def test_cli_import_leaves_out_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+def _imported_packages(path: Path) -> set[str]:
+    """Top-level names of the absolute imports of a module."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_the_standard_library_and_numpy_are_imported():
+    # numpy is the one declared dependency; another third-party import
+    # would break an install that follows pyproject.toml
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fqmatroid"}
+    foreign = {f"{path.relative_to(PACKAGE.parent)}: {name}"
+               for path in sorted(PACKAGE.rglob("*.py"))
+               for name in _imported_packages(path) - allowed}
+    assert foreign == set()
+
+
+def test_e11_run_leaves_out_scipy():
+    # E11's reporter computes its chi-square test itself; at this size both
+    # of its p-values come from the tail (a pooled single cell gives 1.0)
+    code = ("import sys, fqmatroid.cli; from fqmatroid import montecarlo as MC; "
+            "_, rep = MC.run_experiment(MC.ExperimentConfig('E11', seed=1, trials=200)); "
+            "print('scipy' in sys.modules, sorted(rep.empirical.values()))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    imported, p_values = out.stdout.split(" ", 1)
+    assert imported == "False"
+    assert all(0 < p < 1 for p in ast.literal_eval(p_values)), p_values
 
 
 # the src/ functions that build an FqMatrix through the unchecked

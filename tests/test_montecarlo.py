@@ -9,6 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fqmatroid import montecarlo as MC
@@ -360,6 +361,54 @@ def test_chi2_pooling():
     assert MC._chi2_counters(Counter({1: 1000}), Counter({2: 1000})) < 1e-6
     # single pooled cell -> no test possible, neutral verdict
     assert MC._chi2_counters(Counter({5: 3}), Counter({5: 4})) == 1.0
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 1.0, 2.5, 7.0, 30.0, 80.0])
+def test_chi2_tail_at_small_dof_is_the_exact_closed_form(x):
+    erfc, e = math.erfc(math.sqrt(x / 2)), math.exp(-x / 2)
+    assert MC._chi2_tail(x, 1) == erfc
+    assert MC._chi2_tail(x, 2) == e
+    assert MC._chi2_tail(x, 3) == erfc + math.sqrt(2 * x / math.pi) * e
+    assert MC._chi2_tail(x, 4) == pytest.approx(e * (1 + x / 2), rel=1e-15)
+
+
+def test_chi2_tail_is_one_at_zero():
+    assert [MC._chi2_tail(0.0, dof) for dof in range(1, 7)] == [1.0] * 6
+
+
+def test_chi2_yates_correction_at_one_degree_of_freedom():
+    # rows (10, 20) and (30, 40): expected counts 12, 18, 28 and 42, so
+    # every |O - E| = 2 shrinks to 1.5 and X^2 = 2.25 * 50/252 = 25/56
+    a, b = Counter({0: 10, 1: 20}), Counter({0: 30, 1: 40})
+    assert MC._chi2_counters(a, b) == pytest.approx(math.erfc(math.sqrt(25 / 112)),
+                                                    rel=1e-14)
+    # every |O - E| is below 0.5, so the corrected statistic is 0
+    assert MC._chi2_counters(Counter({0: 10, 1: 10}), Counter({0: 10, 1: 11})) == 1.0
+
+
+def test_chi2_pearson_statistic_at_two_degrees_of_freedom():
+    # rows (10, 20, 30) and (20, 20, 20): expected counts 15, 20, 25 in both
+    # rows, uncorrected |O - E| of 5, 0, 5, so X^2 = 2 * (25/15 + 25/25) = 16/3
+    # and the dof-2 tail is exp(-X^2 / 2)
+    a, b = Counter({0: 10, 1: 20, 2: 30}), Counter({0: 20, 1: 20, 2: 20})
+    assert MC._chi2_counters(a, b) == pytest.approx(math.exp(-8 / 3), rel=1e-14)
+
+
+def test_chi2_counters_match_chi2_contingency():
+    # scipy is only a reference here: the package computes the test itself
+    chi2_contingency = pytest.importorskip("scipy.stats").chi2_contingency
+    rng = np.random.default_rng(20260814)
+    for t in range(200):
+        k = int(rng.integers(2, 9))
+        pmf = 0.9 * rng.dirichlet(np.ones(k)) + 0.1 / k
+        other = pmf if t % 2 else pmf * rng.uniform(0.8, 1.2, k)
+        table = [rng.multinomial(int(rng.integers(1000, 5001)), w / w.sum()).tolist()
+                 for w in (pmf, other)]
+        assert min(map(sum, zip(*table))) >= 10  # no cells pooled
+        ours = MC._chi2_counters(*(Counter(dict(enumerate(row))) for row in table))
+        ref = float(chi2_contingency(table).pvalue)
+        assert ours == pytest.approx(ref, rel=1e-9), table
+        assert (ours < 0.01) == (ref < 0.01), table
 
 
 # ---- emission -----------------------------------------------------------------
